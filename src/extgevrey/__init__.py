@@ -21,8 +21,8 @@ from .conjugate import (AxiomReport, ConjugateTable, WeightFn, biconjugate,
                         bmt_log_power, bmt_quotient, check_weight_axioms,
                         conjugate_table, corollary_weight, custom_weight,
                         integral_closed_form_check, lambert_weight,
-                        log_composition, phi_sigma, phi_weight, power_weight,
-                        young_conjugate)
+                        log_composition, phi_sigma, phi_sigma_conjugate,
+                        phi_weight, power_weight, young_conjugate)
 from .equivalence import (EquivalenceReport, MatrixHandle,
                           check_T_phi_equivalence, check_corollary,
                           check_matrix_equivalence, check_ocena_norme,
@@ -46,8 +46,8 @@ __all__ = [
     "AxiomReport", "ConjugateTable", "WeightFn", "biconjugate",
     "bmt_log_power", "bmt_quotient", "check_weight_axioms", "conjugate_table",
     "corollary_weight", "custom_weight", "integral_closed_form_check",
-    "lambert_weight", "log_composition", "phi_sigma", "phi_weight",
-    "power_weight", "young_conjugate",
+    "lambert_weight", "log_composition", "phi_sigma", "phi_sigma_conjugate",
+    "phi_weight", "power_weight", "young_conjugate",
     "EquivalenceReport", "MatrixHandle", "check_T_phi_equivalence",
     "check_corollary", "check_matrix_equivalence", "check_ocena_norme",
     "conjugate_matrix", "default_k_grid", "extended_matrix",

@@ -2,8 +2,7 @@
 
 Two implementations live here for each kernel: a scalar-loop version
 compiled with numba's @njit, and a vectorized pure-numpy fallback.
-Set EXTGEVREY_NO_NUMBA=1 to force the numpy path (the benchmark in
-benchmarks/bench_kernels.py compares the two).
+Set EXTGEVREY_NO_NUMBA=1 to force the numpy path.
 """
 
 import math

@@ -38,11 +38,23 @@ class AssocFnResult:
     method: str
 
 
+def _check_positive(name, x):
+    if not (math.isfinite(x) and x > 0):
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+
+
 def _validate_hk(h, k):
-    if not h > 0:
-        raise DomainError(f"h must be positive, got {h}")
-    if not k > 0:
-        raise DomainError(f"k must be positive, got {k}")
+    _check_positive("h", h)
+    _check_positive("k", k)
+
+
+def _k_grid(k_grid, caller):
+    """k_grid as a float array, rejecting nonfinite or nonpositive points."""
+    k = np.asarray(k_grid, dtype=np.float64)
+    bad = ~(np.isfinite(k) & (k > 0))
+    if bad.any():
+        raise DomainError(f"{caller} needs finite k > 0, got k={k[bad].flat[0]}")
+    return k
 
 
 def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
@@ -53,24 +65,20 @@ def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
 
 
 def assoc_fn_sup_grid(params: SequenceParams, h: float, k_grid) -> Tuple[np.ndarray, np.ndarray]:
-    k = np.asarray(k_grid, dtype=np.float64)
-    if not h > 0 or np.any(k <= 0):
-        raise DomainError("assoc_fn_sup_grid needs h > 0 and k > 0")
+    _check_positive("h", h)
+    k = _k_grid(k_grid, "assoc_fn_sup_grid")
     return assoc_sup_grid(np.log(k), math.log(h), params.tau, params.sigma)
 
 
 def assoc_fn_counting(params: SequenceParams, k: float) -> AssocFnResult:
     """T(k) at h = 1 as the exact finite sum over quotient jump points."""
-    if not k > 0:
-        raise DomainError(f"k must be positive, got {k}")
+    _check_positive("k", k)
     values, counts = counting_sum_grid(np.array([math.log(k)]), params.tau, params.sigma)
     return AssocFnResult(float(values[0]), int(counts[0]), "counting_sum")
 
 
 def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, np.ndarray]:
-    k = np.asarray(k_grid, dtype=np.float64)
-    if np.any(k <= 0):
-        raise DomainError("assoc_fn_counting_grid needs k > 0")
+    k = _k_grid(k_grid, "assoc_fn_counting_grid")
     return counting_sum_grid(np.log(k), params.tau, params.sigma)
 
 
@@ -78,12 +86,15 @@ def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, 
 # counting function for the shifted quotient variant
 # ---------------------------------------------------------------------------
 
+def _validate_c_lam(C, lam):
+    _check_positive("C", C)
+    if not (math.isfinite(lam) and lam >= 1):
+        raise DomainError(f"lambda must be finite and >= 1, got {lam}")
+
+
 def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W."""
-    if not C > 0:
-        raise DomainError(f"C must be positive, got {C}")
-    if lam < 1:
-        raise DomainError(f"lambda must be >= 1, got {lam}")
+    _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
     arg = C ** ((s - 1.0) / tau) * (s - 1.0) / tau * math.log(lam)
     val = C ** (-1.0 / tau) * math.exp(lambert_w0(arg) / (s - 1.0))
@@ -93,10 +104,7 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
 
 def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
     """Brute-force enumeration of the same count."""
-    if not C > 0:
-        raise DomainError(f"C must be positive, got {C}")
-    if lam < 1:
-        raise DomainError(f"lambda must be >= 1, got {lam}")
+    _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
     lnC, lnlam = math.log(C), math.log(lam)
     n = 0

@@ -166,8 +166,8 @@ def cmd_phi(args):
 def cmd_conjugate(args):
     y = parse_grid(args.grid, args.linear)
     y = y[y >= 0]
-    tab = conjugate.conjugate_table(lambda t: conjugate.phi_sigma(args.sigma, t), y)
-    emit(list(tab.rows()), ["y", "t_star", "phi_star"], args.format, args.output)
+    phi_star, t_star = conjugate.phi_sigma_conjugate(args.sigma, y)
+    emit(list(zip(y, t_star, phi_star)), ["y", "t_star", "phi_star"], args.format, args.output)
     return 0
 
 

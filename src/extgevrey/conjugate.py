@@ -29,6 +29,7 @@ __all__ = [
     "ConjugateTable",
     "conjugate_table",
     "biconjugate",
+    "phi_sigma_conjugate",
     "AxiomReport",
     "check_weight_axioms",
     "IntegralCheckReport",
@@ -166,8 +167,8 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     The objective is concave for convex phi; the bracket doubles until
     the objective stops increasing, then golden section finishes.
     """
-    if y < 0:
-        raise DomainError(f"young_conjugate needs y >= 0, got {y}")
+    if not (math.isfinite(y) and y >= 0):
+        raise DomainError(f"young_conjugate needs finite y >= 0, got {y}")
 
     def f(t):
         return y * t - phi(t)
@@ -240,6 +241,70 @@ def biconjugate(phi: Callable[[float], float], t: float, *,
             raise DivergenceError(f"biconjugate diverges at t = {t}", cap=y_cap)
     _, val = _golden_max(f, 0.0, b, 1e-9 * max(1.0, b * 1e-3))
     return max(val, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form Young conjugate of phi_sigma
+# ---------------------------------------------------------------------------
+
+_NEWTON_MAXITER = 50
+_NEWTON_RTOL = 1e-14
+
+
+def phi_sigma_conjugate(sigma: float, y):
+    """phi_sigma*(y) = sup_{t>=0} (y t - phi_sigma(t)) in closed form;
+    returns (value, argmax t), floats for a scalar y, else arrays shaped
+    like y.
+
+    With t = w e^w, phi_sigma(t) = w e^(s w/(s-1)) and
+    phi_sigma'(t) = e^(w/(s-1)) (s-1+s w) / ((s-1)(1+w)), which increases
+    strictly from 1 at t = 0. So phi*(y) = 0 at t* = 0 for y <= 1. For
+    y > 1 the maximiser solves phi'(t) = y, in log form
+        g(w) = w/(s-1) + ln(1 + s w/(s-1)) - ln(1 + w) - ln y = 0,
+    and phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
+    g is increasing and concave and the seed lies left of its root, so
+    Newton's iterates rise monotonically to it.
+    """
+    if not (sigma > 1 and math.isfinite(sigma)):
+        raise DomainError(f"phi_sigma_conjugate needs finite sigma > 1, got sigma={sigma}")
+    ys = np.asarray(y, dtype=np.float64)
+    bad = ~(np.isfinite(ys) & (ys >= 0))
+    if bad.any():
+        raise DomainError(f"phi_sigma_conjugate needs finite y >= 0; sigma={sigma}, "
+                          f"y={ys[bad].flat[0]}")
+    s1 = sigma - 1.0
+    c = sigma / s1
+    pos = ys > 1.0
+    lny = np.log(ys[pos])
+    # g(w) < w/(s-1) + ln c - ln y, so this seed has g <= 0
+    w = np.maximum(s1 * (lny - math.log(c)), 0.0)
+    for _ in range(_NEWTON_MAXITER):
+        g = w / s1 + np.log1p(c * w) - np.log1p(w) - lny
+        dg = 1.0 / s1 + c / (1.0 + c * w) - 1.0 / (1.0 + w)
+        step = g / dg
+        w = w - step
+        done = np.abs(step) <= _NEWTON_RTOL * w
+        if done.all():
+            break
+    else:
+        y_bad = ys[pos][~done][0]
+        raise NumericalError(f"phi_sigma_conjugate: Newton did not converge in "
+                             f"{_NEWTON_MAXITER} steps; sigma={sigma}, y={y_bad}")
+    with np.errstate(over="ignore"):
+        ew = np.exp(c * w)
+        t_pos = w * np.exp(w)
+        v_pos = w * w * ew / (s1 * (1.0 + w))
+    ok = np.isfinite(ew) & np.isfinite(t_pos) & np.isfinite(v_pos)
+    if not ok.all():
+        raise NumericalError(f"phi_sigma_conjugate overflows; sigma={sigma}, "
+                             f"y={ys[pos][~ok][0]}")
+    value = np.zeros_like(ys)
+    t_star = np.zeros_like(ys)
+    value[pos] = v_pos
+    t_star[pos] = t_pos
+    if ys.ndim == 0:
+        return float(value), float(t_star)
+    return value, t_star
 
 
 # ---------------------------------------------------------------------------

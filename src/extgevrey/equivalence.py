@@ -10,11 +10,11 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from ._kernels import assoc_sup_grid
-from .conjugate import (check_weight_axioms, conjugate_table, corollary_weight,
-                        phi_sigma, young_conjugate)
+from .conjugate import (check_weight_axioms, corollary_weight, phi_sigma,
+                        phi_sigma_conjugate)
 from .errors import UsageError
-from .sequences import (LogWeightSequence, SequenceParams, default_p_grid,
-                        extended_gevrey, stable_sup)
+from .sequences import (LogWeightSequence, SequenceParams, conjugate_generated,
+                        default_p_grid, extended_gevrey, stable_sup)
 
 __all__ = [
     "EquivalenceReport",
@@ -109,21 +109,16 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
         fitted, holds, max_violation, notes)
 
 
-def _phi_callable(sigma: float) -> Callable[[float], float]:
-    return lambda t: phi_sigma(sigma, t)
-
-
 def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, float, float]:
     """Ratio band of T(e^t)/phi_sigma(t) on a t-window wide enough that the
     conjugate maximizers for y up to p_max/b stay inside it."""
-    phi = _phi_callable(sigma)
     t_max = 4000.0
     while True:
         t = np.logspace(0.0, math.log10(t_max), 1200)
         T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
         c = T / phi_sigma(sigma, t)
         b, a = float(np.min(c)), float(np.max(c))
-        _, t_star = young_conjugate(phi, p_max / b)
+        _, t_star = phi_sigma_conjugate(sigma, p_max / b)
         if t_star <= 0.8 * t_max:
             return a, b, t_max
         t_max *= 2.0
@@ -147,12 +142,11 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
     logM = seq.log_M(p)
-    phi = _phi_callable(sigma)
-    tab1 = conjugate_table(phi, H1 * pf)
-    tab2 = conjugate_table(phi, H2 * pf)
+    star1, _ = phi_sigma_conjugate(sigma, H1 * pf)
+    star2, _ = phi_sigma_conjugate(sigma, H2 * pf)
 
-    v1 = logM - tab1.phi_star / H1
-    v2 = tab2.phi_star / H2 - logM
+    v1 = logM - star1 / H1
+    v2 = star2 / H2 - logM
     logC1, arg1, stable1 = stable_sup(p, v1)
     logC2, arg2, stable2 = stable_sup(p, v2)
     # matrix-relation constants: per-p exponent of the C^p comparison
@@ -193,18 +187,13 @@ def extended_matrix(sigma: float, taus) -> MatrixHandle:
 
 
 def conjugate_matrix(sigma: float, Hs) -> MatrixHandle:
-    phi = _phi_callable(sigma)
+    """N_sigma: log N^H_p = phi_sigma*(H p) / H, one member per H."""
 
-    def make(H):
-        def fn(p):
-            arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
-            tab = conjugate_table(phi, H * arr)
-            out = tab.phi_star / H
-            return out if np.asarray(p).ndim else float(out[0])
+    def phi_star(y):
+        return phi_sigma_conjugate(sigma, y)[0]
 
-        return LogWeightSequence("conjugate_generated", fn)
-
-    return MatrixHandle("N_sigma", sigma, tuple(Hs), make)
+    return MatrixHandle("N_sigma", sigma, tuple(Hs),
+                        lambda H: conjugate_generated(phi_star, H))
 
 
 def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,

@@ -105,6 +105,30 @@ def test_domain_validation():
         counting_fn_floor(params, 1.0, 0.5)
 
 
+_P = SequenceParams(1.0, 2.0)
+
+
+# nonfinite input must be rejected before a kernel sees it: there a NaN grid
+# point reads as T = 0, k = inf as T = inf, and a NaN or infinite k (or
+# lambda) keeps the counting loops growing without end
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda x: assoc_fn_sup(_P, 1.0, x),
+    lambda x: assoc_fn_sup(_P, x, 2.0),
+    lambda x: assoc_fn_sup_grid(_P, 1.0, [2.0, x]),
+    lambda x: assoc_fn_sup_grid(_P, x, [2.0]),
+    lambda x: assoc_fn_counting(_P, x),
+    lambda x: assoc_fn_counting_grid(_P, [2.0, x]),
+    lambda x: counting_fn_floor(_P, 1.0, x),
+    lambda x: counting_fn_direct(_P, 1.0, x),
+    lambda x: counting_fn_direct(_P, x, 2.0),
+], ids=["sup-k", "sup-h", "sup_grid-k", "sup_grid-h", "counting-k",
+        "counting_grid-k", "floor-lambda", "direct-lambda", "direct-C"])
+def test_nonfinite_input_is_rejected(call, x):
+    with pytest.raises(DomainError, match=str(x)):
+        call(x)
+
+
 # frozen oracle counts from direct enumeration
 COUNT_REFERENCE = [
     (1.0, 2.0, math.e, 1e6, 5),

@@ -6,6 +6,7 @@ import pytest
 from extgevrey import (
     DivergenceError,
     DomainError,
+    NumericalError,
     SequenceParams,
     biconjugate,
     bmt_log_power,
@@ -18,6 +19,7 @@ from extgevrey import (
     lambert_weight,
     log_composition,
     phi_sigma,
+    phi_sigma_conjugate,
     phi_weight,
     power_weight,
     young_conjugate,
@@ -63,6 +65,81 @@ def test_young_conjugate_reference(sigma, y, star, t_star):
     val, ts = young_conjugate(lambda t: phi_sigma(sigma, t), y)
     assert val == pytest.approx(star, rel=1e-8)
     assert ts == pytest.approx(t_star, rel=1e-4)
+
+
+def test_young_conjugate_rejects_nonfinite_y():
+    for y in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            young_conjugate(lambda t: phi_sigma(2.0, t), y)
+
+
+@pytest.mark.parametrize("sigma", [1.3, 1.5, 2.0, 3.0])
+def test_phi_sigma_conjugate_matches_golden_section(sigma):
+    y = np.linspace(0.0, 300.0, 301)
+    val, ts = phi_sigma_conjugate(sigma, y)
+    tab = conjugate_table(lambda t: phi_sigma(sigma, t), y)
+    np.testing.assert_allclose(val, tab.phi_star, rtol=1e-12, atol=0.0)
+    # golden section pins the maximiser of a flat maximum only to about
+    # sqrt(machine eps) relative, plus its absolute tolerance near t = 0
+    np.testing.assert_allclose(ts, tab.t_star, rtol=1e-6, atol=1e-9)
+
+
+@pytest.mark.parametrize("sigma,y,star,t_star", CONJ_REFERENCE)
+def test_phi_sigma_conjugate_reference(sigma, y, star, t_star):
+    val, ts = phi_sigma_conjugate(sigma, y)
+    assert isinstance(val, float) and isinstance(ts, float)
+    assert val == pytest.approx(star, rel=1e-13)
+    assert ts == pytest.approx(t_star, rel=1e-13)
+
+
+def test_phi_sigma_conjugate_vanishes_for_y_at_most_one():
+    val, ts = phi_sigma_conjugate(2.0, np.array([0.0, 0.25, 1.0]))
+    assert val.tolist() == [0.0, 0.0, 0.0]
+    assert ts.tolist() == [0.0, 0.0, 0.0]
+    assert phi_sigma_conjugate(1.5, 1.0) == (0.0, 0.0)
+    val, ts = phi_sigma_conjugate(2.0, math.nextafter(1.0, 2.0))
+    assert 0.0 < val < 1e-30 and 0.0 < ts < 1e-15
+
+
+@pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
+def test_phi_sigma_conjugate_fenchel_young(sigma):
+    t = np.linspace(0.0, 40.0, 200)
+    y = np.linspace(0.0, 30.0, 200)
+    val, ts = phi_sigma_conjugate(sigma, y)
+    lhs = np.outer(y, t)
+    rhs = phi_sigma(sigma, t)[None, :] + val[:, None]
+    assert np.all(lhs <= rhs * (1.0 + 1e-13))
+    # equality at the maximiser
+    np.testing.assert_allclose(y * ts, phi_sigma(sigma, ts) + val, rtol=1e-12, atol=1e-15)
+
+
+def test_phi_sigma_conjugate_domain():
+    for sigma in (1.0, 0.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="sigma"):
+            phi_sigma_conjugate(sigma, 2.0)
+    for y in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=r"sigma=2\.0.*y="):
+            phi_sigma_conjugate(2.0, y)
+    with pytest.raises(DomainError, match="y=nan"):
+        phi_sigma_conjugate(2.0, [1.0, 3.0, math.nan])
+
+
+def test_phi_sigma_conjugate_overflow():
+    # e^(s w/(s-1)) grows like y^s, so it overflows once y^s passes 1e308
+    with pytest.raises(NumericalError, match=r"overflow.*sigma=3\.0.*y=1e\+150"):
+        phi_sigma_conjugate(3.0, [2.0, 1e150])
+    with pytest.raises(NumericalError, match="overflow"):
+        phi_sigma_conjugate(1.01, 1e308)
+    val, _ = phi_sigma_conjugate(3.0, 1e100)
+    assert math.isfinite(val)
+
+
+def test_phi_sigma_conjugate_reports_nonconvergence(monkeypatch):
+    from extgevrey import conjugate
+
+    monkeypatch.setattr(conjugate, "_NEWTON_MAXITER", 1)
+    with pytest.raises(NumericalError, match=r"converge.*sigma=2\.0.*y=5\.0"):
+        phi_sigma_conjugate(2.0, [0.5, 5.0])
 
 
 def test_quadratic_is_self_conjugate():
