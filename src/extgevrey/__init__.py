@@ -3,7 +3,6 @@ functions, Young conjugates, weight-function axioms and the equivalence
 checks relating them.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .errors import (DivergenceError, DomainError, NumericalError, RangeError,
                      UsageError)
 from .lambertw import (OMEGA, WEvaluation, check_w3_bounds, check_w_identities,
@@ -31,7 +30,7 @@ from .equivalence import (EquivalenceReport, MatrixHandle,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED", "__version__",
+    "__version__",
     "DivergenceError", "DomainError", "NumericalError", "RangeError", "UsageError",
     "OMEGA", "WEvaluation", "check_w3_bounds", "check_w_identities",
     "evaluate_w", "lambert_w0", "lambert_w0_grid",

@@ -1,96 +1,60 @@
-"""Hot numeric kernels.
+"""Hot numeric kernels, one numpy/pure-Python implementation each.
 
-Two implementations live here for each kernel: a scalar-loop version
-compiled with numba's @njit, and a vectorized pure-numpy fallback.
-Set EXTGEVREY_NO_NUMBA=1 to force the numpy path.
+Lambert W has a scalar kernel (`w0_scalar`, a plain Python loop that
+also reports its iteration count) and a vector kernel (`w0_grid`, a
+masked numpy Halley iteration); the public W entry points pick one by
+input type. The associated-function sup (`assoc_sup_grid`, with the
+scalar `_assoc_sup_scalar`) and the counting sum (`counting_sum_grid`)
+are numpy kernels over arrays of ln k.
 """
 
 import math
-import os
 
 import numpy as np
 
 _E = math.e
-
-_disable = os.environ.get("EXTGEVREY_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _disable:
-        raise ImportError("numba disabled via EXTGEVREY_NO_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(fn):
-            return fn
-
-        return deco
 
 
 # ---------------------------------------------------------------------------
 # Lambert W, principal branch on [0, inf)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
 def w0_scalar(x):
-    """Principal-branch Lambert W for a single x >= 0.
+    """Principal-branch Lambert W for a single x >= 0, as (w, iterations).
 
     Halley iteration; for x >= e the iteration runs on
     g(w) = w + ln w - ln x, which never overflows.
     """
     if x == 0.0:
-        return 0.0
+        return 0.0, 0
     if x < 1e-4:
         # series around 0 avoids cancellation in the log-based seed
-        return x * (1.0 - x * (1.0 - 1.5 * x))
+        return x * (1.0 - x * (1.0 - 1.5 * x)), 0
     if x >= _E:
         lx = math.log(x)
         w = lx - math.log(lx)
-        for _ in range(50):
-            lw = math.log(w)
-            g = w + lw - lx
+        for n in range(1, 51):
+            g = w + math.log(w) - lx
             gp = 1.0 + 1.0 / w
             # Halley step for g with g'' = -1/w^2
-            step = 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
-            w -= step
+            w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
             if abs(g) <= 1e-15 * max(1.0, lx):
                 break
-        return w
+        return w, n
     # 1e-4 <= x < e: direct residual, seeded with x itself
     w = x
-    for _ in range(50):
+    for n in range(1, 51):
         ew = math.exp(w)
         f = w * ew - x
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w -= f / denom
-        if w < 0.0:
-            w = 0.0
+        w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), 0.0)
         if abs(f) <= 1e-16 * max(1.0, x):
             break
-    return w
+    return w, n
 
 
-@njit(cache=True)
-def _w0_kernel(x, out):
-    for i in range(x.size):
-        out[i] = w0_scalar(x[i])
-
-
-def w0_grid_njit(x):
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    _w0_kernel(x.ravel(), out.ravel())
-    return out
-
-
-def w0_grid_numpy(x):
-    """Vectorized masked Halley iteration, pure numpy."""
+def w0_grid(x):
+    """Elementwise W: the Halley updates of `w0_scalar`, masked by regime and
+    repeated until every point has converged."""
     x = np.asarray(x, dtype=np.float64)
     w = np.zeros_like(x)
 
@@ -123,17 +87,10 @@ def w0_grid_numpy(x):
     return w
 
 
-def w0_grid(x):
-    if NUMBA_ENABLED:
-        return w0_grid_njit(x)
-    return w0_grid_numpy(x)
-
-
 # ---------------------------------------------------------------------------
 # Associated-function supremum  sup_p [ p^sigma ln h + p ln k - tau p^sigma ln p ]
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
 def _scan_cap(tau, sigma, abs_lnh, abs_lnk):
     """Smallest power of two beyond which the objective is decreasing.
 
@@ -152,13 +109,11 @@ def _scan_cap(tau, sigma, abs_lnh, abs_lnk):
     return int(p)
 
 
-@njit(cache=True)
 def _assoc_objective(p, lnk, lnh, tau, sigma):
     pw = p ** sigma
     return pw * lnh + p * lnk - tau * pw * math.log(p)
 
 
-@njit(cache=True)
 def _p_concave_from(lnh, tau):
     """The objective is strictly concave in p for p >= h^(1/tau)."""
     if lnh <= 0.0:
@@ -169,7 +124,6 @@ def _p_concave_from(lnh, tau):
     return int(pc) + 1
 
 
-@njit(cache=True)
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     cap = _scan_cap(tau, sigma, abs(lnh), abs(lnk))
     best = 0.0   # p = 0 term: ln_+ 1 = 0
@@ -199,23 +153,7 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     return best, best_p
 
 
-@njit(cache=True)
-def _assoc_sup_kernel(lnk_arr, lnh, tau, sigma, values, argmax):
-    for i in range(lnk_arr.size):
-        v, p = _assoc_sup_scalar(lnk_arr[i], lnh, tau, sigma)
-        values[i] = v
-        argmax[i] = p
-
-
-def assoc_sup_grid_njit(lnk_arr, lnh, tau, sigma):
-    lnk_arr = np.ascontiguousarray(lnk_arr, dtype=np.float64)
-    values = np.empty_like(lnk_arr)
-    argmax = np.empty(lnk_arr.shape, dtype=np.int64)
-    _assoc_sup_kernel(lnk_arr, lnh, tau, sigma, values, argmax)
-    return values, argmax
-
-
-def assoc_sup_grid_numpy(lnk_arr, lnh, tau, sigma):
+def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     values = np.zeros_like(lnk_arr)
     argmax = np.zeros(lnk_arr.shape, dtype=np.int64)
@@ -258,50 +196,11 @@ def assoc_sup_grid_numpy(lnk_arr, lnh, tau, sigma):
     return values, argmax
 
 
-def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
-    if NUMBA_ENABLED:
-        return assoc_sup_grid_njit(lnk_arr, lnh, tau, sigma)
-    return assoc_sup_grid_numpy(lnk_arr, lnh, tau, sigma)
-
-
 # ---------------------------------------------------------------------------
 # Counting-sum evaluation  T(k) = sum_{log m_p <= ln k} (ln k - log m_p)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _log_big_m(tau, sigma, p):
-    if p <= 1.0:
-        return 0.0
-    return tau * p ** sigma * math.log(p)
-
-
-@njit(cache=True)
-def _counting_sum_kernel(lnk_arr, tau, sigma, values, counts):
-    for i in range(lnk_arr.size):
-        lnk = lnk_arr[i]
-        total = 0.0
-        n = 0
-        p = 1
-        while True:
-            logm = _log_big_m(tau, sigma, float(p)) - _log_big_m(tau, sigma, float(p - 1))
-            if logm > lnk:
-                break
-            total += lnk - logm
-            n += 1
-            p += 1
-        values[i] = total
-        counts[i] = n
-
-
-def counting_sum_grid_njit(lnk_arr, tau, sigma):
-    lnk_arr = np.ascontiguousarray(lnk_arr, dtype=np.float64)
-    values = np.empty_like(lnk_arr)
-    counts = np.empty(lnk_arr.shape, dtype=np.int64)
-    _counting_sum_kernel(lnk_arr, tau, sigma, values, counts)
-    return values, counts
-
-
-def counting_sum_grid_numpy(lnk_arr, tau, sigma):
+def counting_sum_grid(lnk_arr, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
     # grow the quotient table until it clears the largest ln k
@@ -318,8 +217,3 @@ def counting_sum_grid_numpy(lnk_arr, tau, sigma):
     values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]
     return values, counts.astype(np.int64)
 
-
-def counting_sum_grid(lnk_arr, tau, sigma):
-    if NUMBA_ENABLED:
-        return counting_sum_grid_njit(lnk_arr, tau, sigma)
-    return counting_sum_grid_numpy(lnk_arr, tau, sigma)

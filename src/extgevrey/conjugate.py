@@ -4,11 +4,11 @@ Lambert-type integral that drives the main growth estimate.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergenceError, DomainError, NumericalError
 from .lambertw import lambert_w0, lambert_w0_grid
@@ -161,7 +161,7 @@ def _golden_max(f, lo, hi, tol):
 
 def young_conjugate(phi: Callable[[float], float], y: float, *,
                     bracket_hint: Optional[float] = None,
-                    t_cap: float = 1e12, tol: float = 1e-10) -> Tuple[float, float]:
+                    t_cap: float = 2.0 ** 1000, tol: float = 1e-10) -> Tuple[float, float]:
     """phi*(y) = sup_{t>0} (y t - phi(t)); returns (value, argmax t).
 
     The objective is concave for convex phi; the bracket doubles until
@@ -173,13 +173,15 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     def f(t):
         return y * t - phi(t)
 
+    # past max_float / y the term y t overflows and the comparison means nothing
+    cap = min(t_cap, sys.float_info.max / y) if y > 0 else t_cap
     b = max(1.0, 2.0 * bracket_hint) if bracket_hint else 1.0
     while f(b) > f(0.5 * b):
         b *= 2.0
-        if b > t_cap:
+        if b > cap:
             raise DivergenceError(
-                f"objective still increasing at t = {t_cap:g}; phi*({y}) diverges",
-                cap=t_cap)
+                f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
+                cap=cap)
     t_star, val = _golden_max(f, 0.0, b, tol * max(1.0, b * 1e-6))
     val = max(val, 0.0)       # t -> 0+ always yields 0
     return val, t_star
@@ -396,6 +398,36 @@ def _closed_antiderivative(sigma: float, t: float) -> float:
     return (sigma - 1.0) / sigma * math.exp(sigma * wv / (sigma - 1.0)) * (wv + 1.0 / sigma)
 
 
+# Gauss-Legendre nodes and weights on [-1, 1]: 20 for the value, 10 for its error
+_GL20 = np.polynomial.legendre.leggauss(20)
+_GL10 = np.polynomial.legendre.leggauss(10)
+
+
+def _panel_quadrature(f, upper, h0):
+    """int_0^U f(u) du for each U in `upper`, as (values, error estimates).
+
+    Panel edges h0 (2^j - 1) double in width, so each panel is no wider
+    than its distance to u = -h0; with h0 the distance from 0 to the
+    nearest singularity of f, Gauss-Legendre converges geometrically on
+    every panel. The panels up to max(U) are shared; each U adds one
+    partial panel. The error estimate is |20-node - 10-node|.
+    """
+    edges = [0.0]
+    while edges[-1] < upper.max(initial=0.0):
+        edges.append(h0 * (2.0 ** len(edges) - 1.0))
+    edges = np.array(edges)
+    j = np.searchsorted(edges, upper, side="right") - 1
+    lo = np.concatenate((edges[:-1], edges[j]))
+    hi = np.concatenate((edges[1:], upper))
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    sums = []
+    for x, wts in (_GL20, _GL10):
+        panel = half * (f(mid[:, None] + half[:, None] * x) @ wts)
+        full = np.concatenate(([0.0], np.cumsum(panel[:edges.size - 1])))
+        sums.append(full[j] + panel[edges.size - 1:])
+    return sums[0], np.abs(sums[0] - sums[1])
+
+
 def integral_closed_form_check(params: SequenceParams, C: float, k_grid,
                                rel_tol: float = 1e-6) -> IntegralCheckReport:
     """Quadrature of the shifted-count integral versus its closed form.
@@ -408,19 +440,20 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid,
         raise DomainError("C must be positive")
     tau, s = params.tau, params.sigma
     k = np.asarray(k_grid, dtype=np.float64)
-    if np.any(k <= 1):
-        raise DomainError("integral check needs k > 1")
+    ok = (k > 1) & (k < math.inf)
+    if not np.all(ok):
+        raise DomainError(f"integral check needs finite k > 1, got k = {k[~ok][0]}")
     c_ts = C ** ((s - 1.0) / tau) * (s - 1.0) / tau
     pref = C ** (-1.0 / tau)
 
-    quads = np.empty_like(k)
-    for i, kk in enumerate(k):
-        val, err = quad(lambda u: math.exp(lambert_w0(c_ts * u) / (s - 1.0)),
-                        0.0, math.log(kk), epsabs=1e-13, epsrel=1e-10, limit=300)
-        if err > 1e-6 * max(1.0, abs(val)):
-            raise NumericalError(
-                f"quadrature failed at k={kk:g}: value {val:g}, error estimate {err:g}")
-        quads[i] = pref * val
+    val, err = _panel_quadrature(lambda u: np.exp(lambert_w0_grid(c_ts * u) / (s - 1.0)),
+                                 np.log(k), 1.0 / (math.e * c_ts))
+    bad = err > 1e-6 * np.maximum(1.0, np.abs(val))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise NumericalError(
+            f"quadrature failed at k={k[i]:g}: value {val[i]:g}, error estimate {err[i]:g}")
+    quads = pref * val
 
     closed = np.empty_like(k)
     f0 = _closed_antiderivative(s, 0.0)

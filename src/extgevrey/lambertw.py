@@ -35,7 +35,7 @@ def lambert_w0(x):
     """W(x) for a single nonnegative real x."""
     x = float(x)
     _validate(x)
-    return w0_scalar(x)
+    return w0_scalar(x)[0]
 
 
 def lambert_w0_grid(x):
@@ -70,31 +70,7 @@ def evaluate_w(x):
     """Like :func:`lambert_w0` but reports residual and iteration count."""
     x = float(x)
     _validate(x)
-    if x == 0.0:
-        return WEvaluation(x, 0.0, 0.0, 0)
-    if x < 1e-4:
-        w = x * (1.0 - x * (1.0 - 1.5 * x))
-        return WEvaluation(x, w, w_residual(x, w), 0)
-    iters = 0
-    if x >= math.e:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-        for _ in range(50):
-            iters += 1
-            g = w + math.log(w) - lx
-            gp = 1.0 + 1.0 / w
-            w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
-            if abs(g) <= 1e-15 * max(1.0, lx):
-                break
-    else:
-        w = x
-        for _ in range(50):
-            iters += 1
-            ew = math.exp(w)
-            f = w * ew - x
-            w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), 0.0)
-            if abs(f) <= 1e-16 * max(1.0, x):
-                break
+    w, iters = w0_scalar(x)
     return WEvaluation(x, w, w_residual(x, w), iters)
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, RangeError, UsageError
 
@@ -88,11 +87,14 @@ def extended_gevrey(params: SequenceParams) -> LogWeightSequence:
     return LogWeightSequence("extended_gevrey", _ext_log_M(params.tau, params.sigma), params)
 
 
+_lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
+
+
 def gevrey(t: float) -> LogWeightSequence:
     """Classical Gevrey sequence p!^t; admitted for t > 1."""
     if not t > 1:
         raise DomainError(f"gevrey index must exceed 1, got {t}")
-    return LogWeightSequence("gevrey", lambda p: t * gammaln(p + 1.0))
+    return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0))
 
 
 def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) -> LogWeightSequence:

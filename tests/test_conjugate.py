@@ -155,6 +155,20 @@ def test_conjugate_of_linear_diverges():
         young_conjugate(lambda t: t, 2.0, t_cap=1e6)
 
 
+@pytest.mark.parametrize("y", [2.0, 1e8, 1e300])
+def test_conjugate_of_linear_diverges_at_default_cap(y):
+    # for y > 1.6e7 the term y t overflows before t reaches the cap
+    with pytest.raises(DivergenceError):
+        young_conjugate(lambda t: t, y)
+
+
+def test_young_conjugate_maximiser_beyond_1e12():
+    val, _ = young_conjugate(lambda t: phi_sigma(5.0, t), 600.0)
+    ref, ref_t = phi_sigma_conjugate(5.0, 600.0)
+    assert ref_t > 1e12
+    assert val == pytest.approx(ref, rel=1e-9)
+
+
 def test_conjugate_table_is_monotone_and_convex():
     phi = lambda t: phi_sigma(2.0, t)
     y = np.linspace(0.0, 50.0, 200)
@@ -230,3 +244,9 @@ def test_integral_closed_form(tau, sigma):
         rep = integral_closed_form_check(params, C, np.logspace(0.5, 8, 50))
         assert rep.passed
         assert np.max(rep.rel_err) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [1.0, np.inf, np.nan])
+def test_integral_closed_form_rejects_bad_k(bad):
+    with pytest.raises(DomainError, match="finite k > 1"):
+        integral_closed_form_check(SequenceParams(1.0, 2.0), 1.0, [10.0, bad])
