@@ -1,89 +1,100 @@
 """Hot numeric kernels, one numpy/pure-Python implementation each.
 
-Lambert W has a scalar kernel (`w0_scalar`, a plain Python loop that
-also reports its iteration count) and a vector kernel (`w0_grid`, a
-masked numpy Halley iteration); the public W entry points pick one by
-input type. The associated-function sup (`assoc_sup_grid`, with the
-scalar `_assoc_sup_scalar`) and the counting sum (`counting_sum_grid`)
-are numpy kernels over arrays of ln k.
+Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar`
+counts its Halley steps; `w0_grid` freezes each point once it has converged.
+
+T_h(k) = max(0, sup_p [p ln k - f(p)]), f(p) = tau p^sigma ln p - p^sigma ln h,
+is a discrete Legendre transform. `assoc_sup_grid` takes p <= head from the
+lower convex hull of (p, f(p)), one searchsorted of ln k in its slopes. Past
+the head only the integers next to the one interior local maximum compete:
+ln p* = W0(x)/(sigma-1) - c, x = ln k (sigma-1)/(tau sigma) e^{(sigma-1)c},
+c = (tau - sigma ln h)/(tau sigma); for x < -1/e there is none. The scalar
+`_assoc_sup_scalar` scans the head in Python and takes the same tail.
 """
 
 import math
 
 import numpy as np
 
-_E = math.e
+from .errors import NumericalError
+
+_W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
+_LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 
 
 # ---------------------------------------------------------------------------
-# Lambert W, principal branch on [0, inf)
+# Lambert W, principal branch on [-1/e, inf)
 # ---------------------------------------------------------------------------
 
 def w0_scalar(x):
-    """Principal-branch Lambert W for a single x >= 0, as (w, iterations).
-
-    Halley iteration; for x >= e the iteration runs on
-    g(w) = w + ln w - ln x, which never overflows.
-    """
+    """Principal-branch Lambert W for a single x >= -1/e, as (w, iterations)."""
     if x == 0.0:
         return 0.0, 0
-    if x < 1e-4:
+    if abs(x) < 1e-4:
         # series around 0 avoids cancellation in the log-based seed
         return x * (1.0 - x * (1.0 - 1.5 * x)), 0
-    if x >= _E:
-        lx = math.log(x)
-        w = lx - math.log(lx)
-        for n in range(1, 51):
-            g = w + math.log(w) - lx
-            gp = 1.0 + 1.0 / w
-            # Halley step for g with g'' = -1/w^2
-            w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
-            if abs(g) <= 1e-15 * max(1.0, lx):
-                break
-        return w, n
-    # 1e-4 <= x < e: direct residual, seeded with x itself
+    if x >= math.e:
+        return _w0_log_scalar(math.log(x))
+    # -1/e <= x < e: direct residual, seeded with x itself
     w = x
     for n in range(1, 51):
         ew = math.exp(w)
         f = w * ew - x
-        w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), 0.0)
-        if abs(f) <= 1e-16 * max(1.0, x):
+        w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), -1.0)
+        if abs(f) <= _W_TOL * max(1.0, x):
+            break
+    return w, n
+
+
+def _w0_log_scalar(lx):
+    """W(e^lx) for lx >= 1, as (w, iterations): Halley on g(w) = w + ln w - lx."""
+    w = lx - math.log(lx)
+    for n in range(1, 51):
+        g = w + math.log(w) - lx
+        gp = 1.0 + 1.0 / w
+        # Halley step for g with g'' = -1/w^2
+        w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
+        if abs(g) <= 1e-15 * max(1.0, lx):
             break
     return w, n
 
 
 def w0_grid(x):
-    """Elementwise W: the Halley updates of `w0_scalar`, masked by regime and
-    repeated until every point has converged."""
+    """Elementwise W: the Halley updates of `w0_scalar`, point by point."""
     x = np.asarray(x, dtype=np.float64)
     w = np.zeros_like(x)
-
-    small = (x > 0) & (x < 1e-4)
+    small = (x != 0.0) & (np.abs(x) < 1e-4)
     xs = x[small]
     w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
-
-    mid = (x >= 1e-4) & (x < _E)
+    mid = (np.abs(x) >= 1e-4) & (x < math.e)
     xm = x[mid]
-    wm = xm.copy()
+    wm, act = xm.copy(), np.ones(xm.shape, dtype=bool)
     for _ in range(50):
-        ew = np.exp(wm)
-        f = wm * ew - xm
-        denom = ew * (wm + 1.0) - (wm + 2.0) * f / (2.0 * wm + 2.0)
-        wm = np.maximum(wm - f / denom, 0.0)
-        if np.all(np.abs(f) <= 1e-16 * np.maximum(1.0, xm)):
+        wa, xa = wm[act], xm[act]
+        ew = np.exp(wa)
+        f = wa * ew - xa
+        wm[act] = np.maximum(wa - f / (ew * (wa + 1.0) - (wa + 2.0) * f / (2.0 * wa + 2.0)), -1.0)
+        act[act] = np.abs(f) > _W_TOL * np.maximum(1.0, xa)
+        if not act.any():
             break
     w[mid] = wm
+    big = x >= math.e
+    w[big] = _w0_log_grid(np.log(x[big]))
+    return w
 
-    big = x >= _E
-    lx = np.log(x[big])
-    wb = lx - np.log(lx)
+
+def _w0_log_grid(lx):
+    """Elementwise `_w0_log_scalar`."""
+    w = lx - np.log(lx)
+    act = np.ones(lx.shape, dtype=bool)
     for _ in range(50):
-        g = wb + np.log(wb) - lx
-        gp = 1.0 + 1.0 / wb
-        wb -= 2.0 * g * gp / (2.0 * gp * gp + g / (wb * wb))
-        if np.all(np.abs(g) <= 1e-15 * np.maximum(1.0, lx)):
+        wa, la = w[act], lx[act]
+        g = wa + np.log(wa) - la
+        gp = 1.0 + 1.0 / wa
+        w[act] = wa - 2.0 * g * gp / (2.0 * gp * gp + g / (wa * wa))
+        act[act] = np.abs(g) > 1e-15 * np.maximum(1.0, la)
+        if not act.any():
             break
-    w[big] = wb
     return w
 
 
@@ -115,84 +126,73 @@ def _assoc_objective(p, lnk, lnh, tau, sigma):
 
 
 def _p_concave_from(lnh, tau):
-    """The objective is strictly concave in p for p >= h^(1/tau)."""
-    if lnh <= 0.0:
-        return 1
-    pc = math.exp(lnh / tau)
-    if pc > 4e6:
-        pc = 4e6
-    return int(pc) + 1
+    """The objective is strictly concave in p for p >= h^(1/tau); capped at 4e6 + 1."""
+    return int(min(math.exp(min(lnh / tau, 16.0)), 4e6)) + 1 if lnh > 0.0 else 1
+
+
+def _beyond_2_53(lnp, lnk, lnh, tau, sigma):
+    h, k = (repr(math.exp(v)) if v < 709.0 else f"exp({v!r})" for v in (lnh, lnk))
+    return NumericalError(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer "
+                          f"floats: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
 
 
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
-    cap = _scan_cap(tau, sigma, abs(lnh), abs(lnk))
-    best = 0.0   # p = 0 term: ln_+ 1 = 0
-    best_p = 0
-    head = min(cap, _p_concave_from(lnh, tau))
-    for p in range(1, head + 1):
+    head = min(_scan_cap(tau, sigma, abs(lnh), abs(lnk)), _p_concave_from(lnh, tau))
+    c = (tau - sigma * lnh) / (tau * sigma)
+    b = math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c     # ln |x| - ln |ln k|
+    lx = math.log(abs(lnk)) + b if lnk else -math.inf
+    tail = ()
+    if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
+        w, _ = _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), lnk))
+        lnp = w / (sigma - 1.0) - c
+        if lnp >= _LN_2_53:
+            raise _beyond_2_53(lnp, lnk, lnh, tau, sigma)
+        q = math.floor(math.exp(lnp))
+        tail = range(max(q - 1, head + 1), q + 3)
+    best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
+    for p in (*range(1, head + 1), *tail):
         g = _assoc_objective(float(p), lnk, lnh, tau, sigma)
         if g > best:
-            best = g
-            best_p = p
-    if cap > head:
-        # integer ternary search on the concave tail
-        lo, hi = head, cap
-        while hi - lo > 2:
-            m1 = lo + (hi - lo) // 3
-            m2 = hi - (hi - lo) // 3
-            if (_assoc_objective(float(m1), lnk, lnh, tau, sigma)
-                    < _assoc_objective(float(m2), lnk, lnh, tau, sigma)):
-                lo = m1 + 1
-            else:
-                hi = m2
-        for p in range(lo, hi + 1):
-            g = _assoc_objective(float(p), lnk, lnh, tau, sigma)
-            if g > best:
-                best = g
-                best_p = p
+            best, best_p = g, p
     return best, best_p
 
 
 def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    values = np.zeros_like(lnk_arr)
-    argmax = np.zeros(lnk_arr.shape, dtype=np.int64)
-    if lnk_arr.size == 0:
-        return values, argmax
-    abs_lnk = float(np.max(np.abs(lnk_arr)))
-    cap = _scan_cap(tau, sigma, abs(lnh), abs_lnk)
-    head = min(cap, _p_concave_from(lnh, tau))
-    # vectorized scan over the possibly non-concave head
-    p = np.arange(1, head + 1, dtype=np.float64)
+    abs_lnk = float(np.max(np.abs(lnk_arr), initial=0.0))
+    head = min(_scan_cap(tau, sigma, abs(lnh), abs_lnk), _p_concave_from(lnh, tau))
+    p = np.arange(head + 1, dtype=np.float64)
     pw = p ** sigma
-    base = pw * lnh - tau * pw * np.log(p)          # objective minus p*ln k
-    step = max(1, int(5e7 // max(1, head)))
-    for lo in range(0, lnk_arr.size, step):
-        chunk = lnk_arr[lo:lo + step]
-        g = base[None, :] + np.outer(chunk, p)
-        idx = np.argmax(g, axis=1)
-        best = g[np.arange(chunk.size), idx]
-        pos = best > 0.0
-        values[lo:lo + step][pos] = best[pos]
-        argmax[lo:lo + step][pos] = idx[pos] + 1
-    if cap > head:
-        # per-point ternary search on the concave tail
-        for i, lnk in enumerate(lnk_arr):
-            cap_i = _scan_cap(tau, sigma, abs(lnh), abs(lnk))
-            lo, hi = head, cap_i
-            while hi - lo > 2:
-                m1 = lo + (hi - lo) // 3
-                m2 = hi - (hi - lo) // 3
-                if (_assoc_objective(float(m1), lnk, lnh, tau, sigma)
-                        < _assoc_objective(float(m2), lnk, lnh, tau, sigma)):
-                    lo = m1 + 1
-                else:
-                    hi = m2
-            for q in range(lo, hi + 1):
-                g = _assoc_objective(float(q), lnk, lnh, tau, sigma)
-                if g > values[i]:
-                    values[i] = g
-                    argmax[i] = q
+    f = tau * pw * np.log(np.maximum(p, 1.0)) - pw * lnh
+    # lower convex hull of (p, f(p)): points before t = last argmin f(p)/p lie on or
+    # above the chord 0-t; then drop vertices on or above their neighbours' chord
+    hull = np.append(0, np.arange(head - np.argmin(f[:0:-1] / p[:0:-1]), head + 1))
+    slopes = np.diff(f[hull]) / np.diff(hull)
+    while (kink := np.flatnonzero(slopes[:-1] >= slopes[1:])).size:
+        hull = np.delete(hull, kink + 1)
+        slopes = np.diff(f[hull]) / np.diff(hull)
+    best = hull[np.searchsorted(slopes, lnk_arr, side="left")]
+    values = lnk_arr * p[best] - f[best]
+    argmax = np.where(values > 0.0, best, 0)
+    values = np.maximum(values, 0.0)
+    # the tail: the integers next to p*, where x >= -1/e
+    c = (tau - sigma * lnh) / (tau * sigma)
+    with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
+        lx = np.log(np.abs(lnk_arr)) + math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c
+    t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
+    L, lx = lnk_arr[t], lx[t]
+    w, big = np.empty_like(lx), lx >= 1.0
+    w[big], w[~big] = _w0_log_grid(lx[big]), w0_grid(np.copysign(np.exp(lx[~big]), L[~big]))
+    lnp = w / (sigma - 1.0) - c
+    if (lnp >= _LN_2_53).any():
+        raise _beyond_2_53(lnp.max(), L[np.argmax(lnp)], lnh, tau, sigma)
+    q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), head + 1.0)
+    pwq = q ** sigma
+    g = pwq * lnh + q * L[:, None] - tau * pwq * np.log(q)
+    j = np.argmax(g, axis=1)[:, None]
+    q, g = np.take_along_axis(q, j, 1)[:, 0], np.take_along_axis(g, j, 1)[:, 0]
+    argmax[t] = np.where(g > values[t], q, argmax[t])
+    values[t] = np.maximum(values[t], g)
     return values, argmax
 
 

@@ -393,11 +393,6 @@ class IntegralCheckReport:
     passed: bool
 
 
-def _closed_antiderivative(sigma: float, t: float) -> float:
-    wv = lambert_w0(t)
-    return (sigma - 1.0) / sigma * math.exp(sigma * wv / (sigma - 1.0)) * (wv + 1.0 / sigma)
-
-
 # Gauss-Legendre nodes and weights on [-1, 1]: 20 for the value, 10 for its error
 _GL20 = np.polynomial.legendre.leggauss(20)
 _GL10 = np.polynomial.legendre.leggauss(10)
@@ -455,11 +450,10 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid,
             f"quadrature failed at k={k[i]:g}: value {val[i]:g}, error estimate {err[i]:g}")
     quads = pref * val
 
-    closed = np.empty_like(k)
-    f0 = _closed_antiderivative(s, 0.0)
-    for i, kk in enumerate(k):
-        upper = _closed_antiderivative(s, c_ts * math.log(kk))
-        closed[i] = C ** (-s / tau) * tau / (s - 1.0) * (upper - f0)
+    # with w = W(c ln k) the antiderivative (s-1)/s e^{sw/(s-1)} (w + 1/s) rises
+    # from w = 0 by (s-1)/s [expm1(sw/(s-1)) (w + 1/s) + w], free of cancellation
+    w = lambert_w0_grid(c_ts * np.log(k))
+    closed = C ** (-s / tau) * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
 
     rel = np.abs(quads - closed) / np.maximum(np.abs(closed), 1e-12)
     return IntegralCheckReport(params, C, k, quads, closed, rel, bool(np.all(rel <= rel_tol)))

@@ -5,6 +5,7 @@ import pytest
 
 from extgevrey import (
     DomainError,
+    NumericalError,
     SequenceParams,
     UsageError,
     assoc_fn_counting,
@@ -85,6 +86,16 @@ def test_counting_equals_sup(tau, sigma):
     T, _ = assoc_fn_sup_grid(params, 1.0, k)
     Tc, _ = assoc_fn_counting_grid(params, k)
     assert np.all(np.abs(T - Tc) <= 1e-9 * np.maximum(np.maximum(T, Tc), 1.0))
+
+
+def test_maximiser_past_2_53_raises():
+    # the supremum is about 4.3e24 at p ~ 1.6e24, where integers p are no
+    # longer exact floats, so no finite scan or window can find it
+    params = SequenceParams(1.0, 1.01)
+    with pytest.raises(NumericalError, match=r"2\*\*53.*sigma=1.01"):
+        assoc_fn_sup(params, 1.0, math.exp(100.0))
+    with pytest.raises(NumericalError, match=r"2\*\*53.*sigma=1.01"):
+        assoc_fn_sup_grid(params, 1.0, [2.0, math.exp(100.0)])
 
 
 def test_counting_scalar():

@@ -118,6 +118,13 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+def test_assocfn_maximiser_past_2_53_exits_3(capsys):
+    code, _, err = run_cli(["assocfn", "--tau", "1", "--sigma", "1.01", "--h", "1",
+                            "--grid", "1:2.6881171418161356e43:4"], capsys)
+    assert code == 3
+    assert "2**53" in err
+
+
 def test_output_file_respects_outdir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("EXTGEVREY_OUTDIR", str(tmp_path))
     code, out, _ = run_cli(["lambertw", "--grid", "1:10:4",

@@ -246,6 +246,14 @@ def test_integral_closed_form(tau, sigma):
         assert np.max(rep.rel_err) <= 1e-6
 
 
+def test_integral_closed_form_small_c():
+    # c = C^((s-1)/tau) (s-1)/tau = 1.5e-14: the two antiderivative values are
+    # O(1) and their difference O(c ln k), so it must not be a subtraction
+    rep = integral_closed_form_check(SequenceParams(0.2, 4.0), 0.1, np.logspace(0.5, 8, 50))
+    assert rep.passed
+    assert np.max(rep.rel_err) <= 1e-10
+
+
 @pytest.mark.parametrize("bad", [1.0, np.inf, np.nan])
 def test_integral_closed_form_rejects_bad_k(bad):
     with pytest.raises(DomainError, match="finite k > 1"):
