@@ -1,7 +1,9 @@
 """Hot numeric kernels, one numpy/pure-Python implementation each.
 
 Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar`
-counts its Halley steps; `w0_grid` freezes each point once it has converged.
+counts its Halley steps. `w0_grid` takes the same steps in numpy over cache-sized
+blocks, freezing each point once it has converged: a point's w is bit-identical
+whichever block and whichever other points it comes with.
 
 T_h(k) = max(0, sup_p [p ln k - f(p)]), f(p) = tau p^sigma ln p - p^sigma ln h,
 is a discrete Legendre transform. `assoc_sup_grid` takes p <= head from the
@@ -19,6 +21,8 @@ import numpy as np
 from .errors import NumericalError
 
 _W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
+_BLOCK = 8192        # W points per Halley block: its temporaries stay in L2
+_COUNT_P_CAP = 2 ** 22   # largest quotient table of `counting_sum_grid`: 32 MiB an array
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 
 
@@ -62,39 +66,40 @@ def _w0_log_scalar(lx):
 def w0_grid(x):
     """Elementwise W: the Halley updates of `w0_scalar`, point by point."""
     x = np.asarray(x, dtype=np.float64)
-    w = np.zeros_like(x)
-    small = (x != 0.0) & (np.abs(x) < 1e-4)
-    xs = x[small]
+    w, ax = np.zeros_like(x), np.abs(x)
+    small, mid, big = (x != 0.0) & (ax < 1e-4), (ax >= 1e-4) & (x < math.e), x >= math.e
+    xs, xm = x[small], x[mid]
     w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
-    mid = (np.abs(x) >= 1e-4) & (x < math.e)
-    xm = x[mid]
-    wm, act = xm.copy(), np.ones(xm.shape, dtype=bool)
-    for _ in range(50):
-        wa, xa = wm[act], xm[act]
-        ew = np.exp(wa)
-        f = wa * ew - xa
-        wm[act] = np.maximum(wa - f / (ew * (wa + 1.0) - (wa + 2.0) * f / (2.0 * wa + 2.0)), -1.0)
-        act[act] = np.abs(f) > _W_TOL * np.maximum(1.0, xa)
-        if not act.any():
-            break
-    w[mid] = wm
-    big = x >= math.e
+    w[mid] = _halley_blocks(xm.copy(), xm, log_form=False)
     w[big] = _w0_log_grid(np.log(x[big]))
     return w
 
 
 def _w0_log_grid(lx):
     """Elementwise `_w0_log_scalar`."""
-    w = lx - np.log(lx)
-    act = np.ones(lx.shape, dtype=bool)
-    for _ in range(50):
-        wa, la = w[act], lx[act]
-        g = wa + np.log(wa) - la
-        gp = 1.0 + 1.0 / wa
-        w[act] = wa - 2.0 * g * gp / (2.0 * gp * gp + g / (wa * wa))
-        act[act] = np.abs(g) > 1e-15 * np.maximum(1.0, la)
-        if not act.any():
-            break
+    return _halley_blocks(lx - np.log(lx), lx, log_form=True)
+
+
+def _halley_blocks(w, v, log_form):
+    """The Halley steps of `_w0_log_scalar` (v = lx) or `w0_scalar` (v = x) on the
+    seeds w, in place, _BLOCK points at a time so that the temporaries stay in cache."""
+    for i in range(0, w.size, _BLOCK):
+        wb, vb = w[i:i + _BLOCK], v[i:i + _BLOCK]
+        lim = (1e-15 if log_form else _W_TOL) * np.maximum(1.0, vb)
+        act = np.ones(wb.shape, dtype=bool)     # frozen once converged
+        for _ in range(50):
+            if log_form:
+                r = wb + np.log(wb) - vb
+                gp = 1.0 + 1.0 / wb
+                new = wb - 2.0 * r * gp / (2.0 * gp * gp + r / (wb * wb))
+            else:
+                ew = np.exp(wb)
+                r = wb * ew - vb
+                new = np.maximum(wb - r / (ew * (wb + 1.0) - (wb + 2.0) * r / (2.0 * wb + 2.0)), -1.0)
+            np.copyto(wb, new, where=act)
+            act &= np.abs(r) > lim
+            if not act.any():
+                break
     return w
 
 
@@ -118,11 +123,6 @@ def _scan_cap(tau, sigma, abs_lnh, abs_lnk):
             return int(p)
         p *= 2.0
     return int(p)
-
-
-def _assoc_objective(p, lnk, lnh, tau, sigma):
-    pw = p ** sigma
-    return pw * lnh + p * lnk - tau * pw * math.log(p)
 
 
 def _p_concave_from(lnh, tau):
@@ -151,7 +151,8 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
         tail = range(max(q - 1, head + 1), q + 3)
     best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
     for p in (*range(1, head + 1), *tail):
-        g = _assoc_objective(float(p), lnk, lnh, tau, sigma)
+        pw = float(p) ** sigma
+        g = pw * lnh + p * lnk - tau * pw * math.log(p)
         if g > best:
             best, best_p = g, p
     return best, best_p
@@ -203,17 +204,16 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
 def counting_sum_grid(lnk_arr, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
-    # grow the quotient table until it clears the largest ln k
+    # double the table size n until log m_n clears the largest ln k, in scalar math
     n = 64
-    while True:
-        p = np.arange(0, n + 1, dtype=np.float64)
-        f = np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
-        logm = np.diff(f)        # logm[j] = log m_{j+1}
-        if logm[-1] > lnk_max:
-            break
+    while tau * n ** sigma * math.log(n) - tau * (n - 1) ** sigma * math.log(n - 1) <= lnk_max:
+        if n >= _COUNT_P_CAP:
+            raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
+                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
         n *= 2
-    counts = np.searchsorted(logm, lnk_arr, side="right")
+    p = np.arange(0, n + 1, dtype=np.float64)
+    logm = np.diff(np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0))
+    counts = np.searchsorted(logm, lnk_arr, side="right")   # logm[j] = log m_{j+1}
     cum = np.concatenate(([0.0], np.cumsum(logm)))
     values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]
     return values, counts.astype(np.int64)
-

@@ -9,8 +9,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import _assoc_sup_scalar, assoc_sup_grid, counting_sum_grid
-from .errors import DomainError, UsageError
+from ._kernels import _assoc_sup_scalar, _w0_log_grid, assoc_sup_grid, counting_sum_grid
+from .errors import DomainError, NumericalError, UsageError
 from .lambertw import lambert_w0, lambert_w0_grid
 from .sequences import SequenceParams, extended_gevrey
 
@@ -122,23 +122,49 @@ def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
 # sandwich bounds
 # ---------------------------------------------------------------------------
 
+def _r_direct(tau, s, h, ln_ek):
+    """R(h, k) from the expression itself; inf where h^(-(s-1)/tau) overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            return h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s) * (s - 1.0) / (tau * s) * ln_ek
+    except OverflowError:
+        return math.inf * ln_ek
+
+
+def _ln_r(tau, s, h, ln_ek):
+    """ln R(h, k), for where R itself leaves the float range."""
+    return (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
+            + np.log(ln_ek))
+
+
 def rfactor(params: SequenceParams, h: float, k: float) -> float:
-    """h^(-(s-1)/tau) * e^((s-1)/s) * ((s-1)/(tau s)) * ln(e + k)."""
+    """h^(-(s-1)/tau) * e^((s-1)/s) * ((s-1)/(tau s)) * ln(e + k).
+
+    Raises NumericalError where this value is not a finite float."""
     _validate_hk(h, k)
     tau, s = params.tau, params.sigma
-    return (h ** (-(s - 1.0) / tau)
-            * math.exp((s - 1.0) / s)
-            * (s - 1.0) / (tau * s)
-            * math.log(math.e + k))
+    ln_ek = math.log(math.e + k)
+    r = _r_direct(tau, s, h, ln_ek)
+    if math.isfinite(r):
+        return r
+    lr = float(_ln_r(tau, s, h, ln_ek))
+    try:
+        return math.exp(lr)
+    except OverflowError:
+        raise NumericalError(f"rfactor = exp({lr:.6g}) overflows a float: tau={tau!r}, "
+                             f"sigma={s!r}, h={h!r}, k={k!r}") from None
 
 
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
-    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k."""
+    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, with W(R) from ln R where R overflows."""
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
-    r = (h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s)
-         * (s - 1.0) / (tau * s) * np.log(math.e + k))
-    w = lambert_w0_grid(r)
+    ln_ek = np.log(math.e + k)
+    r = _r_direct(tau, s, h, ln_ek)
+    over = r == math.inf
+    w = np.empty_like(ln_ek)
+    w[~over] = lambert_w0_grid(r[~over])
+    w[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1 wherever R overflows
     return w ** (-1.0 / (s - 1.0)) * np.maximum(np.log(k), 0.0) ** (s / (s - 1.0))
 
 

@@ -17,6 +17,7 @@ from .errors import DivergenceError, DomainError, NumericalError, RangeError, Us
 from .sequences import SequenceParams
 
 FMT = "%.17g"
+GRID_MAX_POINTS = 10 ** 7     # points one grid spec may ask for
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +27,8 @@ FMT = "%.17g"
 def parse_grid(spec: str, linear: bool = False) -> np.ndarray:
     """`min:max:points_per_decade`, log-spaced; with --linear the third
     field is the total point count. A nonpositive log-grid minimum is kept
-    as an extra leading point."""
+    as an extra leading point. A spec asking for more than GRID_MAX_POINTS
+    points raises UsageError."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid spec must be min:max:points, got {spec!r}")
@@ -34,20 +36,28 @@ def parse_grid(spec: str, linear: bool = False) -> np.ndarray:
         lo, hi, n = float(parts[0]), float(parts[1]), float(parts[2])
     except ValueError as exc:
         raise UsageError(f"malformed grid spec {spec!r}") from exc
-    if not lo < hi:
-        raise UsageError("grid min must be below grid max")
+    if not (lo < hi and math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError("grid min must be below grid max, both finite")
     if linear:
         if n < 2:
             raise UsageError("linear grids need at least 2 points")
-        return np.linspace(lo, hi, int(n))
+        return np.linspace(lo, hi, int(_capped(n, spec)))
     if n < 4:
         raise UsageError("log grids need at least 4 points per decade")
     prepend = []
     if lo <= 0.0:
         prepend = [lo]
         lo = hi * 1e-10
-    pts = max(2, int(math.ceil(n * math.log10(hi / lo))) + 1)
+    pts = max(2, int(math.ceil(_capped(n * math.log10(hi / lo), spec))) + 1)
     return np.concatenate([prepend, np.logspace(math.log10(lo), math.log10(hi), pts)])
+
+
+def _capped(count, spec):
+    """The point count a spec asks for; UsageError past GRID_MAX_POINTS, before any allocation."""
+    if not count <= GRID_MAX_POINTS:
+        raise UsageError(f"grid spec {spec!r} asks for {count:.6g} points, "
+                         f"more than {GRID_MAX_POINTS}")
+    return count
 
 
 def emit(rows, header, fmt, out_path):

@@ -16,6 +16,7 @@ from extgevrey import (
     counting_fn_floor,
     envelope,
     h_shift_check,
+    lambert_w0_grid,
     rfactor,
     sandwich_bounds_check,
 )
@@ -185,6 +186,49 @@ def test_rfactor_and_envelope_positive():
     E = envelope(params, 1.0, k)
     assert np.all(E > 0)
     assert np.all(np.diff(E) > 0)
+
+
+def test_envelope_where_the_h_factor_overflows():
+    # at tau = 0.05, sigma = 6, h = 1e-6 the factor h^(-(s-1)/tau) = 1e600
+    # overflows; E then comes from ln R and the log-form W
+    params = SequenceParams(0.05, 6.0)
+    k = np.logspace(0.0, 12.0, 13)
+    for h in (1e-6, np.float64(1e-6)):
+        E = envelope(params, h, k)
+        assert np.all(np.isfinite(E)) and E[0] == 0.0 and np.all(np.diff(E) > 0)
+        # w = E^-(s-1) ln^s k solves w + ln w = ln R
+        s, tau = params.sigma, params.tau
+        w = (E[1:] / np.log(k[1:]) ** (s / (s - 1.0))) ** -(s - 1.0)
+        ln_r = (-(s - 1.0) / tau * math.log(1e-6) + (s - 1.0) / s
+                + math.log((s - 1.0) / (tau * s)) + np.log(np.log(math.e + k[1:])))
+        np.testing.assert_allclose(w + np.log(w), ln_r, rtol=1e-12)
+
+
+def test_envelope_keeps_the_direct_expression_where_finite():
+    params, h = SequenceParams(0.3, 1.5), 1e-3
+    k = np.logspace(0.5, 10.0, 40)
+    s, tau = params.sigma, params.tau
+    r = (h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s)
+         * (s - 1.0) / (tau * s) * np.log(math.e + k))
+    want = lambert_w0_grid(r) ** (-1.0 / (s - 1.0)) * np.log(k) ** (s / (s - 1.0))
+    assert np.array_equal(envelope(params, h, k), want)
+    assert rfactor(params, h, 1e4) == (h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s)
+                                       * (s - 1.0) / (tau * s) * math.log(math.e + 1e4))
+
+
+def test_rfactor_past_the_float_range_raises():
+    with pytest.raises(NumericalError, match=r"tau=0\.05, sigma=6\.0, h=1e-06, k=10\.0"):
+        rfactor(SequenceParams(0.05, 6.0), 1e-6, 10.0)
+
+
+def test_rfactor_finite_although_the_h_factor_overflows():
+    # h^(-(s-1)/tau) = e^(1.03 * 690.8) overflows, (s-1)/(tau s) = 1.03e-6 brings R back
+    s = 1e6
+    params, h, k = SequenceParams((s - 1.0) / 1.03, s), 1e-300, 10.0
+    tau = params.tau
+    ln_r = (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
+            + math.log(math.log(math.e + k)))
+    assert rfactor(params, h, k) == pytest.approx(math.exp(ln_r), rel=1e-12)
 
 
 def test_sandwich_bounds():

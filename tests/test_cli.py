@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,47 @@ def test_grid_parsing():
 def test_grid_parse_errors(spec):
     with pytest.raises(cli.UsageError):
         cli.parse_grid(spec)
+
+
+@pytest.mark.parametrize("spec, linear", [("1:1e300:1e13", False), ("0:1:1e15", True),
+                                          ("0:1:inf", True), ("1:10:nan", False),
+                                          ("1:inf:8", False)])
+def test_grid_past_the_point_cap_is_refused_at_once(spec, linear):
+    # about 1e15 points: the spec is refused before anything is allocated
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(cli.UsageError):
+            cli.parse_grid(spec, linear=linear)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 2 ** 20
+
+
+def test_grid_point_cap_bounds_the_count_asked_for(monkeypatch):
+    # a log grid asks for points per decade times decades, plus its endpoint
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 1000)
+    assert cli.parse_grid("0:1:1000", linear=True).size == 1000
+    assert cli.parse_grid("1:1e10:100").size == 1001
+    with pytest.raises(cli.UsageError):
+        cli.parse_grid("0:1:1001", linear=True)
+    with pytest.raises(cli.UsageError):
+        cli.parse_grid("1:1e10:101")
+
+
+def test_huge_grid_exits_2(capsys):
+    code, _, err = run_cli(["assocfn", "--grid", "1:1e300:1e13"], capsys)
+    assert code == 2 and "more than" in err
+
+
+def test_counting_past_its_table_cap_exits_3(capsys):
+    # sigma = 1.05: the sup's maximiser stays near p = 1e7, below 2**53, but
+    # the counting sum would need quotients past its 2**22 table cap
+    code, _, err = run_cli(["assocfn", "--tau", "1", "--sigma", "1.05", "--h", "1",
+                            "--grid", "1:1e18:4"], capsys)
+    assert code == 3 and "counting sum" in err and "sigma=1.05" in err
 
 
 def test_lambertw_csv(capsys):

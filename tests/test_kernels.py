@@ -2,12 +2,14 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extgevrey import SequenceParams, assoc_fn_sup, evaluate_w, lambert_w0
+from extgevrey import NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_sup, evaluate_w
+from extgevrey import lambert_w0
 from extgevrey import _kernels
 from extgevrey.lambertw import w_residual
 
@@ -154,7 +156,7 @@ def test_scan_cap_is_past_the_maximizer():
         _, best_p = _kernels._assoc_sup_scalar(lnk, lnh, tau, sigma)
         assert best_p < cap
         # the objective really is decreasing at the cap
-        g = lambda p: _kernels._assoc_objective(float(p), lnk, lnh, tau, sigma)
+        g = lambda p: p ** sigma * lnh + p * lnk - tau * p ** sigma * math.log(p)
         assert g(cap + 1) < g(cap)
 
 
@@ -182,3 +184,131 @@ def test_w0_scalar_matches_grid(x):
     # a correctly rounded w is off by up to half an ulp of w, which moves
     # w e^w by a relative (1 + w) * 1.1e-16; hence the (1 + w) factor
     assert w_residual(x, w) <= 1e-14 * (1.0 + w)
+
+
+# -- the blocked W kernel against a gather/scatter loop, bit for bit ---------
+
+_ORACLE_W_TOL = 4.5e-16
+
+
+def _w0_grid_gather_scatter(x):
+    """`w0_grid` as a gather/scatter loop: every pass gathers the active points
+    and scatters their updates over the whole array. An oracle only."""
+    x = np.asarray(x, dtype=np.float64)
+    w = np.zeros_like(x)
+    small = (x != 0.0) & (np.abs(x) < 1e-4)
+    xs = x[small]
+    w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
+    mid = (np.abs(x) >= 1e-4) & (x < math.e)
+    xm = x[mid]
+    wm, act = xm.copy(), np.ones(xm.shape, dtype=bool)
+    for _ in range(50):
+        wa, xa = wm[act], xm[act]
+        ew = np.exp(wa)
+        f = wa * ew - xa
+        wm[act] = np.maximum(wa - f / (ew * (wa + 1.0) - (wa + 2.0) * f / (2.0 * wa + 2.0)), -1.0)
+        act[act] = np.abs(f) > _ORACLE_W_TOL * np.maximum(1.0, xa)
+        if not act.any():
+            break
+    w[mid] = wm
+    big = x >= math.e
+    w[big] = _w0_log_grid_gather_scatter(np.log(x[big]))
+    return w
+
+
+def _w0_log_grid_gather_scatter(lx):
+    """`_w0_log_grid` as a gather/scatter loop. An oracle only."""
+    w = lx - np.log(lx)
+    act = np.ones(lx.shape, dtype=bool)
+    for _ in range(50):
+        wa, la = w[act], lx[act]
+        g = wa + np.log(wa) - la
+        gp = 1.0 + 1.0 / wa
+        w[act] = wa - 2.0 * g * gp / (2.0 * gp * gp + g / (wa * wa))
+        act[act] = np.abs(g) > 1e-15 * np.maximum(1.0, la)
+        if not act.any():
+            break
+    return w
+
+
+_B = _kernels._BLOCK
+_BLOCK_SIZES = [_B - 1, _B, _B + 1, 3 * _B + 7]
+# every branch of the kernel: 0, the series, [-1/e, 0), [1e-4, e) and the log form
+_W_X = st.one_of(st.just(0.0),
+                 st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
+                 st.floats(-1.0 / math.e, 0.0, exclude_max=True),
+                 st.floats(1e-4, math.e, exclude_max=True),
+                 st.floats(math.e, 1e300))
+
+
+def _mixed_x(drawn, n, seed):
+    """n points: the drawn ones and a seeded fill from every branch, shuffled."""
+    rng = np.random.default_rng(seed)
+    m = n - len(drawn)
+    fill = np.concatenate([np.zeros(m), rng.uniform(-1e-4, 1e-4, m), -rng.random(m) / math.e,
+                           rng.uniform(1e-4, math.e, m), np.exp(rng.uniform(1.0, 690.0, m))])
+    return rng.permutation(np.concatenate([drawn, rng.choice(fill, m)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_W_X, min_size=1, max_size=40), st.sampled_from(_BLOCK_SIZES),
+       st.integers(0, 2 ** 32 - 1))
+def test_w0_grid_matches_the_gather_scatter_loop(drawn, n, seed):
+    x = _mixed_x(drawn, n, seed)
+    assert np.array_equal(_kernels.w0_grid(x), _w0_grid_gather_scatter(x))
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_w0_log_grid_matches_the_gather_scatter_loop(n):
+    lx = np.random.default_rng(n).uniform(1.0, 700.0, n)
+    assert np.array_equal(_kernels._w0_log_grid(lx), _w0_log_grid_gather_scatter(lx.copy()))
+
+
+def test_w0_grid_result_does_not_depend_on_the_block():
+    x = _mixed_x(np.array([0.0, -1.0 / math.e, 1e-4, math.e]), 3 * _B + 7, 7)
+    w = _kernels.w0_grid(x)
+    edges = [j * _B + d for j in range(1, 4) for d in (-1, 0, 1)]
+    picks = np.random.default_rng(8).choice(x.size, 200, replace=False)
+    for i in [0, 1, 2, 3, x.size - 1, *edges, *picks]:
+        assert w[i] == _kernels.w0_grid(x[i:i + 1])[0]
+
+
+@pytest.mark.parametrize("x", [np.float64(2.0), np.array(0.5), np.array([]),
+                               np.array([[0.0, 1e-5, -0.2], [0.5, 3.0, 1e200]])])
+def test_w0_grid_keeps_the_shape(x):
+    w = _kernels.w0_grid(x)
+    assert w.shape == np.shape(x)
+    assert np.array_equal(w, _w0_grid_gather_scatter(x))
+
+
+# -- the counting sum stops at its table cap before it allocates ---------------
+
+def test_counting_sum_past_its_table_cap_raises_before_allocating():
+    # the quotients of (tau, sigma) = (1, 1.01) pass ln k = 100 only near
+    # p = 1e27; the table would take far more memory than the machine has
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=r"tau=1\.0, sigma=1\.01.*exp\(100\.0\)"):
+            assoc_fn_counting(SequenceParams(1.0, 1.01), math.exp(100.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
+    # with the cap lowered to 2**12: a ln k that log m_p clears at p = 2**12
+    # is answered from a table of that size, one that needs p = 2**13 raises
+    tau, sigma, n = 1.0, 1.05, 2 ** 12
+    monkeypatch.setattr(_kernels, "_COUNT_P_CAP", n)
+
+    def log_m(p):
+        return tau * p ** sigma * math.log(p) - tau * (p - 1) ** sigma * math.log(p - 1)
+
+    lnk = np.array([log_m(n) - 1e-9, 1.0])
+    values, counts = _kernels.counting_sum_grid(lnk, tau, sigma)
+    brute = [_counting_sum_brute(v, tau, sigma) for v in lnk]
+    np.testing.assert_allclose(values, [v for v, _ in brute], rtol=1e-12)
+    np.testing.assert_array_equal(counts, [c for _, c in brute])
+    with pytest.raises(NumericalError, match="past p = 4096"):
+        _kernels.counting_sum_grid(np.array([log_m(n) + 1e-9]), tau, sigma)
