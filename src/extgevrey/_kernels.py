@@ -2,8 +2,8 @@
 
 Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar`
 counts its Halley steps. `w0_grid` takes the same steps in numpy over cache-sized
-blocks, freezing each point once it has converged: a point's w is bit-identical
-whichever block and whichever other points it comes with.
+blocks, each pass on the block's still-active points only: a point takes its own
+steps, and its w is bit-identical whichever block and other points it comes with.
 
 T_h(k) = max(0, sup_p [p ln k - f(p)]), f(p) = tau p^sigma ln p - p^sigma ln h,
 is a discrete Legendre transform. `assoc_sup_grid` takes p <= head from the
@@ -68,38 +68,49 @@ def w0_grid(x):
     x = np.asarray(x, dtype=np.float64)
     w, ax = np.zeros_like(x), np.abs(x)
     small, mid, big = (x != 0.0) & (ax < 1e-4), (ax >= 1e-4) & (x < math.e), x >= math.e
-    xs, xm = x[small], x[mid]
+    xs = x[small]
     w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
-    w[mid] = _halley_blocks(xm.copy(), xm, log_form=False)
+    w[mid] = _halley_blocks(x[mid], log_form=False)
     w[big] = _w0_log_grid(np.log(x[big]))
     return w
 
 
 def _w0_log_grid(lx):
     """Elementwise `_w0_log_scalar`."""
-    return _halley_blocks(lx - np.log(lx), lx, log_form=True)
+    return _halley_blocks(lx, log_form=True)
 
 
-def _halley_blocks(w, v, log_form):
-    """The Halley steps of `_w0_log_scalar` (v = lx) or `w0_scalar` (v = x) on the
-    seeds w, in place, _BLOCK points at a time so that the temporaries stay in cache."""
+def _halley_blocks(v, log_form):
+    """W(e^v) (log_form) or W(v) by the Halley steps of `_w0_log_scalar` or `w0_scalar`, _BLOCK
+    points at a time; after a pass that freezes a point, only the block's active points go on."""
+    w = np.empty_like(v)
     for i in range(0, w.size, _BLOCK):
-        wb, vb = w[i:i + _BLOCK], v[i:i + _BLOCK]
-        lim = (1e-15 if log_form else _W_TOL) * np.maximum(1.0, vb)
-        act = np.ones(wb.shape, dtype=bool)     # frozen once converged
+        wa, va = w[i:i + _BLOCK], v[i:i + _BLOCK]
+        wa[...] = va - np.log(va) if log_form else va      # the seeds
+        lim = (1e-15 if log_form else _W_TOL) * np.maximum(1.0, va)
+        idx = None      # indices in w of the active points; None while all are
         for _ in range(50):
-            if log_form:
-                r = wb + np.log(wb) - vb
-                gp = 1.0 + 1.0 / wb
-                new = wb - 2.0 * r * gp / (2.0 * gp * gp + r / (wb * wb))
+            if log_form:    # the scalar step, operation for operation
+                r = np.log(wa)
+                r += wa
+                r -= va
+                gp = np.divide(1.0, wa)
+                gp += 1.0
+                wa -= 2.0 * r * gp / (2.0 * gp * gp + r / (wa * wa))
             else:
-                ew = np.exp(wb)
-                r = wb * ew - vb
-                new = np.maximum(wb - r / (ew * (wb + 1.0) - (wb + 2.0) * r / (2.0 * wb + 2.0)), -1.0)
-            np.copyto(wb, new, where=act)
-            act &= np.abs(r) > lim
-            if not act.any():
+                ew = np.exp(wa)
+                r = wa * ew - va
+                np.maximum(wa - r / (ew * (wa + 1.0) - (wa + 2.0) * r / (2.0 * wa + 2.0)), -1.0, out=wa)
+            if idx is not None:
+                w[idx] = wa
+            keep = np.abs(r, out=r) > lim
+            if (n := np.count_nonzero(keep)) == wa.size:
+                continue
+            if n == 0:
                 break
+            j = keep.nonzero()[0]
+            idx = i + j if idx is None else idx[j]
+            wa, va, lim = wa[j], va[j], lim[j]
     return w
 
 

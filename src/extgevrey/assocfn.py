@@ -4,15 +4,19 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import _assoc_sup_scalar, _w0_log_grid, assoc_sup_grid, counting_sum_grid
+from ._kernels import (_assoc_sup_scalar, _w0_log_grid, _w0_log_scalar, assoc_sup_grid,
+                       counting_sum_grid, w0_scalar)
 from .errors import DomainError, NumericalError, UsageError
 from .lambertw import lambert_w0, lambert_w0_grid
 from .sequences import SequenceParams, extended_gevrey
+
+_TINY = sys.float_info.min      # the smallest normal float
 
 __all__ = [
     "AssocFnResult",
@@ -93,29 +97,55 @@ def _validate_c_lam(C, lam):
 
 
 def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
-    """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W."""
+    """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W.
+
+    The bound is P = exp(W(x)/(s-1) - ln C/tau), x = C^((s-1)/tau) (s-1)/tau ln lambda,
+    with W from ln x where x is large. Within the rounding error of P of an integer n,
+    the defining inequality at p = n decides whether n counts; where that error
+    reaches 1/2, more than one integer is in doubt and NumericalError is raised."""
     _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
-    arg = C ** ((s - 1.0) / tau) * (s - 1.0) / tau * math.log(lam)
-    val = C ** (-1.0 / tau) * math.exp(lambert_w0(arg) / (s - 1.0))
-    # nudge guards against a just-below-integer float value at jump points
-    return int(math.floor(val * (1.0 + 1e-12) + 1e-12))
+    lnC, lnlam, q = math.log(C), math.log(lam), (s - 1.0) / tau
+    lx = q * lnC + math.log(q * lnlam) if lnlam > 0.0 else -math.inf
+    w = (_w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.exp(lx)))[0]
+    ln_val = w / (s - 1.0) - lnC / tau
+    val = math.exp(ln_val) if ln_val < 709.0 else math.inf
+    # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
+    rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
+    if rel * val >= 0.5:
+        raise NumericalError(f"the count exp({ln_val:.6g}) is past what the closed form resolves: "
+                             f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
+    n = round(val)
+    if n >= 1 and abs(val - n) <= rel * val:
+        return n if n ** (s - 1.0) * (lnC + tau * math.log(n)) <= lnlam else n - 1
+    return math.floor(val)
 
 
 def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
-    """Brute-force enumeration of the same count."""
+    """The same count from its defining inequality, without W.
+
+    g(p) = p^(s-1) (ln C + tau ln p) is negative wherever it falls, so
+    {p >= 1 : g(p) <= ln lambda} is an interval [1, P]: P is found by galloping
+    over powers of two, then bisecting. Raises NumericalError past p = 2**53."""
     _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
-    lnC, lnlam = math.log(C), math.log(lam)
-    n = 0
-    p = 1
-    while True:
-        g = p ** (s - 1.0) * (lnC + tau * math.log(p))
-        if g > lnlam:
-            break
-        n += 1
-        p += 1
-    return n
+    lnC, lnlam, e = math.log(C), math.log(lam), s - 1.0
+    if lnC > lnlam:     # g(1) = ln C
+        return 0
+    hi = 2
+    while hi ** e * (lnC + tau * math.log(hi)) <= lnlam:
+        if hi >= 2 ** 53:
+            raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
+                                 f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
+        hi *= 2
+    lo = hi // 2        # g(lo) <= ln lambda < g(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** e * (lnC + tau * math.log(mid)) <= lnlam:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -140,32 +170,38 @@ def _ln_r(tau, s, h, ln_ek):
 def rfactor(params: SequenceParams, h: float, k: float) -> float:
     """h^(-(s-1)/tau) * e^((s-1)/s) * ((s-1)/(tau s)) * ln(e + k).
 
-    Raises NumericalError where this value is not a finite float."""
+    Raises NumericalError where this value is not a finite normal float."""
     _validate_hk(h, k)
     tau, s = params.tau, params.sigma
     ln_ek = math.log(math.e + k)
     r = _r_direct(tau, s, h, ln_ek)
-    if math.isfinite(r):
+    if _TINY <= r < math.inf:
         return r
     lr = float(_ln_r(tau, s, h, ln_ek))
     try:
-        return math.exp(lr)
+        r = math.exp(lr)
     except OverflowError:
-        raise NumericalError(f"rfactor = exp({lr:.6g}) overflows a float: tau={tau!r}, "
-                             f"sigma={s!r}, h={h!r}, k={k!r}") from None
+        r = math.inf
+    if not _TINY <= r < math.inf:
+        raise NumericalError(f"rfactor = exp({lr:.6g}) {'overflows' if lr > 0.0 else 'underflows'} "
+                             f"a float: tau={tau!r}, sigma={s!r}, h={h!r}, k={k!r}")
+    return r
 
 
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
-    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, with W(R) from ln R where R overflows."""
+    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, from ln R where R leaves the normal floats."""
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
     ln_ek = np.log(math.e + k)
     r = _r_direct(tau, s, h, ln_ek)
-    over = r == math.inf
-    w = np.empty_like(ln_ek)
-    w[~over] = lambert_w0_grid(r[~over])
-    w[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1 wherever R overflows
-    return w ** (-1.0 / (s - 1.0)) * np.maximum(np.log(k), 0.0) ** (s / (s - 1.0))
+    over, under = r == math.inf, r < _TINY
+    mid = ~(over | under)
+    wp = np.empty_like(ln_ek)                   # W(R)^(-1/(s-1))
+    wp[mid] = lambert_w0_grid(r[mid]) ** (-1.0 / (s - 1.0))
+    wp[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over])) ** (-1.0 / (s - 1.0))    # ln R >> 1
+    # W(R) = R - R^2 + ... below the normal floats: ln W = ln R - W(R) rounds to ln R
+    wp[under] = np.exp(_ln_r(tau, s, h, ln_ek[under]) / -(s - 1.0))
+    return wp * np.maximum(np.log(k), 0.0) ** (s / (s - 1.0))
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,19 @@ def phi_sigma(sigma: float, t):
     """phi_s(t) = t^(s/(s-1)) / W(t)^(1/(s-1)), continuously 0 at t = 0.
 
     Evaluated as t * exp(W(t)/(s-1)), which is stable as t -> 0 because
-    t/W(t) = e^(W(t)) -> 1.
+    t/W(t) = e^(W(t)) -> 1. Where exp(W(t)/(s-1)) passes the float range
+    the value is inf, for a scalar t as for an array.
     """
     if not sigma > 1:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
     if np.isscalar(t):
         if t < 0:
             raise DomainError(f"phi_sigma needs t >= 0, got {t}")
-        return t * math.exp(lambert_w0(t) / (sigma - 1.0))
+        e = lambert_w0(t) / (sigma - 1.0)
+        try:
+            return t * math.exp(e)
+        except OverflowError:
+            return math.inf
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise DomainError("phi_sigma needs t >= 0")

@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extgevrey import (
     DomainError,
@@ -165,6 +167,52 @@ def test_counting_floor_equals_enumeration(tau, sigma):
                 counting_fn_direct(params, C, float(lam)), (C, lam)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.05, 50.0), st.floats(1.0, 6.0, exclude_min=True), st.floats(1e-6, 1e6),
+       st.floats(1.0, 1e12))
+def test_counting_fn_floor_matches_direct(tau, sigma, C, lam):
+    params = SequenceParams(tau, sigma)
+    try:
+        n = counting_fn_floor(params, C, lam)
+    except NumericalError:      # a count too large for the closed form to resolve
+        return
+    assert counting_fn_direct(params, C, lam) == n
+
+
+# each count checked against the inequality in 60-digit decimal arithmetic
+@pytest.mark.parametrize("tau,sigma,C,lam,expected", [
+    (0.05, 6.0, 0.5, 25.016864604141244, 1048575),   # P = 2**20 less a hair: not counted
+    (0.99999, 1.01, 1.0 + 2.0 ** -52, 1.0, 0),        # g(1) = ln C > 0 = ln lambda
+    (0.05, 6.0, 1e4, 10.0, 0),                        # C^((s-1)/tau) = 1e400 overflows
+])
+def test_counting_fn_floor_at_its_edges(tau, sigma, C, lam, expected):
+    params = SequenceParams(tau, sigma)
+    assert counting_fn_floor(params, C, lam) == expected
+    assert counting_fn_direct(params, C, lam) == expected
+
+
+def test_counting_fn_floor_past_its_resolution_raises():
+    # P = 944509049269.9: past 5e11 a 1e-12 relative error spans more than one integer
+    params, C, lam = SequenceParams(1.01, 1.01), 0.001, 960831131233.0902
+    with pytest.raises(NumericalError, match=r"tau=1\.01, sigma=1\.01, C=0\.001"):
+        counting_fn_floor(params, C, lam)
+    assert counting_fn_direct(params, C, lam) == 944509049269
+
+
+def test_counting_fn_direct_takes_log_steps():
+    # 6982933 steps of the p-by-p scan; the gallop and bisection take about 45
+    start = time.perf_counter()
+    assert counting_fn_direct(SequenceParams(0.05, 1.2), 1.0, 1e8) == 6982933
+    assert time.perf_counter() - start < 0.05
+    assert counting_fn_floor(SequenceParams(0.05, 1.2), 1.0, 1e8) == 6982933
+
+
+def test_counting_fn_direct_past_2_53_raises():
+    # C^(-1/tau) = 1e60: every p up to there counts
+    with pytest.raises(NumericalError, match=r"2\*\*53.*tau=0\.05, sigma=1\.01, C=0\.001"):
+        counting_fn_direct(SequenceParams(0.05, 1.01), 0.001, 1.0)
+
+
 def test_counting_bracket_invariant():
     # with C1 = e^tau the sublevel count never exceeds the raw count,
     # with C2 = (e/2^sigma)^(tau/2^(sigma-1)) it never falls below
@@ -204,6 +252,22 @@ def test_envelope_where_the_h_factor_overflows():
         np.testing.assert_allclose(w + np.log(w), ln_r, rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_where_the_h_factor_underflows():
+    # at tau = 0.05, sigma = 6, h = 1e6 the factor h^(-(s-1)/tau) = 1e-600
+    # underflows to 0; E ~ e^275 ln^1.2 k then comes from ln R
+    params, h = SequenceParams(0.05, 6.0), 1e6
+    k = np.logspace(0.0, 12.0, 13)
+    E = envelope(params, h, k)
+    assert np.all(np.isfinite(E)) and E[0] == 0.0 and np.all(np.diff(E) > 0)
+    # W(R) = R to all digits here, so ln R = ln W = -(s-1) ln E + s ln ln k
+    s, tau = params.sigma, params.tau
+    ln_r = (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s
+            + math.log((s - 1.0) / (tau * s)) + np.log(np.log(math.e + k[1:])))
+    np.testing.assert_allclose(-(s - 1.0) * np.log(E[1:]) + s * np.log(np.log(k[1:])), ln_r,
+                               rtol=1e-12)
+
+
 def test_envelope_keeps_the_direct_expression_where_finite():
     params, h = SequenceParams(0.3, 1.5), 1e-3
     k = np.logspace(0.5, 10.0, 40)
@@ -219,6 +283,22 @@ def test_envelope_keeps_the_direct_expression_where_finite():
 def test_rfactor_past_the_float_range_raises():
     with pytest.raises(NumericalError, match=r"tau=0\.05, sigma=6\.0, h=1e-06, k=10\.0"):
         rfactor(SequenceParams(0.05, 6.0), 1e-6, 10.0)
+
+
+def test_rfactor_below_the_float_range_raises():
+    with pytest.raises(NumericalError, match=r"underflows.*tau=0\.05, sigma=6\.0, h=1000000\.0, k=10\.0"):
+        rfactor(SequenceParams(0.05, 6.0), 1e6, 10.0)
+
+
+def test_rfactor_finite_although_the_h_factor_underflows():
+    # h^(-(s-1)/tau) = e^-746 underflows to 0, (s-1)/(tau s) = 3.5e16 brings R back
+    s, h = 1.5, 1.0 + 2.0 ** -46
+    params, k = SequenceParams((s - 1.0) * math.log(h) / 746.0, s), 10.0
+    tau = params.tau
+    assert h ** (-(s - 1.0) / tau) == 0.0
+    ln_r = (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
+            + math.log(math.log(math.e + k)))
+    assert rfactor(params, h, k) == pytest.approx(math.exp(ln_r), rel=1e-12, abs=0.0)
 
 
 def test_rfactor_finite_although_the_h_factor_overflows():

@@ -1,6 +1,7 @@
 import json
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,31 @@ def test_verify_is_deterministic(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+_VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify_default.json"
+
+
+def _close(a, b, rtol, atol):
+    """Same JSON structure; numbers within atol + rtol * the larger magnitude."""
+    if isinstance(a, bool) or isinstance(b, bool) or a is None or b is None or isinstance(a, str):
+        return type(a) is type(b) and a == b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return abs(a - b) <= rtol * max(abs(a), abs(b)) + atol
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close(a[k], b[k], rtol, atol) for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(_close(x, y, rtol, atol) for x, y in zip(a, b))
+    return False
+
+
+def test_default_verify_matches_the_recorded_report(capsys):
+    ref = json.loads(_VERIFY_REFERENCE.read_text())
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert _close(doc, ref["report"], ref["tolerance"]["rtol"], ref["tolerance"]["atol"])
 
 
 def test_verify_m2_classical_optin_fails(capsys):

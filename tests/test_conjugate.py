@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extgevrey import (
     DivergenceError,
@@ -82,6 +84,26 @@ def test_phi_sigma_conjugate_matches_golden_section(sigma):
     # golden section pins the maximiser of a flat maximum only to about
     # sqrt(machine eps) relative, plus its absolute tolerance near t = 0
     np.testing.assert_allclose(ts, tab.t_star, rtol=1e-6, atol=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(1.0, 6.0, exclude_min=True), st.floats(0.0, 300.0))
+def test_phi_sigma_conjugate_matches_golden_section_at_any_sigma(sigma, y):
+    # golden section run to the float spacing (tol = 0), so that it resolves
+    # maximisers as small as the 1e-15 of sigma = 1 + 2**-52; its objective
+    # y t - phi(t) still carries a rounding error of about eps y t
+    val, ts = phi_sigma_conjugate(sigma, y)
+    gv, gt = young_conjugate(lambda t: phi_sigma(sigma, t), y, tol=0.0)
+    assert val == pytest.approx(gv, rel=1e-12, abs=4.0 * sys.float_info.epsilon * y * gt)
+    assert ts == pytest.approx(gt, rel=1e-6, abs=1e-9)
+
+
+def test_phi_sigma_past_the_float_range_is_inf():
+    # e^(W(1)/(s-1)) at s = 1 + 2**-52 is e^(2.6e15)
+    sigma = 1.0 + 2.0 ** -52
+    assert phi_sigma(sigma, 1.0) == math.inf
+    with np.errstate(over="ignore"):
+        assert phi_sigma(sigma, np.array([1.0]))[0] == math.inf
 
 
 @pytest.mark.parametrize("sigma,y,star,t_star", CONJ_REFERENCE)

@@ -241,12 +241,29 @@ _W_X = st.one_of(st.just(0.0),
                  st.floats(math.e, 1e300))
 
 
+def _staged_pool(m=4000, seed=0):
+    """Points whose scalar step counts are 2, 3, 4 and 5 in equal shares, and points
+    just above -1/e (6 to 16 steps): a block of them loses active points in stages."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(math.e), m),
+                        -(10.0 ** rng.uniform(-4.0, -math.log10(math.e), m))])
+    x = x[x < math.e]
+    steps = np.array([_kernels.w0_scalar(v)[1] for v in x])
+    near = -1.0 / math.e + 10.0 ** rng.uniform(-15.0, -3.0, 100)
+    return np.concatenate([x[steps == k][:100] for k in (2, 3, 4, 5)] + [near])
+
+
+_STAGED = _staged_pool()
+
+
 def _mixed_x(drawn, n, seed):
-    """n points: the drawn ones and a seeded fill from every branch, shuffled."""
+    """n points: the drawn ones and a seeded fill from every branch and from the
+    staged pool, shuffled."""
     rng = np.random.default_rng(seed)
     m = n - len(drawn)
     fill = np.concatenate([np.zeros(m), rng.uniform(-1e-4, 1e-4, m), -rng.random(m) / math.e,
-                           rng.uniform(1e-4, math.e, m), np.exp(rng.uniform(1.0, 690.0, m))])
+                           rng.uniform(1e-4, math.e, m), np.exp(rng.uniform(1.0, 690.0, m)),
+                           rng.choice(_STAGED, 2 * m)])
     return rng.permutation(np.concatenate([drawn, rng.choice(fill, m)]))
 
 
@@ -260,7 +277,10 @@ def test_w0_grid_matches_the_gather_scatter_loop(drawn, n, seed):
 
 @pytest.mark.parametrize("n", _BLOCK_SIZES)
 def test_w0_log_grid_matches_the_gather_scatter_loop(n):
-    lx = np.random.default_rng(n).uniform(1.0, 700.0, n)
+    # uniform ln x takes mostly 2 steps; log-uniform ln x takes 2, 3 or 4
+    rng = np.random.default_rng(n)
+    lx = rng.permutation(np.concatenate([rng.uniform(1.0, 700.0, n // 2),
+                                         np.exp(rng.uniform(0.0, math.log(700.0), n - n // 2))]))
     assert np.array_equal(_kernels._w0_log_grid(lx), _w0_log_grid_gather_scatter(lx.copy()))
 
 
