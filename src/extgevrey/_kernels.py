@@ -35,8 +35,8 @@ def w0_scalar(x):
     if x == 0.0:
         return 0.0, 0
     if abs(x) < 1e-4:
-        # series around 0 avoids cancellation in the log-based seed
-        return x * (1.0 - x * (1.0 - 1.5 * x)), 0
+        # W = x - x^2 + 3/2 x^3 - 8/3 x^4 + 125/24 x^5 - ...: the x^6 term is below an ulp
+        return _w0_series(x), 0
     if x >= math.e:
         return _w0_log_scalar(math.log(x))
     # -1/e <= x < e: direct residual, seeded with x itself
@@ -48,6 +48,11 @@ def w0_scalar(x):
         if abs(f) <= _W_TOL * max(1.0, x):
             break
     return w, n
+
+
+def _w0_series(x):
+    """W(x) for |x| < 1e-4, scalar or array, by its Taylor series to x^5."""
+    return x - x * x * (1.0 - x * (1.5 - x * (8.0 / 3.0 - x * (125.0 / 24.0))))
 
 
 def _w0_log_scalar(lx):
@@ -68,8 +73,7 @@ def w0_grid(x):
     x = np.asarray(x, dtype=np.float64)
     w, ax = np.zeros_like(x), np.abs(x)
     small, mid, big = (x != 0.0) & (ax < 1e-4), (ax >= 1e-4) & (x < math.e), x >= math.e
-    xs = x[small]
-    w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
+    w[small] = _w0_series(x[small])
     w[mid] = _halley_blocks(x[mid], log_form=False)
     w[big] = _w0_log_grid(np.log(x[big]))
     return w

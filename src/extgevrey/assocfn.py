@@ -189,19 +189,40 @@ def rfactor(params: SequenceParams, h: float, k: float) -> float:
 
 
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
-    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, from ln R where R leaves the normal floats."""
+    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, from ln R where R leaves the normal floats.
+
+    E is 0 for k <= 1. Where a factor overflows, or the product does not come out
+    a positive float, E comes from ln E; NumericalError where E passes the largest float."""
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
     ln_ek = np.log(math.e + k)
     r = _r_direct(tau, s, h, ln_ek)
     over, under = r == math.inf, r < _TINY
     mid = ~(over | under)
-    wp = np.empty_like(ln_ek)                   # W(R)^(-1/(s-1))
-    wp[mid] = lambert_w0_grid(r[mid]) ** (-1.0 / (s - 1.0))
-    wp[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over])) ** (-1.0 / (s - 1.0))    # ln R >> 1
+    w = np.empty_like(ln_ek)                    # W(R), and ln R where R underflows
+    w[mid] = lambert_w0_grid(r[mid])
+    w[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1
     # W(R) = R - R^2 + ... below the normal floats: ln W = ln R - W(R) rounds to ln R
-    wp[under] = np.exp(_ln_r(tau, s, h, ln_ek[under]) / -(s - 1.0))
-    return wp * np.maximum(np.log(k), 0.0) ** (s / (s - 1.0))
+    w[under] = _ln_r(tau, s, h, ln_ek[under])
+    lnk = np.log(np.maximum(k, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wp = np.empty_like(w)                   # W(R)^(-1/(s-1))
+        wp[~under] = w[~under] ** (-1.0 / (s - 1.0))
+        wp[under] = np.exp(w[under] / -(s - 1.0))
+        E = wp * lnk ** (s / (s - 1.0))
+    E[k <= 1.0] = 0.0
+    redo = (k > 1.0) & ~((E > 0.0) & (E < math.inf))
+    if redo.any():
+        ln_w = w[redo]
+        ln_w[~under[redo]] = np.log(ln_w[~under[redo]])
+        ln_e = (s * np.log(lnk[redo]) - ln_w) / (s - 1.0)
+        with np.errstate(over="ignore"):
+            E[redo] = np.exp(ln_e)
+        if (E[redo] == math.inf).any():
+            i = np.argmax(ln_e)
+            raise NumericalError(f"envelope E = exp({ln_e[i]:.6g}) overflows a float: tau={tau!r}, "
+                                 f"sigma={s!r}, h={h!r}, k={float(k[redo][i])!r}")
+    return E
 
 
 @dataclass(frozen=True)

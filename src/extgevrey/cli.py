@@ -1,7 +1,7 @@
 """Command-line front end: evaluation tables and the verification suite.
 
 Exit codes: 0 success / all checks pass, 1 at least one claim failed,
-2 usage error, 3 numerical failure.
+2 usage error, 3 numerical failure (verify still reports every claim).
 """
 
 import argparse
@@ -60,33 +60,26 @@ def _capped(count, spec):
     return count
 
 
-def emit(rows, header, fmt, out_path):
-    """rows: list of tuples matching header; deterministic serialization."""
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
-        text = "\r\n".join(lines) + "\r\n"
-    elif fmt == "json":
-        text = json.dumps([dict(zip(header, [_jsonable(v) for v in row])) for row in rows],
-                          sort_keys=True, indent=2) + "\n"
-    else:
-        widths = [max(len(h), 24) for h in header]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)))
-        text = "\n".join(lines) + "\n"
-    _write(text, out_path)
+def emit(columns, header, fmt, out_path):
+    """columns: one 1-D array or list per header field; deterministic serialization.
 
-
-def _cell(v):
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return FMT % float(v)
-    return str(v)
+    Each column becomes Python values once, and each csv/text row is one format
+    string: floats as FMT, integers as %d, bools as true/false, anything else by str()."""
+    arrays = [np.asarray(c) for c in columns]
+    values = [a.tolist() for a in arrays]
+    if fmt == "json":
+        rows = [dict(zip(header, row)) for row in zip(*values)]
+        return _write(json.dumps(rows, sort_keys=True, indent=2) + "\n", out_path)
+    kinds = [a.dtype.kind for a in arrays]
+    values = [["true" if v else "false" for v in vals] if kind == "b" else vals
+              for vals, kind in zip(values, kinds)]
+    specs = [FMT[1:] if kind == "f" else "d" if kind in "iu" else "s" for kind in kinds]
+    sep, end = (",", "\r\n") if fmt == "csv" else ("  ", "\n")
+    pads = ["" if fmt == "csv" else f"-{max(len(h), 24)}" for h in header]  # text: left-justified
+    row = sep.join(f"%{pad}{spec}" for pad, spec in zip(pads, specs))
+    lines = [sep.join(f"%{pad}s" % h for pad, h in zip(pads, header))]
+    lines += [row % r for r in zip(*values)]
+    _write(end.join(lines) + end, out_path)
 
 
 def _jsonable(v):
@@ -115,12 +108,9 @@ def _write(text, out_path):
 # ---------------------------------------------------------------------------
 
 def cmd_lambertw(args):
-    x = parse_grid(args.grid, args.linear)
-    rows = []
-    for xi in x:
-        ev = lambertw.evaluate_w(float(xi))
-        rows.append((ev.x, ev.w, ev.residual))
-    emit(rows, ["x", "w", "residual"], args.format, args.output)
+    evs = [lambertw.evaluate_w(xi) for xi in parse_grid(args.grid, args.linear).tolist()]
+    emit([[e.x for e in evs], [e.w for e in evs], [e.residual for e in evs]],
+         ["x", "w", "residual"], args.format, args.output)
     return 0
 
 
@@ -134,7 +124,7 @@ def cmd_sequence(args):
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
     logM = seq.log_M(p)
-    emit(list(zip(p, logM)), ["p", "log_M"], args.format, args.output)
+    emit([p, logM], ["p", "log_M"], args.format, args.output)
     return 0
 
 
@@ -142,7 +132,7 @@ def cmd_quotients(args):
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
     logm = seq.log_m(p)
-    emit(list(zip(p, logm)), ["p", "log_m"], args.format, args.output)
+    emit([p, logm], ["p", "log_m"], args.format, args.output)
     return 0
 
 
@@ -153,12 +143,9 @@ def cmd_assocfn(args):
     T, argmax = assocfn.assoc_fn_sup_grid(params, args.h, k)
     if args.h == 1.0:
         Tc, _ = assocfn.assoc_fn_counting_grid(params, k)
-        rows = list(zip(k, T, Tc, argmax))
-        header = ["k", "T_sup", "T_counting", "argmax_p"]
+        emit([k, T, Tc, argmax], ["k", "T_sup", "T_counting", "argmax_p"], args.format, args.output)
     else:
-        rows = list(zip(k, T, argmax))
-        header = ["k", "T_sup", "argmax_p"]
-    emit(rows, header, args.format, args.output)
+        emit([k, T, argmax], ["k", "T_sup", "argmax_p"], args.format, args.output)
     return 0
 
 
@@ -169,7 +156,7 @@ def cmd_phi(args):
     anchors = [a for a in (0.0, math.e) if t.min() <= a <= t.max()]
     t = np.unique(np.concatenate([t, np.asarray(anchors)]))
     vals = conjugate.phi_sigma(args.sigma, t)
-    emit(list(zip(t, vals)), ["t", "phi_sigma"], args.format, args.output)
+    emit([t, vals], ["t", "phi_sigma"], args.format, args.output)
     return 0
 
 
@@ -177,7 +164,7 @@ def cmd_conjugate(args):
     y = parse_grid(args.grid, args.linear)
     y = y[y >= 0]
     phi_star, t_star = conjugate.phi_sigma_conjugate(args.sigma, y)
-    emit(list(zip(y, t_star, phi_star)), ["y", "t_star", "phi_star"], args.format, args.output)
+    emit([y, t_star, phi_star], ["y", "t_star", "phi_star"], args.format, args.output)
     return 0
 
 
@@ -321,12 +308,20 @@ def cmd_verify(args):
             raise UsageError(f"unknown claims: {', '.join(unknown)}")
     else:
         names = list(CLAIMS)
+    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma or h exits 2 before any claim runs
+    if not (math.isfinite(args.h) and args.h > 0):
+        raise DomainError(f"h must be finite and positive, got {args.h}")
     report = {}
-    failed = []
+    failed, errored = [], []
     for name in names:
         fn = CLAIMS.get(name) or EXTRA_CLAIMS[name]
-        holds, payload = fn(args)
-        report[name] = {"holds": bool(holds), "details": payload}
+        try:
+            holds, payload = fn(args)
+            report[name] = {"holds": bool(holds), "details": payload}
+        except (NumericalError, DivergenceError) as exc:
+            holds = False
+            report[name] = {"holds": False, "error": str(exc)}
+            errored.append(name)
         if not holds:
             failed.append(name)
     doc = {"parameters": {"tau": args.tau, "sigma": args.sigma, "h": args.h,
@@ -339,14 +334,16 @@ def cmd_verify(args):
     else:
         lines = []
         for name in names:
-            lines.append(f"{'PASS' if report[name]['holds'] else 'FAIL'}  {name}")
+            status = "ERROR" if name in errored else "PASS" if report[name]["holds"] else "FAIL"
+            lines.append(f"{status}  {name}")
         lines.append(("all claims hold" if not failed
                       else "failed: " + ", ".join(failed)))
         _write("\n".join(lines) + "\n", args.output)
+    for name in errored:
+        print(f"numerical failure in {name}: {report[name]['error']}", file=sys.stderr)
     if failed:
         print("failed claims: " + ", ".join(failed), file=sys.stderr)
-        return 1
-    return 0
+    return 3 if errored else 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,24 @@ def test_envelope_where_the_h_factor_underflows():
                                rtol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_where_a_factor_or_E_leaves_the_floats():
+    # sigma = 1.001: W(R)^-1000 and ln^1001 k both leave the float range
+    params, h = SequenceParams(1e-3, 1.001), 1e-6
+    k = np.array([0.5, 1.0, 1e6, 1e8])
+    E = envelope(params, h, k)
+    assert E[0] == 0.0 and E[1] == 0.0
+    s, tau = params.sigma, params.tau
+    for kj, Ej in zip(k[2:], E[2:]):
+        r = h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s) * (s - 1.0) / (tau * s) * math.log(math.e + kj)
+        ln_e = (s * math.log(math.log(kj)) - math.log(lambert_w0_grid(r))) / (s - 1.0)
+        assert Ej == pytest.approx(math.exp(ln_e), rel=1e-9)
+    # at tau = 1, h = 1, E(10) is about exp(830): past the largest float
+    assert np.array_equal(envelope(SequenceParams(1.0, 1.001), 1.0, [0.5, 1.0]), [0.0, 0.0])
+    with pytest.raises(NumericalError, match=r"tau=1.0, sigma=1.001, h=1.0, k=.*"):
+        envelope(SequenceParams(1.0, 1.001), 1.0, [1.0, 10.0, 1e6])
+
+
 def test_envelope_keeps_the_direct_expression_where_finite():
     params, h = SequenceParams(0.3, 1.5), 1e-3
     k = np.logspace(0.5, 10.0, 40)

@@ -1,4 +1,5 @@
 import json
+import math
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extgevrey import cli
+from extgevrey import assocfn, cli, conjugate, lambertw, sequences
+from extgevrey.sequences import SequenceParams
 
 
 def run_cli(args, capsys):
@@ -202,3 +204,157 @@ def test_output_file_respects_outdir(tmp_path, monkeypatch, capsys):
     assert out == ""
     text = (tmp_path / "w.csv").read_text()
     assert text.startswith("x,w,residual")
+
+
+# -- table output: the column-wise emit against the per-cell serializer it replaced --
+
+def _emit_per_cell(rows, header, fmt):
+    """The per-cell `emit`, `_cell` and `_jsonable` the CLI used to have, returning
+    the text instead of writing it. An oracle only."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        for row in rows:
+            lines.append(",".join(_cell(v) for v in row))
+        text = "\r\n".join(lines) + "\r\n"
+    elif fmt == "json":
+        text = json.dumps([dict(zip(header, [_jsonable(v) for v in row])) for row in rows],
+                          sort_keys=True, indent=2) + "\n"
+    else:
+        widths = [max(len(h), 24) for h in header]
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        for row in rows:
+            lines.append("  ".join(_cell(v).ljust(w) for v, w in zip(row, widths)))
+        text = "\n".join(lines) + "\n"
+    return text
+
+
+def _cell(v):
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return cli.FMT % float(v)
+    return str(v)
+
+
+def _jsonable(v):
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v)
+    return v
+
+
+_FORMATS = ["csv", "json", "text"]
+_EDGE_FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308, -1.5, 1.0 / 3.0])
+_TABLES = {
+    "float64": ([_EDGE_FLOATS, _EDGE_FLOATS[::-1].copy()], ["a", "a_long_header_past_24_chars"]),
+    "int64": ([np.array([0, 2 ** 62, -7, 1], dtype=np.int64), np.array([0.5, np.nan, 2.0, -0.0])],
+              ["p", "value"]),
+    "python floats": ([[0.0, 1e-300, 2.5, float("nan")], [float("inf"), -0.0, 1e308, 3.0]],
+                      ["x", "w"]),
+    "python ints": ([[0, 2 ** 70, -(2 ** 64)], [1, 2, 3]], ["big", "small"]),
+    "bool and str": ([np.array([True, False, True]), ["u", "v w", ""]], ["ok", "name"]),
+    "empty": ([np.array([]), np.array([], dtype=np.int64), []], ["k", "T", "p"]),
+}
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("table", list(_TABLES))
+def test_emit_matches_the_per_cell_serializer(table, fmt, capsys):
+    columns, header = _TABLES[table]
+    cli.emit(columns, header, fmt, None)
+    assert capsys.readouterr().out == _emit_per_cell(list(zip(*columns)), header, fmt)
+
+
+def _assocfn_columns(grid, h):
+    params = SequenceParams(1.0, 2.0)
+    k = cli.parse_grid(grid)
+    k = k[k > 0]
+    T, argmax = assocfn.assoc_fn_sup_grid(params, h, k)
+    if h == 1.0:
+        return [k, T, assocfn.assoc_fn_counting_grid(params, k)[0], argmax], \
+            ["k", "T_sup", "T_counting", "argmax_p"]
+    return [k, T, argmax], ["k", "T_sup", "argmax_p"]
+
+
+def _lambertw_columns():
+    evs = [lambertw.evaluate_w(float(x)) for x in cli.parse_grid("0:1e3:4")]
+    return [[e.x for e in evs], [e.w for e in evs], [e.residual for e in evs]], ["x", "w", "residual"]
+
+
+def _phi_columns():
+    t = np.unique(np.append(cli.parse_grid("0:10:8"), math.e))
+    return [t, conjugate.phi_sigma(2.0, t)], ["t", "phi_sigma"]
+
+
+def _conjugate_columns():
+    y = cli.parse_grid("0:50:4")
+    phi_star, t_star = conjugate.phi_sigma_conjugate(2.0, y)
+    return [y, t_star, phi_star], ["y", "t_star", "phi_star"]
+
+
+def _sequence_columns(quotients):
+    seq = sequences.extended_gevrey(SequenceParams(1.0, 2.0))
+    p = sequences.default_p_grid(300)
+    if quotients:
+        return [p, seq.log_m(p)], ["p", "log_m"]
+    return [p, seq.log_M(p)], ["p", "log_M"]
+
+
+_COMMANDS = {
+    "lambertw": (["lambertw", "--grid", "0:1e3:4"], _lambertw_columns),
+    "sequence": (["sequence", "--pmax", "300"], lambda: _sequence_columns(False)),
+    "quotients": (["quotients", "--pmax", "300"], lambda: _sequence_columns(True)),
+    "assocfn": (["assocfn", "--grid", "1:1e8:8"], lambda: _assocfn_columns("1:1e8:8", 1.0)),
+    "assocfn h=2": (["assocfn", "--h", "2", "--grid", "1:1e8:8"],
+                    lambda: _assocfn_columns("1:1e8:8", 2.0)),
+    "phi": (["phi", "--grid", "0:10:8"], _phi_columns),
+    "conjugate": (["conjugate", "--grid", "0:50:4"], _conjugate_columns),
+}
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_table_commands_match_the_per_cell_serializer(command, fmt, capsys):
+    argv, columns = _COMMANDS[command]
+    code, out, _ = run_cli(argv + ["--format", fmt], capsys)
+    cols, header = columns()
+    assert code == 0
+    assert out == _emit_per_cell(list(zip(*cols)), header, fmt)
+
+
+# -- verify past a claim that raises --------------------------------------------
+
+def test_verify_records_a_claim_that_raises_and_runs_the_rest(capsys):
+    # at tau = 0.2, h = 1e6 T_h(k) peaks past p = 2**53 for every k of the sandwich grid
+    code, out, err = run_cli(["verify", "--tau", "0.2", "--h", "1e6"], capsys)
+    assert code == 3
+    doc = json.loads(out)
+    assert set(doc["claims"]) == set(cli.CLAIMS) and len(cli.CLAIMS) == 21
+    errored = {n for n, c in doc["claims"].items() if "error" in c}
+    assert errored == {"sandwich", "t-phi-equivalence"}
+    for name in errored:
+        claim = doc["claims"][name]
+        assert claim["holds"] is False and "details" not in claim and "2**53" in claim["error"]
+        assert name in doc["failed_claims"]
+    assert doc["passed"] is False and "numerical failure in sandwich" in err
+
+
+def test_verify_text_marks_a_claim_that_raises(capsys):
+    code, out, _ = run_cli(["verify", "--tau", "0.2", "--h", "1e6", "--format", "text",
+                            "--only", "w3,sandwich"], capsys)
+    assert code == 3
+    assert out.splitlines() == ["PASS  w3", "ERROR  sandwich", "failed: sandwich"]
+
+
+@pytest.mark.parametrize("argv", [["--h", "0"], ["--h", "inf"], ["--sigma", "1"], ["--tau", "-1"]])
+def test_verify_checks_its_parameters_before_any_claim(argv, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: ran.append(a) or (True, {}))
+    code, out, err = run_cli(["verify", "--only", "w3"] + argv, capsys)
+    assert code == 2 and out == "" and ran == []
+    assert "error:" in err

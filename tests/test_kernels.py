@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 import subprocess
@@ -16,6 +17,32 @@ from extgevrey.lambertw import w_residual
 
 def _both_sides(x):
     return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+def _w0_decimal(x):
+    """W(x) to 50 digits by Newton's method in decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        X = w = decimal.Decimal(x)
+        for _ in range(100):
+            e = w.exp()
+            step = (w * e - X) / (e * (w + 1))
+            w -= step
+            if abs(step) <= abs(w) * decimal.Decimal(10) ** -45:
+                return w
+
+
+def test_w0_near_zero_is_within_an_ulp():
+    # the series branch |x| < 1e-4: a 3-term series is 2.7e-12 off at 9.99e-5
+    rng = np.random.default_rng(2024)
+    mag = np.exp(rng.uniform(math.log(1e-8), math.log(1e-4), 300))
+    edge = np.nextafter(1e-4, 0.0)
+    x = np.concatenate([mag * rng.choice([-1.0, 1.0], mag.size),
+                        [9.99e-5, -9.99e-5, 5e-5, 1e-300, 5e-324, edge, -edge]])
+    grid = _kernels.w0_grid(x)
+    for xi, wg in zip(x.tolist(), grid.tolist()):
+        assert _kernels.w0_scalar(xi)[0] == wg
+        assert abs(decimal.Decimal(wg) - _w0_decimal(xi)) <= decimal.Decimal(math.ulp(wg))
 
 
 def test_w0_paths_agree():
@@ -198,7 +225,7 @@ def _w0_grid_gather_scatter(x):
     w = np.zeros_like(x)
     small = (x != 0.0) & (np.abs(x) < 1e-4)
     xs = x[small]
-    w[small] = xs * (1.0 - xs * (1.0 - 1.5 * xs))
+    w[small] = xs - xs * xs * (1.0 - xs * (1.5 - xs * (8.0 / 3.0 - xs * (125.0 / 24.0))))
     mid = (np.abs(x) >= 1e-4) & (x < math.e)
     xm = x[mid]
     wm, act = xm.copy(), np.ones(xm.shape, dtype=bool)
