@@ -5,13 +5,15 @@ counts its Halley steps. `w0_grid` takes the same steps in numpy over cache-size
 blocks, each pass on the block's still-active points only: a point takes its own
 steps, and its w is bit-identical whichever block and other points it comes with.
 
-T_h(k) = max(0, sup_p [p ln k - f(p)]), f(p) = tau p^sigma ln p - p^sigma ln h,
-is a discrete Legendre transform. `assoc_sup_grid` takes p <= head from the
-lower convex hull of (p, f(p)), one searchsorted of ln k in its slopes. Past
-the head only the integers next to the one interior local maximum compete:
+T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
+g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = (tau - sigma ln h)/(tau sigma),
+and p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on p > 0
+g has at most one interior local maximum, the W0 root
 ln p* = W0(x)/(sigma-1) - c, x = ln k (sigma-1)/(tau sigma) e^{(sigma-1)c},
-c = (tau - sigma ln h)/(tau sigma); for x < -1/e there is none. The scalar
-`_assoc_sup_scalar` scans the head in Python and takes the same tail.
+for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ... floor(p*)+2)), and
+max(0, g(1)) where x < -1/e (g only falls). `assoc_sup_grid` takes one W call
+for all k; the scalar `_assoc_sup_scalar` takes the same candidates in `math`,
+since a numpy call on one point costs more than the whole scalar path.
 """
 
 import math
@@ -122,6 +124,7 @@ def _halley_blocks(v, log_form):
 # Associated-function supremum  sup_p [ p^sigma ln h + p ln k - tau p^sigma ln p ]
 # ---------------------------------------------------------------------------
 
+# `perfbench/tracer.py` alone reads these two (its --trace 1 head_cells/tail_points)
 def _scan_cap(tau, sigma, abs_lnh, abs_lnk):
     """Smallest power of two beyond which the objective is decreasing.
 
@@ -146,26 +149,26 @@ def _p_concave_from(lnh, tau):
 
 
 def _beyond_2_53(lnp, lnk, lnh, tau, sigma):
-    h, k = (repr(math.exp(v)) if v < 709.0 else f"exp({v!r})" for v in (lnh, lnk))
+    # exp(ln h) is off by about |ln h| ulps: 12 significant digits hide that round trip
+    h, k = (f"{math.exp(v):.12g}" if v < 709.0 else f"exp({v:.12g})" for v in (lnh, lnk))
     return NumericalError(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer "
                           f"floats: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
 
 
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
-    head = min(_scan_cap(tau, sigma, abs(lnh), abs(lnk)), _p_concave_from(lnh, tau))
     c = (tau - sigma * lnh) / (tau * sigma)
     b = math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c     # ln |x| - ln |ln k|
     lx = math.log(abs(lnk)) + b if lnk else -math.inf
-    tail = ()
+    near = ()
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
         w, _ = _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), lnk))
         lnp = w / (sigma - 1.0) - c
         if lnp >= _LN_2_53:
             raise _beyond_2_53(lnp, lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
-        tail = range(max(q - 1, head + 1), q + 3)
+        near = range(max(q - 1, 1), q + 3)
     best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
-    for p in (*range(1, head + 1), *tail):
+    for p in (1, *near):
         pw = float(p) ** sigma
         g = pw * lnh + p * lnk - tau * pw * math.log(p)
         if g > best:
@@ -175,23 +178,10 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
 
 def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    abs_lnk = float(np.max(np.abs(lnk_arr), initial=0.0))
-    head = min(_scan_cap(tau, sigma, abs(lnh), abs_lnk), _p_concave_from(lnh, tau))
-    p = np.arange(head + 1, dtype=np.float64)
-    pw = p ** sigma
-    f = tau * pw * np.log(np.maximum(p, 1.0)) - pw * lnh
-    # lower convex hull of (p, f(p)): points before t = last argmin f(p)/p lie on or
-    # above the chord 0-t; then drop vertices on or above their neighbours' chord
-    hull = np.append(0, np.arange(head - np.argmin(f[:0:-1] / p[:0:-1]), head + 1))
-    slopes = np.diff(f[hull]) / np.diff(hull)
-    while (kink := np.flatnonzero(slopes[:-1] >= slopes[1:])).size:
-        hull = np.delete(hull, kink + 1)
-        slopes = np.diff(f[hull]) / np.diff(hull)
-    best = hull[np.searchsorted(slopes, lnk_arr, side="left")]
-    values = lnk_arr * p[best] - f[best]
-    argmax = np.where(values > 0.0, best, 0)
+    values = lnk_arr + lnh      # g(1)
+    argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
-    # the tail: the integers next to p*, where x >= -1/e
+    # the integers next to p*, where x >= -1/e
     c = (tau - sigma * lnh) / (tau * sigma)
     with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
         lx = np.log(np.abs(lnk_arr)) + math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c
@@ -202,7 +192,7 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnp = w / (sigma - 1.0) - c
     if (lnp >= _LN_2_53).any():
         raise _beyond_2_53(lnp.max(), L[np.argmax(lnp)], lnh, tau, sigma)
-    q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), head + 1.0)
+    q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), 1.0)
     pwq = q ** sigma
     g = pwq * lnh + q * L[:, None] - tau * pwq * np.log(q)
     j = np.argmax(g, axis=1)[:, None]

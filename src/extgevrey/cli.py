@@ -120,7 +120,14 @@ def _make_seq(args):
     return sequences.extended_gevrey(SequenceParams(args.tau, args.sigma))
 
 
+def _check_pmax(pmax, least):
+    """UsageError naming --pmax unless least <= pmax <= P_MAX_CAP, before any work."""
+    if not least <= pmax <= sequences.P_MAX_CAP:
+        raise UsageError(f"--pmax must lie in [{least}, {sequences.P_MAX_CAP}], got {pmax}")
+
+
 def cmd_sequence(args):
+    _check_pmax(args.pmax, 1)
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
     logM = seq.log_M(p)
@@ -129,6 +136,7 @@ def cmd_sequence(args):
 
 
 def cmd_quotients(args):
+    _check_pmax(args.pmax, 1)
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
     logm = seq.log_m(p)
@@ -308,9 +316,10 @@ def cmd_verify(args):
             raise UsageError(f"unknown claims: {', '.join(unknown)}")
     else:
         names = list(CLAIMS)
-    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma or h exits 2 before any claim runs
+    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma, h or pmax exits 2 before any claim runs
     if not (math.isfinite(args.h) and args.h > 0):
         raise DomainError(f"h must be finite and positive, got {args.h}")
+    _check_pmax(args.pmax, 10 if "liminf" in names else 3)
     report = {}
     failed, errored = [], []
     for name in names:

@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 _P_LIMIT = 10 ** 9
+# the largest p_max of a check: M.1, M.3' and the quotient bounds build dense arrays
+# over [1, p_max] that peak at about 64 bytes a p, 0.6 GiB at this cap
+P_MAX_CAP = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -173,6 +176,12 @@ class ConditionReport:
         }
 
 
+def _check_p_max(p_max, least):
+    """UsageError unless least <= p_max <= P_MAX_CAP, before any array is built."""
+    if not least <= p_max <= P_MAX_CAP:
+        raise UsageError(f"p_max must lie in [{least}, {P_MAX_CAP}], got {p_max}")
+
+
 def _require_ext(params):
     if params is None:
         raise UsageError("this condition needs extended Gevrey parameters")
@@ -306,8 +315,7 @@ def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000,
     finite sup defining log C stabilizes (see `stable_sup`); the fitted
     constant is that sup without any optimality claim.
     """
-    if p_max < 3:
-        raise UsageError("p_max must be at least 3")
+    _check_p_max(p_max, 3)
     key = condition.strip().lower().replace("(", "").replace(")", "").replace("~", "").replace(".", "").replace("'", "p").replace("-", "_")
     if key == "m1":
         return _check_m1(_require_ext(params), p_max)
@@ -334,8 +342,7 @@ def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) 
     """Tail positivity of log m_{Qp} - log m_p (quotient-ratio condition)."""
     if Q < 2:
         raise UsageError("Q must be at least 2")
-    if p_max < 10:
-        raise UsageError("p_max must be at least 10")
+    _check_p_max(p_max, 10)
     p = default_p_grid(p_max)
     p = p[p >= 2]
     r = seq.log_m(Q * p) - seq.log_m(p)
@@ -364,6 +371,7 @@ def lemma_quotient_bounds(params: SequenceParams, p_min: int = 2, p_max: int = 1
     """
     if p_min < 2:
         raise RangeError("the quotient bounds need p >= 2")
+    _check_p_max(p_max, p_min)
     tau, s = params.tau, params.sigma
     seq = extended_gevrey(params)
     p = np.arange(p_min, p_max + 1, dtype=np.int64)

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -358,3 +360,53 @@ def test_verify_checks_its_parameters_before_any_claim(argv, capsys, monkeypatch
     code, out, err = run_cli(["verify", "--only", "w3"] + argv, capsys)
     assert code == 2 and out == "" and ran == []
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--pmax", "1000000000000"],
+                                  ["verify", "--pmax", "10000000000"],
+                                  ["verify", "--pmax", "5"],
+                                  ["verify", "--only", "m1", "--pmax", "2"],
+                                  ["sequence", "--pmax", "0"],
+                                  ["quotients", "--pmax", "-3"],
+                                  ["sequence", "--pmax", str(sequences.P_MAX_CAP + 1)]])
+def test_pmax_out_of_range_exits_2_before_allocating(argv, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    assert "--pmax must lie in" in err
+    assert peak < 2 ** 20
+
+
+def test_verify_pmax_at_least_3_without_liminf(capsys):
+    code, out, _ = run_cli(["verify", "--only", "m1", "--pmax", "3"], capsys)
+    assert code == 0 and json.loads(out)["claims"]["m1"]["holds"] is True
+
+
+def test_numerical_error_names_h_without_log_round_trip_digits(capsys):
+    # exp(ln 1e6) = 999999.9999999995: the message shows 12 significant digits
+    _, out, _ = run_cli(["verify", "--tau", "0.2", "--h", "1e6", "--only", "sandwich"], capsys)
+    error = json.loads(out)["claims"]["sandwich"]["error"]
+    assert "h=1000000," in error and "999999.99" not in error
+
+
+# -- verify off the default point: a full report, a documented exit code -------
+
+_LATTICE = [(0.05, 1.2, 1.0), (0.05, 6.0, 1e-6), (0.2, 1.01, 1e-6),
+            (0.2, 1.05, 1e6), (1.0, 1.05, 1.0), (50.0, 1.05, 1e6)]
+
+
+@pytest.mark.parametrize("tau, sigma, h", _LATTICE)
+def test_verify_on_the_parameter_lattice_ends_in_a_full_report(tau, sigma, h):
+    argv = [sys.executable, "-m", "extgevrey.cli", "verify",
+            "--tau", repr(tau), "--sigma", repr(sigma), "--h", repr(h)]
+    res = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert res.returncode in (0, 1, 3)
+    assert "Traceback" not in res.stderr
+    doc = json.loads(res.stdout)
+    assert set(doc["claims"]) == set(cli.CLAIMS)
+    assert doc["parameters"]["tau"] == tau and doc["parameters"]["h"] == h
+    assert doc["passed"] == (res.returncode == 0)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extgevrey import NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_sup, evaluate_w
+from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_sup,
+                       assoc_fn_sup_grid, evaluate_w)
 from extgevrey import lambert_w0
 from extgevrey import _kernels
 from extgevrey.lambertw import w_residual
@@ -70,11 +71,6 @@ def test_assoc_sup_paths_agree():
         np.testing.assert_array_equal(pa, pb)
 
 
-def _head(lnk, lnh, tau, sigma):
-    cap = _kernels._scan_cap(tau, sigma, abs(lnh), float(np.max(np.abs(lnk))))
-    return min(cap, _kernels._p_concave_from(lnh, tau))
-
-
 def _sup_brute(lnk, lnh, tau, sigma, p_max):
     """T and its leftmost maximiser by enumerating p = 1..p_max."""
     p = np.arange(1.0, p_max + 1.0)
@@ -87,7 +83,7 @@ def _sup_brute(lnk, lnh, tau, sigma, p_max):
 
 _TAU = st.floats(0.3, 3.0)
 _SIGMA = st.floats(1.2, 3.5)
-_LNH = st.floats(-2.0, 3.0)          # ln h = 3 at tau = 0.3: a head of 22027 points
+_LNH = st.floats(-2.0, 3.0)
 _LNK = st.lists(st.floats(-3.0, 25.0), min_size=1, max_size=6)
 
 
@@ -96,12 +92,12 @@ _LNK = st.lists(st.floats(-3.0, 25.0), min_size=1, max_size=6)
 def test_assoc_sup_grid_matches_brute_force(tau, sigma, lnh, lnk):
     lnk = np.array(lnk)
     values, argmax = _kernels.assoc_sup_grid(lnk, lnh, tau, sigma)
-    head = _head(lnk, lnh, tau, sigma)
     c = (tau - sigma * lnh) / (tau * sigma)
     for L, v, a in zip(lnk, values, argmax):
+        # for ln k <= 0 the local maximum lies below p* at ln k = 0, e^(-c)
         x = max(L, 0.0) * (sigma - 1.0) / (tau * sigma) * math.exp((sigma - 1.0) * c)
         p_star = math.exp(lambert_w0(x) / (sigma - 1.0) - c)
-        want, want_p, scale = _sup_brute(L, lnh, tau, sigma, int(2 * p_star) + head + 10)
+        want, want_p, scale = _sup_brute(L, lnh, tau, sigma, int(2 * p_star) + 10)
         assert a == want_p
         assert abs(v - want) <= 1e-14 * scale
 
@@ -136,19 +132,41 @@ def test_w0_kernels_on_the_negative_branch():
     assert _kernels.w0_scalar(-1.0 / np.e)[0] == pytest.approx(-1.0, abs=1e-7)
 
 
-def test_assoc_sup_past_the_head_cap():
-    # h^(1/tau) = e^16 > 4e6 + 1, where the head stops: for ln k <= 0 the
-    # maximiser, near p = e^(16 - 1/sigma) = 5.4e6, lies past the head
-    lnh, tau, sigma = 16.0, 1.0, 2.0
-    lnk = np.array([-1.0, 0.0])
-    values, argmax = _kernels.assoc_sup_grid(lnk, lnh, tau, sigma)
-    assert _head(lnk, lnh, tau, sigma) == 4_000_001
-    p0 = round(math.exp(lnh / tau - 1.0 / sigma))
-    for L, v, a in zip(lnk, values, argmax):
-        p = np.arange(p0 - 100.0, p0 + 100.0)
-        g = p ** sigma * lnh + p * L - tau * p ** sigma * np.log(p)
-        assert v == pytest.approx(g.max(), rel=1e-14)
-        assert abs(a - p[np.argmax(g)]) <= 2
+def _g_decimal(p, lnk, lnh, tau, sigma):
+    """The objective at integer p to 40 digits: in floats its three terms,
+    up to 1.7e18 at p = 2.9e8, cancel to a rounding error of hundreds."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        P = decimal.Decimal(p)
+        pw = P ** decimal.Decimal(sigma)
+        return (pw * decimal.Decimal(lnh) + P * decimal.Decimal(lnk)
+                - decimal.Decimal(tau) * pw * P.ln())
+
+
+def test_assoc_sup_at_large_h():
+    # h^(1/tau) = e^16 and e^20: for ln k <= 0 the maximiser lies near
+    # p = e^(ln h - 1/sigma), 5.4e6 and 2.9e8, found with no scan below it
+    tau, sigma = 1.0, 2.0
+    params = SequenceParams(tau, sigma)
+    k = np.exp([-1.0, 0.0])
+    for h in (math.exp(16.0), math.exp(20.0)):
+        lnh = math.log(h)
+        tracemalloc.start()
+        try:
+            values, argmax = assoc_fn_sup_grid(params, h, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        p0 = round(math.exp(lnh / tau - 1.0 / sigma))
+        for kk, v, a in zip(k.tolist(), values, argmax):
+            g = {p: _g_decimal(p, math.log(kk), lnh, tau, sigma) for p in range(p0 - 100, p0 + 100)}
+            best = max(g, key=g.get)
+            assert v == pytest.approx(float(g[best]), rel=1e-14)
+            assert abs(a - best) <= 2
+            r = assoc_fn_sup(params, h, kk)
+            assert r.argmax_p == a
+            assert r.value == pytest.approx(v, rel=1e-13)
 
 
 def _counting_sum_brute(lnk, tau, sigma):

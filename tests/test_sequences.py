@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from extgevrey import (
     lemma_quotient_bounds,
     stable_sup,
 )
+from extgevrey.sequences import P_MAX_CAP
 
 PARAM_SET = [(t, s) for t in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)]
 
@@ -140,3 +142,32 @@ def test_lemma_quotient_bounds(tau, sigma):
 def test_lemma_bounds_reject_p1():
     with pytest.raises(RangeError):
         lemma_quotient_bounds(SequenceParams(1.0, 2.0), 1, 100)
+
+
+def _peak_of(fn):
+    """The traced peak memory of fn(), which must raise UsageError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="p_max must lie in"):
+            fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("call", [
+    lambda p_max: check_condition("M.1", SequenceParams(1.0, 2.0), p_max),
+    lambda p_max: check_condition("M.3'", SequenceParams(1.0, 2.0), p_max),
+    lambda p_max: check_liminf_condition(extended_gevrey(SequenceParams(1.0, 2.0)), 3, p_max),
+    lambda p_max: lemma_quotient_bounds(SequenceParams(1.0, 2.0), 2, p_max),
+])
+def test_p_max_past_its_cap_is_refused_before_allocating(call):
+    # one past the cap and far past it: the dense arrays over [1, p_max] are never built
+    for p_max in (P_MAX_CAP + 1, 10 ** 12):
+        assert _peak_of(lambda: call(p_max)) < 2 ** 16
+
+
+def test_lemma_bounds_reject_an_empty_range():
+    with pytest.raises(UsageError, match=r"p_max must lie in \[5,"):
+        lemma_quotient_bounds(SequenceParams(1.0, 2.0), 5, 4)
