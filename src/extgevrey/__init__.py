@@ -22,10 +22,11 @@ from .conjugate import (AxiomReport, ConjugateTable, WeightFn, biconjugate,
                         integral_closed_form_check, lambert_weight,
                         log_composition, phi_sigma, phi_sigma_conjugate,
                         phi_weight, power_weight, young_conjugate)
-from .equivalence import (EquivalenceReport, MatrixHandle,
+from .equivalence import (EquivalenceReport, MatrixHandle, SlopeBand,
                           check_T_phi_equivalence, check_corollary,
                           check_matrix_equivalence, check_ocena_norme,
-                          conjugate_matrix, default_k_grid, extended_matrix)
+                          conjugate_matrix, default_k_grid, extended_matrix,
+                          slope_band)
 
 __version__ = "0.1.0"
 
@@ -49,5 +50,6 @@ __all__ = [
     "phi_weight", "power_weight", "young_conjugate",
     "EquivalenceReport", "MatrixHandle", "check_T_phi_equivalence",
     "check_corollary", "check_matrix_equivalence", "check_ocena_norme",
-    "conjugate_matrix", "default_k_grid", "extended_matrix",
+    "conjugate_matrix", "default_k_grid", "extended_matrix", "SlopeBand",
+    "slope_band",
 ]

@@ -69,9 +69,11 @@ def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
 
 
 def assoc_fn_sup_grid(params: SequenceParams, h: float, k_grid) -> Tuple[np.ndarray, np.ndarray]:
+    """(T_h(k), argmax p) for every k, as arrays shaped like k_grid."""
     _check_positive("h", h)
     k = _k_grid(k_grid, "assoc_fn_sup_grid")
-    return assoc_sup_grid(np.log(k), math.log(h), params.tau, params.sigma)
+    T, argmax = assoc_sup_grid(np.log(k).ravel(), math.log(h), params.tau, params.sigma)
+    return T.reshape(k.shape), argmax.reshape(k.shape)
 
 
 def assoc_fn_counting(params: SequenceParams, k: float) -> AssocFnResult:
@@ -82,8 +84,10 @@ def assoc_fn_counting(params: SequenceParams, k: float) -> AssocFnResult:
 
 
 def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, np.ndarray]:
+    """(T(k), count of p >= 1 with log m_p <= ln k) for every k, shaped like k_grid."""
     k = _k_grid(k_grid, "assoc_fn_counting_grid")
-    return counting_sum_grid(np.log(k), params.tau, params.sigma)
+    T, counts = counting_sum_grid(np.log(k).ravel(), params.tau, params.sigma)
+    return T.reshape(k.shape), counts.reshape(k.shape)
 
 
 # ---------------------------------------------------------------------------

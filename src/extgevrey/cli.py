@@ -263,9 +263,8 @@ def _claim_matrix(a):
     taus = [a.tau / 2, a.tau, 2 * a.tau, 4 * a.tau]
     Hs = set()
     for tau in taus:
-        norm = equivalence.check_ocena_norme(a.sigma, tau, 300)
-        Hs.add(norm.fitted_constants["H1"])
-        Hs.add(norm.fitted_constants["H2"])
+        band = equivalence.slope_band(a.sigma, tau, 300)
+        Hs.update((band.H1, band.H2))
     M = equivalence.extended_matrix(a.sigma, taus)
     N = equivalence.conjugate_matrix(a.sigma, sorted(Hs))
     rep = equivalence.check_matrix_equivalence(M, N, 300)
@@ -316,10 +315,14 @@ def cmd_verify(args):
             raise UsageError(f"unknown claims: {', '.join(unknown)}")
     else:
         names = list(CLAIMS)
-    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma, h or pmax exits 2 before any claim runs
+    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma, h, pmax, Q or s exits 2 before any claim runs
     if not (math.isfinite(args.h) and args.h > 0):
         raise DomainError(f"h must be finite and positive, got {args.h}")
     _check_pmax(args.pmax, 10 if "liminf" in names else 3)
+    if "liminf" in names and args.Q < 2:
+        raise UsageError(f"--Q must be an integer >= 2, got {args.Q}")
+    if "corollary" in names and not (math.isfinite(args.s) and args.s > 1):
+        raise UsageError(f"--s must be finite and > 1, got {args.s}")
     report = {}
     failed, errored = [], []
     for name in names:

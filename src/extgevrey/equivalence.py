@@ -5,14 +5,14 @@ weight-matrix equivalence, and the closing corollary weight.
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import assoc_sup_grid
+from ._kernels import _assoc_sup_scalar, assoc_sup_grid
 from .conjugate import (check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
-from .errors import UsageError
+from .errors import DomainError, NumericalError, UsageError
 from .sequences import (LogWeightSequence, SequenceParams, conjugate_generated,
                         default_p_grid, extended_gevrey, stable_sup)
 
@@ -22,6 +22,8 @@ __all__ = [
     "default_k_grid",
     "check_T_phi_equivalence",
     "check_ocena_norme",
+    "SlopeBand",
+    "slope_band",
     "extended_matrix",
     "conjugate_matrix",
     "check_matrix_equivalence",
@@ -111,17 +113,59 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
 
 def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, float, float]:
     """Ratio band of T(e^t)/phi_sigma(t) on a t-window wide enough that the
-    conjugate maximizers for y up to p_max/b stay inside it."""
+    conjugate maximizers for y up to p_max/b stay inside it.
+
+    The window t_max doubles from 4000 until t*(p_max/b) <= 0.8 t_max. A window
+    that `_window_must_fail` rules out is skipped unevaluated; every window that
+    is evaluated runs in full, so (a, b, t_max) and any error are those of the
+    full doubling."""
     t_max = 4000.0
     while True:
         t = np.logspace(0.0, math.log10(t_max), 1200)
-        T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
-        c = T / phi_sigma(sigma, t)
-        b, a = float(np.min(c)), float(np.max(c))
-        _, t_star = phi_sigma_conjugate(sigma, p_max / b)
-        if t_star <= 0.8 * t_max:
-            return a, b, t_max
+        if not _window_must_fail(sigma, tau, p_max, float(t[-1]), t_max):
+            T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
+            c = T / phi_sigma(sigma, t)
+            b, a = float(np.min(c)), float(np.max(c))
+            _, t_star = phi_sigma_conjugate(sigma, p_max / b)
+            if t_star <= 0.8 * t_max:
+                return a, b, t_max
         t_max *= 2.0
+
+
+def _window_must_fail(sigma, tau, p_max, t_last, t_max):
+    """True where the window ending at t_last cannot pass the test of
+    `_fit_slopes_extended`: b = min c over the window is at most c(t_last), so
+    t*(p_max/b) >= t*(p_max/c(t_last)), here past 0.8 t_max with a 1e-9 margin
+    for the rounding between the scalar and grid paths. False where c(t_last) is
+    not positive, p_max/c(t_last) is not finite, or a scalar step raises: the
+    window then runs, and raises as it would."""
+    try:
+        T_last, _ = _assoc_sup_scalar(t_last, 0.0, tau, sigma)
+        c_last = T_last / phi_sigma(sigma, t_last)
+        if not (c_last > 0.0 and math.isfinite(p_max / c_last)):
+            return False
+        _, t_star = phi_sigma_conjugate(sigma, p_max / c_last)
+    except (NumericalError, DomainError, OverflowError):
+        return False
+    return t_star > 0.8 * t_max * (1.0 + 1e-9)
+
+
+class SlopeBand(NamedTuple):
+    """a >= T(e^t)/phi_sigma(t) >= b on t in [1, t_max], and the conjugate
+    indices H1 = 1/b, H2 = 1/a of the two-sided bound on log M_p."""
+    a: float
+    b: float
+    t_max: float
+    H1: float
+    H2: float
+
+
+def slope_band(sigma: float, tau: float, p_max: int = 1000) -> SlopeBand:
+    """The slope band of `check_ocena_norme` and its conjugate indices H1, H2,
+    without the p-side checks."""
+    SequenceParams(tau, sigma)
+    a, b, t_max = _fit_slopes_extended(sigma, tau, p_max)
+    return SlopeBand(a, b, t_max, 1.0 / b, 1.0 / a)
 
 
 def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> EquivalenceReport:
@@ -133,8 +177,7 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     are finite and stable on [1, p_max].
     """
     params = SequenceParams(tau, sigma)
-    a, b, t_max = _fit_slopes_extended(sigma, tau, p_max)
-    H1, H2 = 1.0 / b, 1.0 / a
+    a, b, t_max, H1, H2 = slope_band(sigma, tau, p_max)
     A_sigma = a * (tau / 2.0 ** (sigma - 1.0)) ** (1.0 / (sigma - 1.0))
     B_sigma = b * tau ** (1.0 / (sigma - 1.0))
 

@@ -91,6 +91,29 @@ def test_counting_equals_sup(tau, sigma):
     assert np.all(np.abs(T - Tc) <= 1e-9 * np.maximum(np.maximum(T, Tc), 1.0))
 
 
+@pytest.mark.parametrize("shape", [(), (3, 4), (2, 1, 3), (0,), (0, 3)])
+def test_grid_results_take_the_shape_of_k(shape):
+    params = SequenceParams(1.0, 2.0)
+    k = np.logspace(0, 8, math.prod(shape)).reshape(shape)
+    flat = k.ravel()
+    for got, want in ((assoc_fn_sup_grid(params, 2.0, k), assoc_fn_sup_grid(params, 2.0, flat)),
+                      (assoc_fn_sup_grid(params, 1.0, k), assoc_fn_sup_grid(params, 1.0, flat)),
+                      (assoc_fn_counting_grid(params, k), assoc_fn_counting_grid(params, flat))):
+        for g, w in zip(got, want):
+            assert g.shape == shape and w.shape == (flat.size,)
+            assert np.array_equal(g.ravel(), w)
+
+
+def test_grid_at_a_scalar_k_matches_the_scalar_call():
+    params = SequenceParams(1.0, 2.0)
+    T, argmax = assoc_fn_sup_grid(params, 1.0, 5.0)
+    Tc, count = assoc_fn_counting_grid(params, 5.0)
+    assert T.shape == argmax.shape == Tc.shape == count.shape == ()
+    res = assoc_fn_sup(params, 1.0, 5.0)
+    assert float(T) == res.value and int(argmax) == res.argmax_p
+    assert float(Tc) == assoc_fn_counting(params, 5.0).value
+
+
 def test_maximiser_past_2_53_raises():
     # the supremum is about 4.3e24 at p ~ 1.6e24, where integers p are no
     # longer exact floats, so no finite scan or window can find it

@@ -362,6 +362,33 @@ def test_verify_checks_its_parameters_before_any_claim(argv, capsys, monkeypatch
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [(["--Q", "1"], "--Q must be an integer >= 2, got 1"),
+                                           (["--Q", "-4"], "--Q must be an integer >= 2, got -4"),
+                                           (["--s", "0.5"], "--s must be finite and > 1, got 0.5"),
+                                           (["--s", "1"], "--s must be finite and > 1, got 1.0"),
+                                           (["--s", "nan"], "--s must be finite and > 1, got nan"),
+                                           (["--s", "inf"], "--s must be finite and > 1, got inf")])
+def test_verify_checks_q_and_s_before_any_claim(argv, message, capsys, monkeypatch):
+    ran = []
+    for name in cli.CLAIMS:
+        monkeypatch.setitem(cli.CLAIMS, name, lambda a: ran.append(a) or (True, {}))
+    code, out, err = run_cli(["verify"] + argv, capsys)
+    assert code == 2 and out == "" and ran == []
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv, only", [(["--Q", "1"], "w3,corollary"),
+                                        (["--s", "0.5"], "w3,liminf"),
+                                        (["--s", "nan", "--Q", "0"], "w3")])
+def test_verify_skips_the_q_and_s_checks_of_claims_it_does_not_run(argv, only, capsys, monkeypatch):
+    ran = []
+    for name in cli.CLAIMS:
+        monkeypatch.setitem(cli.CLAIMS, name, lambda a, name=name: ran.append(name) or (True, {}))
+    code, out, _ = run_cli(["verify", "--only", only] + argv, capsys)
+    assert code == 0 and ran == only.split(",")
+    assert json.loads(out)["passed"] is True
+
+
 @pytest.mark.parametrize("argv", [["verify", "--pmax", "1000000000000"],
                                   ["verify", "--pmax", "10000000000"],
                                   ["verify", "--pmax", "5"],
@@ -410,3 +437,47 @@ def test_verify_on_the_parameter_lattice_ends_in_a_full_report(tau, sigma, h):
     assert set(doc["claims"]) == set(cli.CLAIMS)
     assert doc["parameters"]["tau"] == tau and doc["parameters"]["h"] == h
     assert doc["passed"] == (res.returncode == 0)
+
+
+# -- the default report, pinned ----------------------------------------------------
+
+_GOLDEN = Path(__file__).parent / "data" / "verify_default.json"
+
+
+def _assert_matches_golden(got, want, path="$"):
+    """Same keys, bools and strings; numbers within rtol 1e-12 and atol 1e-9, since
+    another numpy may round the last ulp differently."""
+    assert type(got) is type(want) or {type(got), type(want)} <= {int, float}, path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches_golden(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches_golden(g, w, f"{path}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9), path
+    else:
+        assert got == want, path
+
+
+def test_default_verify_report_matches_the_golden_file(capsys):
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    _assert_matches_golden(json.loads(out), json.loads(_GOLDEN.read_text()))
+
+
+@pytest.mark.parametrize("edit", ["H", "holds", "note"])
+def test_the_golden_comparison_sees_a_changed_value(edit):
+    want = json.loads(_GOLDEN.read_text())
+    got = json.loads(_GOLDEN.read_text())
+    claim = got["claims"]["ocena-norme"]["details"]
+    if edit == "H":
+        claim["fitted_constants"]["H1"] *= 1 + 1e-8
+    elif edit == "holds":
+        claim["holds"] = 1
+    else:
+        claim["notes"] += " "
+    with pytest.raises(AssertionError):
+        _assert_matches_golden(got, want)

@@ -1,7 +1,14 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+from extgevrey import equivalence
+from extgevrey._kernels import assoc_sup_grid
+from extgevrey.conjugate import phi_sigma, phi_sigma_conjugate
 from extgevrey import (
+    DomainError,
     SequenceParams,
     UsageError,
     check_T_phi_equivalence,
@@ -11,6 +18,7 @@ from extgevrey import (
     conjugate_matrix,
     default_k_grid,
     extended_matrix,
+    slope_band,
 )
 
 
@@ -113,3 +121,65 @@ def test_reports_serialize_deterministically():
     a = check_T_phi_equivalence(SequenceParams(1.0, 2.0)).to_dict()
     b = check_T_phi_equivalence(SequenceParams(1.0, 2.0)).to_dict()
     assert a == b
+
+
+# -- the slope window of check_ocena_norme -------------------------------------
+
+def _fit_slopes_every_window(sigma, tau, p_max):
+    """The slope fit evaluating every window of the doubling: an oracle only."""
+    t_max = 4000.0
+    while True:
+        t = np.logspace(0.0, math.log10(t_max), 1200)
+        T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
+        c = T / phi_sigma(sigma, t)
+        b, a = float(np.min(c)), float(np.max(c))
+        _, t_star = phi_sigma_conjugate(sigma, p_max / b)
+        if t_star <= 0.8 * t_max:
+            return a, b, t_max
+        t_max *= 2.0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# sigma <= 1.2 at small tau raises the 2**53 error in the first window; sigma = 6
+# doubles up to 52 times, and at tau = 1e300 past 700 times, into the conjugate's overflow
+_SLOPE_CASES = [*itertools.product([1.01, 1.05, 1.2, 2.0, 6.0], [0.05, 0.5, 50.0], [300, 1000]),
+                (6.0, 1e300, 1000)]
+
+
+def test_skipping_windows_leaves_the_slope_fit_bit_identical():
+    got = [_outcome(equivalence._fit_slopes_extended, *case) for case in _SLOPE_CASES]
+    want = [_outcome(_fit_slopes_every_window, *case) for case in _SLOPE_CASES]
+    assert got == want
+    raised = [w for w in want if isinstance(w[0], type)]
+    assert {w[0].__name__ for w in raised} == {"NumericalError"}
+    assert any("2**53" in w[1] for w in raised) and any("overflows" in w[1] for w in raised)
+
+
+def test_the_default_pass_evaluates_one_window_per_fit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(equivalence, "assoc_sup_grid",
+                        lambda *args: calls.append(args[0][-1]) or assoc_sup_grid(*args))
+    # ocena-norme, then matrix-equivalence's tau/2, tau, 2 tau, 4 tau: 4 + 1 + 2 + 3 + 4
+    # windows of the doubling, one of them evaluated per fit
+    for tau, p_max, windows in ((1.0, 1000, 4), (0.5, 300, 1), (1.0, 300, 2), (2.0, 300, 3),
+                                (4.0, 300, 4)):
+        calls.clear()
+        t_max = equivalence._fit_slopes_extended(2.0, tau, p_max)[2]
+        assert t_max == 4000.0 * 2 ** (windows - 1)
+        assert calls == [pytest.approx(t_max, rel=1e-12)]
+
+
+def test_slope_band_gives_the_indices_of_ocena_norme():
+    band = slope_band(2.0, 1.0, 1000)
+    assert (band.a, band.b, band.t_max) == equivalence._fit_slopes_extended(2.0, 1.0, 1000)
+    assert band.H1 == 1.0 / band.b and band.H2 == 1.0 / band.a
+    fc = check_ocena_norme(2.0, 1.0, 1000).fitted_constants
+    assert (fc["H1"], fc["H2"]) == (band.H1, band.H2)
+    with pytest.raises(DomainError):
+        slope_band(1.0, 1.0, 300)
