@@ -6,15 +6,15 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ._kernels import (_assoc_sup_scalar, _w0_log_grid, _w0_log_scalar, assoc_sup_grid,
                        counting_sum_grid, w0_scalar)
 from .errors import DomainError, NumericalError, UsageError
-from .lambertw import lambert_w0, lambert_w0_grid
-from .sequences import SequenceParams, extended_gevrey
+from .lambertw import lambert_w0_grid
+from .sequences import SequenceParams, _fit_band
 
 _TINY = sys.float_info.min      # the smallest normal float
 
@@ -261,12 +261,8 @@ def sandwich_bounds_check(params: SequenceParams, h: float, k_grid) -> SandwichR
     if not pos.any():
         raise UsageError("degenerate grid: envelope vanishes everywhere")
     kp, Tp, Ep = k[pos], T[pos], E[pos]
-    top_half = kp >= math.sqrt(kp.min() * kp.max())
-    ratios = Tp[top_half] / Ep[top_half]
-    A2 = float(np.max(ratios))            # upper slope
-    A1 = float(np.min(ratios))            # lower slope
-    B2 = float(np.max(Tp - A2 * Ep))      # upper offset
-    B1 = float(np.min(Tp - A1 * Ep))      # lower offset
+    fit = _fit_band(Ep, Tp, kp >= math.sqrt(kp.min() * kp.max()))
+    A1, B1, A2, B2 = fit["B"], fit["B_tilde"], fit["A"], fit["A_tilde"]
     top_dec = kp >= kp.max() / 10.0
     band = Tp[top_dec] / Ep[top_dec]
     ratio_lo, ratio_hi = float(np.min(band)), float(np.max(band))

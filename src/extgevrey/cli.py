@@ -127,20 +127,12 @@ def _check_pmax(pmax, least):
 
 
 def cmd_sequence(args):
+    """`sequence` tabulates log M_p, `quotients` log m_p, on the default p grid."""
     _check_pmax(args.pmax, 1)
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
-    logM = seq.log_M(p)
-    emit([p, logM], ["p", "log_M"], args.format, args.output)
-    return 0
-
-
-def cmd_quotients(args):
-    _check_pmax(args.pmax, 1)
-    seq = _make_seq(args)
-    p = sequences.default_p_grid(args.pmax)
-    logm = seq.log_m(p)
-    emit([p, logm], ["p", "log_m"], args.format, args.output)
+    column = "log_M" if args.command == "sequence" else "log_m"
+    emit([p, getattr(seq, column)(p)], ["p", column], args.format, args.output)
     return 0
 
 
@@ -162,7 +154,8 @@ def cmd_phi(args):
     t = t[t >= 0]
     # anchor rows: 0 and e whenever they fall inside the requested range
     anchors = [a for a in (0.0, math.e) if t.min() <= a <= t.max()]
-    t = np.unique(np.concatenate([t, np.asarray(anchors)]))
+    t = np.sort(np.concatenate([t, np.asarray(anchors)]))
+    t = t[np.r_[True, t[1:] != t[:-1]]]
     vals = conjugate.phi_sigma(args.sigma, t)
     emit([t, vals], ["t", "phi_sigma"], args.format, args.output)
     return 0
@@ -376,26 +369,19 @@ def build_parser():
         p.add_argument("--format", choices=["csv", "json", "text"], default="csv")
         p.add_argument("--output", default=None, help="output path (default stdout)")
 
-    def seq_opts(p):
+    p = sub.add_parser("lambertw", help="table of W(x) with residuals")
+    common(p, "0:700:8")
+    p.set_defaults(fn=cmd_lambertw)
+
+    for name, what in (("sequence", "log M_p"), ("quotients", "log m_p")):
+        p = sub.add_parser(name, help=f"table of {what}")
         p.add_argument("--tau", type=float, default=1.0)
         p.add_argument("--sigma", type=float, default=2.0)
         p.add_argument("--kind", choices=["extended", "gevrey"], default="extended")
         p.add_argument("--t", type=float, default=2.0, help="Gevrey index for --kind gevrey")
         p.add_argument("--pmax", type=int, default=10_000)
-
-    p = sub.add_parser("lambertw", help="table of W(x) with residuals")
-    common(p, "0:700:8")
-    p.set_defaults(fn=cmd_lambertw)
-
-    p = sub.add_parser("sequence", help="table of log M_p")
-    seq_opts(p)
-    common(p, None)
-    p.set_defaults(fn=cmd_sequence)
-
-    p = sub.add_parser("quotients", help="table of log m_p")
-    seq_opts(p)
-    common(p, None)
-    p.set_defaults(fn=cmd_quotients)
+        common(p, None)
+        p.set_defaults(fn=cmd_sequence)
 
     p = sub.add_parser("assocfn", help="associated function by both methods")
     p.add_argument("--tau", type=float, default=1.0)

@@ -170,7 +170,12 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     """phi*(y) = sup_{t>0} (y t - phi(t)); returns (value, argmax t).
 
     The objective is concave for convex phi; the bracket doubles until
-    the objective stops increasing, then golden section finishes.
+    the objective stops increasing, then golden section finishes on [0, b].
+    `tol` is absolute in t (times b/1e6 once b passes 1e6), so the default
+    1e-10 cannot resolve a maximiser below about 1e-10: for phi_sigma at
+    sigma = 1 + 2**-52 and y = 81.79 it returns (0.0, 4.7e-11) where the
+    closed form gives phi* = 4.1e-14 at t* = 6.7e-16. tol=0.0 runs golden
+    section down to the float spacing and agrees with the closed form there.
     """
     if not (math.isfinite(y) and y >= 0):
         raise DomainError(f"young_conjugate needs finite y >= 0, got {y}")
@@ -229,12 +234,15 @@ def conjugate_table(phi: Callable[[float], float], y_values) -> ConjugateTable:
     return ConjugateTable(ys, t_star, phi_star, phi)
 
 
-def biconjugate(phi: Callable[[float], float], t: float, *,
-                y_cap: float = 1e12, hint: Optional[float] = None) -> float:
-    """phi**(t) = sup_{y>0} (t y - phi*(y)) with phi* evaluated numerically."""
+_Y_CAP = 1e12      # the largest y of the biconjugate's bracket
+
+
+def biconjugate(phi: Callable[[float], float], t: float) -> float:
+    """phi**(t) = sup_{y>0} (t y - phi*(y)) with phi* evaluated numerically;
+    DivergenceError where the bracket passes y = 1e12."""
     if t < 0:
         raise DomainError("biconjugate needs t >= 0")
-    t_hint = [hint]
+    t_hint = [None]
 
     def f(y):
         val, ts = young_conjugate(phi, y, bracket_hint=t_hint[0])
@@ -244,8 +252,8 @@ def biconjugate(phi: Callable[[float], float], t: float, *,
     b = 1.0
     while f(b) > f(0.5 * b):
         b *= 2.0
-        if b > y_cap:
-            raise DivergenceError(f"biconjugate diverges at t = {t}", cap=y_cap)
+        if b > _Y_CAP:
+            raise DivergenceError(f"biconjugate diverges at t = {t}", cap=_Y_CAP)
     _, val = _golden_max(f, 0.0, b, 1e-9 * max(1.0, b * 1e-3))
     return max(val, 0.0)
 
@@ -428,9 +436,9 @@ def _panel_quadrature(f, upper, h0):
     return sums[0], np.abs(sums[0] - sums[1])
 
 
-def integral_closed_form_check(params: SequenceParams, C: float, k_grid,
-                               rel_tol: float = 1e-6) -> IntegralCheckReport:
-    """Quadrature of the shifted-count integral versus its closed form.
+def integral_closed_form_check(params: SequenceParams, C: float, k_grid) -> IntegralCheckReport:
+    """Quadrature of the shifted-count integral versus its closed form;
+    passed means they agree to 1e-6 relative at every k.
 
     The integral is C^(-1/tau) * int_1^k exp(W(c ln l)/(s-1)) dl/l with
     c = C^((s-1)/tau)(s-1)/tau; quadrature runs in u = ln l, the closed
@@ -461,4 +469,4 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid,
     closed = C ** (-s / tau) * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
 
     rel = np.abs(quads - closed) / np.maximum(np.abs(closed), 1e-12)
-    return IntegralCheckReport(params, C, k, quads, closed, rel, bool(np.all(rel <= rel_tol)))
+    return IntegralCheckReport(params, C, k, quads, closed, rel, bool(np.all(rel <= 1e-6)))

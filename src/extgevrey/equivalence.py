@@ -13,7 +13,7 @@ from ._kernels import _assoc_sup_scalar, assoc_sup_grid
 from .conjugate import (check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
-from .sequences import (LogWeightSequence, SequenceParams, conjugate_generated,
+from .sequences import (LogWeightSequence, SequenceParams, _fit_band, conjugate_generated,
                         default_p_grid, extended_gevrey, stable_sup)
 
 __all__ = [
@@ -51,28 +51,17 @@ class EquivalenceReport:
         }
 
 
-def default_k_grid(k_min: float = math.e, k_max: float = 1e12, per_decade: int = 64) -> np.ndarray:
-    n = max(8, int(per_decade * math.log10(k_max / k_min)))
-    return np.logspace(math.log10(k_min), math.log10(k_max), n)
-
-
-def _fit_band(x: np.ndarray, y: np.ndarray) -> Dict[str, float]:
-    """Extremal affine fit: slopes from the top half of x, offsets extremal
-    over the whole grid, so both bounds hold on the grid by construction."""
-    top = x >= 0.5 * x.max()
-    r = y[top] / x[top]
-    A = float(np.max(r))
-    B = float(np.min(r))
-    A_t = float(np.max(y - A * x))
-    B_t = float(np.min(y - B * x))
-    return {"A": A, "A_tilde": A_t, "B": B, "B_tilde": B_t}
+def default_k_grid() -> np.ndarray:
+    """64 log-spaced points a decade on [e, 1e12]."""
+    return np.logspace(math.log10(math.e), 12.0, int(64 * math.log10(1e12 / math.e)))
 
 
 def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray):
     T, _ = assoc_sup_grid(lnk, math.log(h), params.tau, params.sigma)
     phi = phi_sigma(params.sigma, np.maximum(lnk, 0.0))
     pos = phi > 0
-    return T, phi, _fit_band(phi[pos], T[pos])
+    x = phi[pos]
+    return T, phi, _fit_band(x, T[pos], x >= 0.5 * x.max())
 
 
 def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
@@ -296,9 +285,9 @@ def check_corollary(s: float, t_grid: Optional[np.ndarray] = None) -> Equivalenc
     num = w(t)
     den = phi_sigma(s, np.maximum(np.log(t), 0.0))
     pos = den > 0
-    ratio = num[pos] / den[pos]
-    top = t[pos] >= math.sqrt(t[pos].min() * t[pos].max())
-    c1, c2 = float(np.min(ratio[top])), float(np.max(ratio[top]))
+    tp = t[pos]
+    band = _fit_band(den[pos], num[pos], tp >= math.sqrt(tp.min() * tp.max()))
+    c1, c2 = band["B"], band["A"]
     axioms = check_weight_axioms(w)
     band_ok = c1 > 0 and np.isfinite(c2)
     holds = band_ok and axioms.alpha and axioms.beta and axioms.gamma

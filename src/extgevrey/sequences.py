@@ -7,7 +7,7 @@ already around p = 15, so every quantity here is a log value.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -21,8 +21,6 @@ __all__ = [
     "conjugate_generated",
     "constant_quotient",
     "ConditionReport",
-    "log_M",
-    "log_m",
     "check_condition",
     "check_liminf_condition",
     "lemma_quotient_bounds",
@@ -112,27 +110,23 @@ def constant_quotient() -> LogWeightSequence:
     return LogWeightSequence("constant_quotient", lambda p: np.zeros_like(p))
 
 
-def log_M(seq: LogWeightSequence, p):
-    return seq.log_M(p)
-
-
-def log_m(seq: LogWeightSequence, p):
-    return seq.log_m(p)
-
-
 # ---------------------------------------------------------------------------
 # grids and the sup-stabilization criterion
 # ---------------------------------------------------------------------------
 
-def default_p_grid(p_max: int, dense_to: int = 128, per_decade: int = 100) -> np.ndarray:
-    """Every integer up to `dense_to`, then ~per_decade log-spaced integers."""
-    if p_max <= dense_to:
+_DENSE_TO = 128
+
+
+def default_p_grid(p_max: int, per_decade: int = 100) -> np.ndarray:
+    """Every integer up to 128, then ~per_decade log-spaced integers."""
+    if p_max <= _DENSE_TO:
         return np.arange(1, p_max + 1, dtype=np.int64)
-    dense = np.arange(1, dense_to + 1, dtype=np.int64)
-    decades = math.log10(p_max / dense_to)
-    n = max(2, int(per_decade * decades))
-    sparse = np.unique(np.round(np.logspace(math.log10(dense_to), math.log10(p_max), n)).astype(np.int64))
-    return np.unique(np.concatenate([dense, sparse]))
+    n = max(2, int(per_decade * math.log10(p_max / _DENSE_TO)))
+    sparse = np.round(np.logspace(math.log10(_DENSE_TO), math.log10(p_max), n)).astype(np.int64)
+    # both parts are sorted: drop repeats by adjacent compare (np.unique
+    # would import numpy.ma on its first call)
+    p = np.concatenate([np.arange(1, _DENSE_TO + 1, dtype=np.int64), sparse])
+    return p[np.r_[True, p[1:] != p[:-1]]]
 
 
 def stable_sup(p: np.ndarray, values: np.ndarray) -> Tuple[float, int, bool]:
@@ -152,6 +146,17 @@ def stable_sup(p: np.ndarray, values: np.ndarray) -> Tuple[float, int, bool]:
     prev = float(np.max(early))
     stable = p[i] <= cut or (sup - prev) <= 0.01 * max(1.0, abs(sup))
     return sup, int(p[i]), stable
+
+
+def _fit_band(x: np.ndarray, y: np.ndarray, top: np.ndarray) -> Dict[str, float]:
+    """Extremal affine band B x + B~ <= y <= A x + A~: slopes A, B extremal
+    over y/x on the `top` mask, offsets extremal over the whole grid, so
+    both bounds hold on the grid by construction."""
+    r = y[top] / x[top]
+    A = float(np.max(r))
+    B = float(np.min(r))
+    return {"A": A, "A_tilde": float(np.max(y - A * x)),
+            "B": B, "B_tilde": float(np.min(y - B * x))}
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,8 @@ def _require_ext(params):
     return extended_gevrey(params)
 
 
-def _check_m1(seq, p_max):
+def _check_m1(params, params2, p_max):
+    seq = _require_ext(params)
     p = np.arange(1, p_max + 1, dtype=np.float64)
     f = seq.log_M(np.arange(0, p_max + 2))
     mid, lo, hi = f[1:-1], f[:-2], f[2:]
@@ -198,15 +204,28 @@ def _check_m1(seq, p_max):
     return ConditionReport("M.1", (1, p_max), not bad.any(), None, witness)
 
 
-def _check_m2_prime(params, p_max):
+def _stable_report(name, p_max, p, values, sign=1.0):
+    """Report of a "there is a C" condition: `stable_sup` over each array
+    of `values` in turn. The first unstable array decides the report;
+    otherwise it carries sign * the largest sup (one array: its sup as
+    `stable_sup` gives it, NaN included)."""
+    worst = None
+    for v in values:
+        sup, arg, stable = stable_sup(p, v)
+        if not stable:
+            return ConditionReport(name, (1, p_max), False, sign * sup, arg)
+        worst = sup if worst is None else max(worst, sup)
+    return ConditionReport(name, (1, p_max), True, sign * worst, None)
+
+
+def _check_m2_prime(params, params2, p_max):
     seq = _require_ext(params)
     p = default_p_grid(p_max)
     v = (seq.log_M(p + 1) - seq.log_M(p)) / p.astype(np.float64) ** params.sigma
-    sup, arg, stable = stable_sup(p, v)
-    return ConditionReport("~M.2'", (1, p_max), stable, sup, None if stable else arg)
+    return _stable_report("~M.2'", p_max, p, [v])
 
 
-def _check_m2_tilde(params, p_max):
+def _check_m2_tilde(params, params2, p_max):
     seq = _require_ext(params)
     big = extended_gevrey(SequenceParams(2.0 ** (params.sigma - 1.0) * params.tau, params.sigma))
     p = default_p_grid(p_max, per_decade=30)
@@ -216,11 +235,10 @@ def _check_m2_tilde(params, p_max):
     denom = pf[:, None] ** params.sigma + pf[None, :] ** params.sigma
     v = (fsum - fbig[:, None] - fbig[None, :]) / denom
     pmax_pair = np.maximum(p[:, None], p[None, :])
-    sup, arg, stable = stable_sup(pmax_pair.ravel(), v.ravel())
-    return ConditionReport("~M.2", (1, p_max), stable, sup, None if stable else arg)
+    return _stable_report("~M.2", p_max, pmax_pair.ravel(), [v.ravel()])
 
 
-def _check_m2_classical(params, p_max):
+def _check_m2_classical(params, params2, p_max):
     # full Komatsu-style stability: M_{2p} <= C H^{2p} M_p^2 needs
     # (log M_{2p} - 2 log M_p) / (2p) to stay bounded; here it diverges.
     seq = _require_ext(params)
@@ -233,7 +251,7 @@ def _check_m2_classical(params, p_max):
     return ConditionReport("M.2-classical", (2, int(p[-1])), holds, sup, None if holds else witness)
 
 
-def _check_m3_prime(params, p_max):
+def _check_m3_prime(params, params2, p_max):
     seq = _require_ext(params)
     p = np.arange(1, p_max + 1)
     logm = seq.log_m(p)
@@ -245,97 +263,67 @@ def _check_m3_prime(params, p_max):
     return ConditionReport("M.3'", (1, p_max), holds, partial, None)
 
 
-_DEFAULT_H = (0.5, 1.0, 2.0)
+# the h of the weighted conditions ~M.4, ~M.4' and ~M.5
+_H_VALUES = (0.5, 1.0, 2.0)
 
 
-def _check_m4(params, params2, p_max, h_values):
+def _h_terms(diff, p, power):
+    """diff - p^power ln h for each h of _H_VALUES, one array at a time."""
+    pw = p.astype(np.float64) ** power
+    return (diff - pw * math.log(h) for h in _H_VALUES)
+
+
+def _check_m4(params, params2, p_max):
     if params2 is None or params2.sigma != params.sigma or not params.tau < params2.tau:
         raise UsageError("~M.4 compares tau1 < tau2 at equal sigma")
     s1, s2 = _require_ext(params), _require_ext(params2)
     p = default_p_grid(p_max)
-    pf = p.astype(np.float64)
-    diff = s1.log_M(p) - s2.log_M(p)
-    worst = -math.inf
-    for h in h_values:
-        v = diff - pf ** params.sigma * math.log(h)
-        sup, arg, stable = stable_sup(p, v)
-        worst = max(worst, sup)
-        if not stable:
-            return ConditionReport("~M.4", (1, p_max), False, sup, arg)
-    return ConditionReport("~M.4", (1, p_max), True, worst, None)
+    return _stable_report("~M.4", p_max, p, _h_terms(s1.log_M(p) - s2.log_M(p), p, params.sigma))
 
 
-def _check_m4_prime(params, p_max, h_values):
+def _check_m4_prime(params, params2, p_max):
     seq = _require_ext(params)
     p = default_p_grid(p_max)
-    pf = p.astype(np.float64)
-    f = seq.log_M(p)
-    worst = math.inf
-    for h in h_values:
-        v = -(pf ** params.sigma * math.log(h) + f)   # -log(h^{p^sigma} M_p)
-        sup, arg, stable = stable_sup(p, v)
-        worst = min(worst, -sup)
-        if not stable:
-            return ConditionReport("~M.4'", (1, p_max), False, -sup, arg)
-    return ConditionReport("~M.4'", (1, p_max), True, worst, None)
+    # -log(h^{p^sigma} M_p), whose sup is minus the inf of log(h^{p^sigma} M_p)
+    return _stable_report("~M.4'", p_max, p, _h_terms(-seq.log_M(p), p, params.sigma), sign=-1.0)
 
 
-def _check_m5(params, params2, p_max, h_values):
+def _check_m5(params, params2, p_max):
     if params2 is None or not params.sigma < params2.sigma:
         raise UsageError("~M.5 compares sigma1 < sigma2")
     s1, s2 = _require_ext(params), _require_ext(params2)
     p = default_p_grid(p_max)
-    pf = p.astype(np.float64)
-    diff = s1.log_M(p) - s2.log_M(p)
-    worst = -math.inf
-    for h in h_values:
-        v = diff - pf ** params2.sigma * math.log(h)
-        sup, arg, stable = stable_sup(p, v)
-        worst = max(worst, sup)
-        if not stable:
-            return ConditionReport("~M.5", (1, p_max), False, sup, arg)
-    return ConditionReport("~M.5", (1, p_max), True, worst, None)
+    return _stable_report("~M.5", p_max, p, _h_terms(s1.log_M(p) - s2.log_M(p), p, params2.sigma))
 
 
-def _check_m0(params, p_max):
+def _check_m0(params, params2, p_max):
     seq = _require_ext(params)
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
     v = pf * np.log(pf) - seq.log_M(p)     # -log(M_p / p^p)
-    sup, arg, stable = stable_sup(p, v)
-    return ConditionReport("M.0", (1, p_max), stable, -sup, None if stable else arg)
+    return _stable_report("M.0", p_max, p, [v], sign=-1.0)
+
+
+# condition key -> check(params, params2, p_max); only ~M.4 and ~M.5 read params2
+_CHECKS = {"m1": _check_m1, "m2p": _check_m2_prime, "m2": _check_m2_tilde,
+           "m2_classical": _check_m2_classical, "m3p": _check_m3_prime, "m4": _check_m4,
+           "m4p": _check_m4_prime, "m5": _check_m5, "m0": _check_m0}
 
 
 def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000, *,
-                    params2: Optional[SequenceParams] = None,
-                    h_values=_DEFAULT_H) -> ConditionReport:
+                    params2: Optional[SequenceParams] = None) -> ConditionReport:
     """Verify one sequence condition on [1, p_max].
 
     For existential "there is a C" conditions, holds=true means the
     finite sup defining log C stabilizes (see `stable_sup`); the fitted
-    constant is that sup without any optimality claim.
+    constant is that sup without any optimality claim. The weighted
+    conditions ~M.4, ~M.4' and ~M.5 are checked at h in {0.5, 1, 2}.
     """
     _check_p_max(p_max, 3)
     key = condition.strip().lower().replace("(", "").replace(")", "").replace("~", "").replace(".", "").replace("'", "p").replace("-", "_")
-    if key == "m1":
-        return _check_m1(_require_ext(params), p_max)
-    if key == "m2p":
-        return _check_m2_prime(params, p_max)
-    if key == "m2":
-        return _check_m2_tilde(params, p_max)
-    if key == "m2_classical":
-        return _check_m2_classical(params, p_max)
-    if key == "m3p":
-        return _check_m3_prime(params, p_max)
-    if key == "m4":
-        return _check_m4(params, params2, p_max, h_values)
-    if key == "m4p":
-        return _check_m4_prime(params, p_max, h_values)
-    if key == "m5":
-        return _check_m5(params, params2, p_max, h_values)
-    if key == "m0":
-        return _check_m0(params, p_max)
-    raise UsageError(f"unknown condition identifier: {condition!r}")
+    if key not in _CHECKS:
+        raise UsageError(f"unknown condition identifier: {condition!r}")
+    return _CHECKS[key](params, params2, p_max)
 
 
 def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) -> ConditionReport:

@@ -98,6 +98,15 @@ def test_phi_includes_anchor_row(capsys):
     assert by_t[e] == pytest.approx(e * e, rel=1e-14)
 
 
+def test_phi_rows_are_sorted_and_distinct(capsys):
+    # the grid holds both anchors 0 and e already; each must appear once
+    code, out, _ = run_cli(["phi", "--grid", "0:2.718281828459045:5", "--linear",
+                            "--format", "json"], capsys)
+    assert code == 0
+    t = [r["t"] for r in json.loads(out)]
+    assert t == np.linspace(0.0, math.e, 5).tolist()
+
+
 def test_assocfn_includes_both_methods(capsys):
     code, out, _ = run_cli(["assocfn", "--grid", "1:1e6:4"], capsys)
     assert code == 0
@@ -418,6 +427,21 @@ def test_numerical_error_names_h_without_log_round_trip_digits(capsys):
     _, out, _ = run_cli(["verify", "--tau", "0.2", "--h", "1e6", "--only", "sandwich"], capsys)
     error = json.loads(out)["claims"]["sandwich"]["error"]
     assert "h=1000000," in error and "999999.99" not in error
+
+
+def test_default_commands_leave_numpy_ma_unimported():
+    """np.unique imports numpy.ma (about 16 ms) on its first call; the default
+    verify pass and the sequence, quotients and phi tables dedupe sorted data
+    without it."""
+    code = ("import os, sys\n"
+            "from extgevrey import cli\n"
+            "for argv in (['verify'], ['sequence', '--pmax', '300'],"
+            " ['quotients', '--pmax', '300'], ['phi']):\n"
+            "    assert cli.main(argv + ['--output', os.devnull]) == 0, argv\n"
+            "print('numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 # -- verify off the default point: a full report, a documented exit code -------

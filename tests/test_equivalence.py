@@ -7,6 +7,7 @@ import pytest
 from extgevrey import equivalence
 from extgevrey._kernels import assoc_sup_grid
 from extgevrey.conjugate import phi_sigma, phi_sigma_conjugate
+from extgevrey.sequences import _fit_band
 from extgevrey import (
     DomainError,
     SequenceParams,
@@ -26,6 +27,21 @@ def test_default_k_grid_spans_12_decades():
     k = default_k_grid()
     assert k[0] == pytest.approx(np.e)
     assert k[-1] == pytest.approx(1e12)
+    assert k.size == 740            # 64 points a decade
+
+
+def test_band_fit_bounds_the_data_on_the_grid():
+    x = np.linspace(1.0, 100.0, 200)
+    y = 3.0 * x + 2.0 + np.sin(x)
+    top = x >= 50.0
+    fit = _fit_band(x, y, top)
+    r = y[top] / x[top]
+    assert (fit["A"], fit["B"]) == (float(np.max(r)), float(np.min(r)))
+    assert np.all(fit["B"] * x + fit["B_tilde"] <= y) and np.all(y <= fit["A"] * x + fit["A_tilde"])
+    # y = 2x + 1: the slopes are the extremes of y/x = 2 + 1/x on the top mask
+    fit = _fit_band(x, 2.0 * x + 1.0, top)
+    assert fit == pytest.approx({"A": 2.0 + 1.0 / x[top][0], "A_tilde": 1.0 - x[0] / x[top][0],
+                                 "B": 2.01, "B_tilde": 0.0}, rel=1e-14, abs=1e-12)
 
 
 def test_t_phi_equivalence_holds():

@@ -73,6 +73,24 @@ def test_default_p_grid_shape():
     assert np.array_equal(p[:128], np.arange(1, 129))
 
 
+def _p_grid_with_unique(p_max, dense_to=128, per_decade=100):
+    """default_p_grid deduped by np.unique: the reference for its adjacent-compare dedupe."""
+    if p_max <= dense_to:
+        return np.arange(1, p_max + 1, dtype=np.int64)
+    dense = np.arange(1, dense_to + 1, dtype=np.int64)
+    n = max(2, int(per_decade * math.log10(p_max / dense_to)))
+    sparse = np.unique(np.round(np.logspace(math.log10(dense_to), math.log10(p_max), n)).astype(np.int64))
+    return np.unique(np.concatenate([dense, sparse]))
+
+
+@pytest.mark.parametrize("p_max", [1, 3, 127, 128, 129, 300, 1000, 10_000, 12_345, 10 ** 6, 10 ** 7])
+@pytest.mark.parametrize("per_decade", [30, 100])
+def test_default_p_grid_matches_the_unique_based_grid(p_max, per_decade):
+    got = default_p_grid(p_max, per_decade=per_decade)
+    want = _p_grid_with_unique(p_max, per_decade=per_decade)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_stable_sup_flags_growth():
     p = default_p_grid(1000)
     sup, arg, stable = stable_sup(p, 1.0 / p)
@@ -100,6 +118,48 @@ def test_classical_m2_fails_with_witness(tau, sigma):
     rep = check_condition("M.2-classical", SequenceParams(tau, sigma), 10_000)
     assert not rep.holds
     assert rep.witness is not None and rep.witness <= 100
+
+
+# (holds, fitted_constant, witness) of each "there is a C" condition at
+# p_max = 10 000, stable and unstable branches alike
+_PINNED_REPORTS = {
+    (0.05, 1.2): {
+        "~M.2'": (True, 0.07962170260800419, None),
+        "~M.2": (True, 0.03981085130400227, None),
+        "~M.4": (False, 14677.970923699566, 10000),
+        "~M.4'": (False, -14677.970923699566, 10000),
+        "~M.5": (False, 146808765.89651024, 10000),
+        "M.0": (False, -63046.7442054578, 10000),
+    },
+    (0.05, 2.0): {
+        "~M.2'": (True, 0.13862943611198905, None),
+        "~M.2": (True, 0.06931471805599468, None),
+        "~M.4": (False, 23263016.19611361, 10000),
+        "~M.4'": (False, -23263016.19611361, 10000),
+        "~M.5": (False, 232676213662.99597, 10000),
+        "M.0": (True, -11.927551918982402, None),
+    },
+    (1.0, 2.0): {
+        "~M.2'": (True, 2.772588722239781, None),
+        "~M.2": (True, 1.3862943611198928, None),
+        "~M.4": (True, 0.6931471805599453, None),
+        "~M.4'": (True, -0.6931471805599453, None),
+        "~M.5": (True, 2.772588722239781, None),
+        "M.0": (True, -0.0, None),
+    },
+}
+
+
+@pytest.mark.parametrize("tau,sigma", list(_PINNED_REPORTS))
+def test_condition_reports_are_pinned(tau, sigma):
+    params = SequenceParams(tau, sigma)
+    second = {"~M.4": SequenceParams(2.0 * tau, sigma), "~M.5": SequenceParams(tau, sigma + 1.0)}
+    for name, want in _PINNED_REPORTS[(tau, sigma)].items():
+        rep = check_condition(name, params, 10_000, params2=second.get(name))
+        assert (rep.holds, rep.fitted_constant, rep.witness) == want, name
+        assert rep.p_range == (1, 10_000)
+        # the sign of a zero constant survives too: M.0's sup at tau=1, sigma=2 is +0.0
+        assert math.copysign(1.0, rep.fitted_constant) == math.copysign(1.0, want[1]), name
 
 
 def test_condition_key_normalization():
