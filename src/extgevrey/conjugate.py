@@ -278,7 +278,8 @@ def phi_sigma_conjugate(sigma: float, y):
         g(w) = w/(s-1) + ln(1 + s w/(s-1)) - ln(1 + w) - ln y = 0,
     and phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
     g is increasing and concave and the seed lies left of its root, so
-    Newton's iterates rise monotonically to it.
+    Newton's iterates rise monotonically to it. An array call steps every point
+    until the slowest converges, so a value's last bits can depend on the other y's.
     """
     if not (sigma > 1 and math.isfinite(sigma)):
         raise DomainError(f"phi_sigma_conjugate needs finite sigma > 1, got sigma={sigma}")
@@ -406,9 +407,23 @@ class IntegralCheckReport:
     passed: bool
 
 
-# Gauss-Legendre nodes and weights on [-1, 1]: 20 for the value, 10 for its error
-_GL20 = np.polynomial.legendre.leggauss(20)
-_GL10 = np.polynomial.legendre.leggauss(10)
+def _symmetric_rule(x, w):
+    """Nodes and weights on [-1, 1] from the nodes in (0, 1) and their weights."""
+    return np.r_[np.negative(x[::-1]), x], np.r_[w[::-1], w]
+
+
+# Gauss-Legendre nodes and weights on [-1, 1], 20 for the value and 10 for its error:
+# numpy's leggauss(20) and leggauss(10) as literals, so numpy.polynomial stays unimported
+_GL20 = _symmetric_rule(
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893])
+_GL10 = _symmetric_rule(
+    [0.14887433898163122, 0.4333953941292472, 0.6794095682990244, 0.8650633666889845, 0.9739065285171717],
+    [0.2955242247147528, 0.2692667193099965, 0.219086362515982, 0.1494513491505804, 0.06667134430868814])
 
 
 def _panel_quadrature(f, upper, h0):

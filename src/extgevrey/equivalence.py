@@ -9,7 +9,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import _assoc_sup_scalar, assoc_sup_grid
+from ._kernels import _assoc_sup_scalar, assoc_sup_grid, w0_scalar
 from .conjugate import (check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
@@ -56,12 +56,11 @@ def default_k_grid() -> np.ndarray:
     return np.logspace(math.log10(math.e), 12.0, int(64 * math.log10(1e12 / math.e)))
 
 
-def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray):
+def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray, phi: np.ndarray):
     T, _ = assoc_sup_grid(lnk, math.log(h), params.tau, params.sigma)
-    phi = phi_sigma(params.sigma, np.maximum(lnk, 0.0))
     pos = phi > 0
     x = phi[pos]
-    return T, phi, _fit_band(x, T[pos], x >= 0.5 * x.max())
+    return T, _fit_band(x, T[pos], x >= 0.5 * x.max())
 
 
 def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
@@ -71,7 +70,8 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
     fitted slopes scale like tau^(-1/(sigma-1)) under tau -> 2^(sigma-1) tau."""
     k = np.asarray(k_grid, dtype=np.float64) if k_grid is not None else default_k_grid()
     lnk = np.log(k)
-    T, phi, fit = _fit_T_phi(params, h, lnk)
+    phi = phi_sigma(params.sigma, np.maximum(lnk, 0.0))    # free of tau: both fits share it
+    T, fit = _fit_T_phi(params, h, lnk, phi)
 
     viol_up = float(np.max(T - fit["A"] * phi - fit["A_tilde"]))
     viol_lo = float(np.max(fit["B"] * phi + fit["B_tilde"] - T))
@@ -83,7 +83,7 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
     if check_tau_scaling:
         factor = 2.0 ** (params.sigma - 1.0)
         params2 = SequenceParams(params.tau * factor, params.sigma)
-        _, _, fit2 = _fit_T_phi(params2, h, lnk)
+        _, fit2 = _fit_T_phi(params2, h, lnk, phi)
         expected = factor ** (1.0 / (params.sigma - 1.0))      # = 2
         ratio_A = fit["A"] / fit2["A"]
         ratio_B = fit["B"] / fit2["B"]
@@ -124,19 +124,27 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
 def _window_must_fail(sigma, tau, p_max, t_last, t_max):
     """True where the window ending at t_last cannot pass the test of
     `_fit_slopes_extended`: b = min c over the window is at most c(t_last), so
-    t*(p_max/b) >= t*(p_max/c(t_last)), here past 0.8 t_max with a 1e-9 margin
-    for the rounding between the scalar and grid paths. False where c(t_last) is
-    not positive, p_max/c(t_last) is not finite, or a scalar step raises: the
-    window then runs, and raises as it would."""
+    t*(p_max/b) >= t*(y), y = p_max/c(t_last), here past t0 = 0.8 t_max with a 1e-9
+    margin for the rounding between the scalar and grid paths. phi_sigma' rises
+    strictly from 1 (see `phi_sigma_conjugate`): t*(y) > t0 exactly when
+    y > phi_sigma'(t0), one W(t0) in closed form. Past ln y = 650/sigma, near the
+    conjugate's overflow, its Newton call decides, as the evaluated window would.
+    False where c(t_last) is not positive, y is not finite, or a scalar step
+    raises: the window then runs, and raises as it would."""
+    t0 = 0.8 * t_max * (1.0 + 1e-9)
+    s1 = sigma - 1.0
     try:
         T_last, _ = _assoc_sup_scalar(t_last, 0.0, tau, sigma)
         c_last = T_last / phi_sigma(sigma, t_last)
         if not (c_last > 0.0 and math.isfinite(p_max / c_last)):
             return False
-        _, t_star = phi_sigma_conjugate(sigma, p_max / c_last)
+        y = p_max / c_last
+        if y > math.exp(650.0 / sigma):
+            return phi_sigma_conjugate(sigma, y)[1] > t0
+        w = w0_scalar(t0)[0]
+        return y > math.exp(w / s1) * (s1 + sigma * w) / (s1 * (1.0 + w))
     except (NumericalError, DomainError, OverflowError):
         return False
-    return t_star > 0.8 * t_max * (1.0 + 1e-9)
 
 
 class SlopeBand(NamedTuple):
@@ -246,16 +254,17 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
     pf = p.astype(np.float64)
     tA = A.log_M_table(p)
     tB = B.log_M_table(p)
+    diff = np.array(list(tA.values()))[:, None] - np.array(list(tB.values()))   # (|A|, |B|, p)
 
     fitted: Dict[str, float] = {}
     notes = []
     holds = True
     worst = -math.inf
     for direction, sign in (("<=", 1.0), (">=", -1.0)):
-        for ia, fa in tA.items():
+        sups, _, stables = stable_sup(p, sign * diff / pf)
+        for ia, row_sup, row_stable in zip(tA, sups.tolist(), stables.tolist()):
             best = None
-            for ib, fb in tB.items():
-                sup, _, stable = stable_sup(p, sign * (fa - fb) / pf)
+            for ib, sup, stable in zip(tB, row_sup, row_stable):
                 # tightest admissible partner: smallest |log C| (self-match
                 # inside the same family then yields log C = 0 exactly)
                 if stable and (best is None or abs(sup) < abs(best[1])

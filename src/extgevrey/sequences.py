@@ -129,23 +129,25 @@ def default_p_grid(p_max: int, per_decade: int = 100) -> np.ndarray:
     return p[np.r_[True, p[1:] != p[:-1]]]
 
 
-def stable_sup(p: np.ndarray, values: np.ndarray) -> Tuple[float, int, bool]:
-    """Sup over the range plus a stability verdict.
-
-    Stable means the sup is already attained before the last decade of p,
-    or the last decade adds less than 1% on top of it.
-    """
+def stable_sup(p: np.ndarray, values: np.ndarray):
+    """Sup along the last axis of `values` against the 1-D `p`, plus a stability
+    verdict: (float, int, bool) for 1-D values, else arrays of the leading shape.
+    Stable means the sup is finite and already attained before the last decade
+    of p, or the last decade adds less than 1% on top of it."""
     p = np.asarray(p)
     values = np.asarray(values, dtype=np.float64)
-    i = int(np.argmax(values))
-    sup = float(values[i])
+    i = values.argmax(axis=-1)
+    sup = values[i] if values.ndim == 1 else np.take_along_axis(values, i[..., None], -1)[..., 0]
     cut = p.max() / 10
-    early = values[p <= cut]
-    if early.size == 0:
-        return sup, int(p[i]), False
-    prev = float(np.max(early))
-    stable = p[i] <= cut or (sup - prev) <= 0.01 * max(1.0, abs(sup))
-    return sup, int(p[i]), stable
+    early = p <= cut
+    stable = np.isfinite(sup) & early.any()
+    if early.any():
+        prev = values.max(axis=-1, where=early, initial=-np.inf)
+        with np.errstate(invalid="ignore"):     # inf - inf: unstable all the same
+            stable &= (p[i] <= cut) | ((sup - prev) <= 0.01 * np.maximum(1.0, abs(sup)))
+    if values.ndim == 1:
+        return float(sup), int(p[i]), bool(stable)
+    return sup, p[i], stable
 
 
 def _fit_band(x: np.ndarray, y: np.ndarray, top: np.ndarray) -> Dict[str, float]:
@@ -207,8 +209,8 @@ def _check_m1(params, params2, p_max):
 def _stable_report(name, p_max, p, values, sign=1.0):
     """Report of a "there is a C" condition: `stable_sup` over each array
     of `values` in turn. The first unstable array decides the report;
-    otherwise it carries sign * the largest sup (one array: its sup as
-    `stable_sup` gives it, NaN included)."""
+    otherwise it carries sign * the largest sup. A NaN or infinite sup is
+    no finite C: `stable_sup` calls it unstable."""
     worst = None
     for v in values:
         sup, arg, stable = stable_sup(p, v)

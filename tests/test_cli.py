@@ -444,6 +444,20 @@ def test_default_commands_leave_numpy_ma_unimported():
     assert res.stdout.strip() == "False"
 
 
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_the_shared_parser_carries_no_state_between_calls(capsys):
+    """An in-process sequence of calls writes what fresh processes write."""
+    argvs = [["verify", "--bogus"], ["verify", "--only", "m1", "--tau", "2"], ["verify"]]
+    for argv in argvs:
+        code, out, err = run_cli(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "extgevrey.cli", *argv],
+                               capture_output=True, text=True, timeout=120)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
 # -- verify off the default point: a full report, a documented exit code -------
 
 _LATTICE = [(0.05, 1.2, 1.0), (0.05, 6.0, 1e-6), (0.2, 1.01, 1e-6),

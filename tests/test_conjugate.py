@@ -1,10 +1,12 @@
 import math
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from extgevrey import conjugate
 from extgevrey import (
     DivergenceError,
     DomainError,
@@ -280,3 +282,24 @@ def test_integral_closed_form_small_c():
 def test_integral_closed_form_rejects_bad_k(bad):
     with pytest.raises(DomainError, match="finite k > 1"):
         integral_closed_form_check(SequenceParams(1.0, 2.0), 1.0, [10.0, bad])
+
+
+@pytest.mark.parametrize("n", [20, 10])
+def test_gauss_legendre_tables_match_leggauss(n):
+    x, w = {20: conjugate._GL20, 10: conjugate._GL10}[n]
+    X, W = np.polynomial.legendre.leggauss(n)
+    # another LAPACK may round the last bits of leggauss differently
+    assert np.all(np.abs(x - X) <= 2 * np.spacing(np.abs(X)))
+    assert np.all(np.abs(w - W) <= 2 * np.spacing(W))
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+
+
+def test_import_leaves_numpy_polynomial_unimported():
+    code = ("import sys\n"
+            "import extgevrey\n"
+            "rep = extgevrey.integral_closed_form_check(extgevrey.SequenceParams(1.0, 2.0), 1.0, [10.0])\n"
+            "assert rep.passed\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from extgevrey import equivalence
+from extgevrey import cli, equivalence
 from extgevrey._kernels import assoc_sup_grid
 from extgevrey.conjugate import phi_sigma, phi_sigma_conjugate
-from extgevrey.sequences import _fit_band
+from extgevrey.lambertw import lambert_w0
+from extgevrey.sequences import _fit_band, default_p_grid, stable_sup
 from extgevrey import (
     DomainError,
     SequenceParams,
@@ -165,7 +166,7 @@ def _outcome(fn, *args):
 # sigma <= 1.2 at small tau raises the 2**53 error in the first window; sigma = 6
 # doubles up to 52 times, and at tau = 1e300 past 700 times, into the conjugate's overflow
 _SLOPE_CASES = [*itertools.product([1.01, 1.05, 1.2, 2.0, 6.0], [0.05, 0.5, 50.0], [300, 1000]),
-                (6.0, 1e300, 1000)]
+                (6.0, 1e300, 1000), (2.0, 0.5, 0), (2.0, 0.5, -1)]
 
 
 def test_skipping_windows_leaves_the_slope_fit_bit_identical():
@@ -173,7 +174,7 @@ def test_skipping_windows_leaves_the_slope_fit_bit_identical():
     want = [_outcome(_fit_slopes_every_window, *case) for case in _SLOPE_CASES]
     assert got == want
     raised = [w for w in want if isinstance(w[0], type)]
-    assert {w[0].__name__ for w in raised} == {"NumericalError"}
+    assert {w[0].__name__ for w in raised} == {"NumericalError", "DomainError"}     # p_max < 0: DomainError
     assert any("2**53" in w[1] for w in raised) and any("overflows" in w[1] for w in raised)
 
 
@@ -199,3 +200,85 @@ def test_slope_band_gives_the_indices_of_ocena_norme():
     assert (fc["H1"], fc["H2"]) == (band.H1, band.H2)
     with pytest.raises(DomainError):
         slope_band(1.0, 1.0, 300)
+
+
+def test_the_window_test_reads_phi_prime_in_closed_form():
+    # t*(y) > t0 exactly when y > phi_sigma'(t0) = e^(w/(s-1)) (s-1+s w)/((s-1)(1+w)), w = W(t0)
+    for sigma, t0 in itertools.product([1.01, 1.2, 2.0, 6.0], [1e-3, 1.0, 3200.0, 1e8, 1e40]):
+        s1 = sigma - 1.0
+        w = lambert_w0(t0)
+        if w / s1 > 700.0:
+            continue        # phi_sigma'(t0) past the float range: the window runs
+        y = math.exp(w / s1) * (s1 + sigma * w) / (s1 * (1.0 + w))
+        assert phi_sigma_conjugate(sigma, y * (1 + 1e-9))[1] > t0
+        assert phi_sigma_conjugate(sigma, y * (1 - 1e-9))[1] < t0
+        assert phi_sigma_conjugate(sigma, y)[1] == pytest.approx(t0, rel=1e-9)
+
+
+def test_a_default_pass_makes_five_scalar_conjugate_calls(monkeypatch, tmp_path):
+    """One per evaluated slope window (ocena-norme and four matrix fits); the
+    skipped windows take the closed-form test. The matrix check takes one
+    stable_sup call a direction, after ocena-norme's two."""
+    scalar_calls, sup_shapes = [], []
+    conj, sup = equivalence.phi_sigma_conjugate, equivalence.stable_sup
+
+    def counted_conj(sigma, y):
+        if np.ndim(y) == 0:
+            scalar_calls.append(y)
+        return conj(sigma, y)
+
+    def counted_sup(p, values):
+        sup_shapes.append(np.shape(values))
+        return sup(p, values)
+
+    monkeypatch.setattr(equivalence, "phi_sigma_conjugate", counted_conj)
+    monkeypatch.setattr(equivalence, "stable_sup", counted_sup)
+    assert cli.main(["verify", "--output", str(tmp_path / "v.json")]) == 0
+    assert len(scalar_calls) == 5
+    # ocena-norme's two rows, then one (|A|, |B|, p) table per direction
+    assert sup_shapes[2:] == [(4, 5, 163)] * 2 and len(sup_shapes) == 4
+
+
+def _matrix_check_pair_by_pair(A, B, p_max):
+    """check_matrix_equivalence with one stable_sup call per pair of members:
+    an oracle only."""
+    p = default_p_grid(p_max)
+    pf = p.astype(np.float64)
+    tA = A.log_M_table(p)
+    tB = B.log_M_table(p)
+    fitted, notes, holds, worst = {}, [], True, -math.inf
+    for direction, sign in (("<=", 1.0), (">=", -1.0)):
+        for ia, fa in tA.items():
+            best = None
+            for ib, fb in tB.items():
+                sup, _, stable = stable_sup(p, sign * (fa - fb) / pf)
+                if stable and (best is None or abs(sup) < abs(best[1])
+                               or (abs(sup) == abs(best[1]) and ib == ia)):
+                    best = (ib, sup)
+            if best is None:
+                holds = False
+                notes.append(
+                    f"no {B.family} member {'dominating' if sign > 0 else 'dominated by'} "
+                    f"index {ia:g} of {A.family}")
+            else:
+                fitted[f"{A.family}:{ia:g}{direction}{B.family}:{best[0]:g}"] = best[1]
+                worst = max(worst, best[1])
+    return equivalence.EquivalenceReport(
+        "matrix-equivalence",
+        f"p in [1, {p_max}]; probe {A.family}{list(A.indices)} vs reservoir {B.family}{list(B.indices)}",
+        fitted, holds, worst if math.isfinite(worst) else 0.0, "; ".join(notes))
+
+
+def test_one_array_pass_per_direction_matches_the_pair_by_pair_check():
+    cases = []
+    for sigma, tau in itertools.product([1.2, 2.0, 6.0], [0.05, 1.0, 5.0]):
+        M = extended_matrix(sigma, [tau / 2, tau, 2 * tau, 4 * tau])
+        N = conjugate_matrix(sigma, [0.125, 0.5, 1.0, 2.0, 8.0])
+        cases += [(M, N, 300), (N, M, 300), (M, M, 200)]
+    # a reservoir with no admissible partner: notes set, holds False
+    cases.append((extended_matrix(2.0, [4.0, 1.0]), conjugate_matrix(2.0, [0.5]), 200))
+    for A, B, p_max in cases:
+        got = check_matrix_equivalence(A, B, p_max).to_dict()
+        want = _matrix_check_pair_by_pair(A, B, p_max).to_dict()
+        assert got == want and repr(got) == repr(want)      # repr tells -0.0 from 0.0
+    assert not got["holds"] and got["notes"].startswith("no N_sigma member")

@@ -18,6 +18,7 @@ from extgevrey import (
     lemma_quotient_bounds,
     stable_sup,
 )
+from extgevrey import sequences
 from extgevrey.sequences import P_MAX_CAP
 
 PARAM_SET = [(t, s) for t in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)]
@@ -231,3 +232,44 @@ def test_p_max_past_its_cap_is_refused_before_allocating(call):
 def test_lemma_bounds_reject_an_empty_range():
     with pytest.raises(UsageError, match=r"p_max must lie in \[5,"):
         lemma_quotient_bounds(SequenceParams(1.0, 2.0), 5, 4)
+
+
+def test_stable_sup_reduces_along_the_last_axis():
+    p = default_p_grid(1000)
+    rows = np.stack([1.0 / p, np.log(p.astype(float)), np.sin(p), -1.0 / p,
+                     np.where(p == 500, np.nan, 1.0), np.where(p > 900, np.inf, 0.0)])
+    table = np.stack([rows, rows[::-1]])
+    sups, args, stables = stable_sup(p, table)
+    assert sups.shape == args.shape == stables.shape == (2, 6)
+    for idx in np.ndindex(2, 6):
+        sup, arg, stable = stable_sup(p, table[idx])
+        assert repr((sup, arg, stable)) == repr((float(sups[idx]), int(args[idx]), bool(stables[idx])))
+
+
+def test_a_non_finite_sup_is_unstable():
+    p = default_p_grid(1000)
+    # NaN or inf before and inside the last decade of p, and a row that is -inf throughout
+    rows = [np.where(p == at, bad, 1.0 / p) for bad in (np.nan, np.inf) for at in (1, 50, 1000)]
+    for values in rows + [np.full(p.shape, -np.inf)]:
+        assert stable_sup(p, values)[2] is False
+
+
+@pytest.mark.parametrize("name", ["~M.2'", "~M.4", "~M.5"])
+def test_conditions_past_the_float_range_do_not_hold(name):
+    # at tau = 1e305, log M_p overflows to inf and the differences are NaN
+    params = SequenceParams(1e305, 2.0)
+    second = {"~M.4": SequenceParams(2e305, 2.0), "~M.5": SequenceParams(1e305, 3.0)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = check_condition(name, params, 10_000, params2=second.get(name))
+    assert rep.holds is False
+    assert math.isnan(rep.fitted_constant) and rep.witness is not None
+
+
+def test_the_first_unstable_row_decides_a_condition_report():
+    p = default_p_grid(1000)
+    stable, growing = 1.0 / p, np.log(p.astype(float))
+    rows = [stable, 2.0 * growing, growing, 3.0 * stable]
+    rep = sequences._stable_report("X", 1000, p, rows, sign=-1.0)
+    assert (rep.holds, rep.fitted_constant, rep.witness) == (False, -2.0 * math.log(1000), 1000)
+    rep = sequences._stable_report("X", 1000, p, [stable, 3.0 * stable, 2.0 * stable])
+    assert (rep.holds, rep.fitted_constant, rep.witness) == (True, 3.0, None)
