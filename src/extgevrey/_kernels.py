@@ -42,12 +42,14 @@ def w0_scalar(x):
     if x >= math.e:
         return _w0_log_scalar(math.log(x))
     # -1/e <= x < e: direct residual, seeded with x itself
-    w = x
+    w, exp, tol = x, math.exp, _W_TOL * max(1.0, x)
     for n in range(1, 51):
-        ew = math.exp(w)
+        ew = exp(w)
         f = w * ew - x
-        w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), -1.0)
-        if abs(f) <= _W_TOL * max(1.0, x):
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        if w < -1.0:
+            w = -1.0
+        if -tol <= f <= tol:
             break
     return w, n
 
@@ -59,13 +61,14 @@ def _w0_series(x):
 
 def _w0_log_scalar(lx):
     """W(e^lx) for lx >= 1, as (w, iterations): Halley on g(w) = w + ln w - lx."""
-    w = lx - math.log(lx)
+    log, tol = math.log, 1e-15 * lx      # lx >= 1: the 1e-15 max(1, lx) of the grid kernel
+    w = lx - log(lx)
     for n in range(1, 51):
-        g = w + math.log(w) - lx
+        g = w + log(w) - lx
         gp = 1.0 + 1.0 / w
         # Halley step for g with g'' = -1/w^2
         w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
-        if abs(g) <= 1e-15 * max(1.0, lx):
+        if -tol <= g <= tol:
             break
     return w, n
 
@@ -155,15 +158,22 @@ def _beyond_2_53(lnp, lnk, lnh, tau, sigma):
                           f"floats: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
 
 
+def _ln_x_over_lnk(tau, sigma, c):
+    """ln |x| - ln |ln k| = ln((sigma-1)/(tau sigma)) + (sigma-1) c; the quotient's log
+    is ln((sigma-1)/sigma) - ln tau where the quotient leaves the floats (tau subnormal)."""
+    q = (sigma - 1.0) / (tau * sigma)
+    lq = math.log(q) if 0.0 < q < math.inf else math.log((sigma - 1.0) / sigma) - math.log(tau)
+    return lq + (sigma - 1.0) * c
+
+
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     c = (tau - sigma * lnh) / (tau * sigma)
-    b = math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c     # ln |x| - ln |ln k|
-    lx = math.log(abs(lnk)) + b if lnk else -math.inf
+    lx = math.log(abs(lnk)) + _ln_x_over_lnk(tau, sigma, c) if lnk else -math.inf
     near = ()
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
         w, _ = _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), lnk))
         lnp = w / (sigma - 1.0) - c
-        if lnp >= _LN_2_53:
+        if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _beyond_2_53(lnp, lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
         near = range(max(q - 1, 1), q + 3)
@@ -184,13 +194,13 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     # the integers next to p*, where x >= -1/e
     c = (tau - sigma * lnh) / (tau * sigma)
     with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
-        lx = np.log(np.abs(lnk_arr)) + math.log((sigma - 1.0) / (tau * sigma)) + (sigma - 1.0) * c
+        lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(tau, sigma, c)
     t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
     L, lx = lnk_arr[t], lx[t]
     w, big = np.empty_like(lx), lx >= 1.0
     w[big], w[~big] = _w0_log_grid(lx[big]), w0_grid(np.copysign(np.exp(lx[~big]), L[~big]))
     lnp = w / (sigma - 1.0) - c
-    if (lnp >= _LN_2_53).any():
+    if not (lnp < _LN_2_53).all():
         raise _beyond_2_53(lnp.max(), L[np.argmax(lnp)], lnh, tau, sigma)
     q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), 1.0)
     pwq = q ** sigma

@@ -6,7 +6,7 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 import math
 import sys
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -35,15 +35,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AssocFnResult:
+class AssocFnResult(NamedTuple):
     value: float
     argmax_p: int
     method: str
 
 
 def _check_positive(name, x):
-    if not (math.isfinite(x) and x > 0):
+    if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
@@ -63,7 +62,8 @@ def _k_grid(k_grid, caller):
 
 def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
     """T_h(k) by direct maximization over integer p >= 0."""
-    _validate_hk(h, k)
+    if not (0.0 < h < math.inf and 0.0 < k < math.inf):
+        _validate_hk(h, k)
     value, p = _assoc_sup_scalar(math.log(k), math.log(h), params.tau, params.sigma)
     return AssocFnResult(float(value), int(p), "supremum")
 
@@ -95,8 +95,8 @@ def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 def _validate_c_lam(C, lam):
-    _check_positive("C", C)
-    if not (math.isfinite(lam) and lam >= 1):
+    if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
+        _check_positive("C", C)
         raise DomainError(f"lambda must be finite and >= 1, got {lam}")
 
 
@@ -116,7 +116,7 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     val = math.exp(ln_val) if ln_val < 709.0 else math.inf
     # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
     rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
-    if rel * val >= 0.5:
+    if val and not rel * val < 0.5:     # a NaN count too: (s-1)/tau past the floats
         raise NumericalError(f"the count exp({ln_val:.6g}) is past what the closed form resolves: "
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
     n = round(val)

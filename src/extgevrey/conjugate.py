@@ -46,7 +46,7 @@ def phi_sigma(sigma: float, t):
     """
     if not sigma > 1:
         raise DomainError(f"sigma must exceed 1, got {sigma}")
-    if np.isscalar(t):
+    if isinstance(t, float) or np.isscalar(t):
         if t < 0:
             raise DomainError(f"phi_sigma needs t >= 0, got {t}")
         e = lambert_w0(t) / (sigma - 1.0)
@@ -171,6 +171,8 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
 
     The objective is concave for convex phi; the bracket doubles until
     the objective stops increasing, then golden section finishes on [0, b].
+    The bracket costs two phi calls, then one per doubling: f(b/2) is the
+    f(b) of the step before.
     `tol` is absolute in t (times b/1e6 once b passes 1e6), so the default
     1e-10 cannot resolve a maximiser below about 1e-10: for phi_sigma at
     sigma = 1 + 2**-52 and y = 81.79 it returns (0.0, 4.7e-11) where the
@@ -186,12 +188,14 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     # past max_float / y the term y t overflows and the comparison means nothing
     cap = min(t_cap, sys.float_info.max / y) if y > 0 else t_cap
     b = max(1.0, 2.0 * bracket_hint) if bracket_hint else 1.0
-    while f(b) > f(0.5 * b):
+    fb, fh = f(b), f(0.5 * b)
+    while fb > fh:
         b *= 2.0
         if b > cap:
             raise DivergenceError(
                 f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
                 cap=cap)
+        fh, fb = fb, f(b)     # 0.5 * b is the last b exactly
     t_star, val = _golden_max(f, 0.0, b, tol * max(1.0, b * 1e-6))
     val = max(val, 0.0)       # t -> 0+ always yields 0
     return val, t_star
@@ -278,8 +282,8 @@ def phi_sigma_conjugate(sigma: float, y):
         g(w) = w/(s-1) + ln(1 + s w/(s-1)) - ln(1 + w) - ln y = 0,
     and phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
     g is increasing and concave and the seed lies left of its root, so
-    Newton's iterates rise monotonically to it. An array call steps every point
-    until the slowest converges, so a value's last bits can depend on the other y's.
+    Newton's iterates rise monotonically to it. Each point stops at its own
+    convergence, so an array entry equals the scalar call at that y bit for bit.
     """
     if not (sigma > 1 and math.isfinite(sigma)):
         raise DomainError(f"phi_sigma_conjugate needs finite sigma > 1, got sigma={sigma}")
@@ -293,17 +297,24 @@ def phi_sigma_conjugate(sigma: float, y):
     pos = ys > 1.0
     lny = np.log(ys[pos])
     # g(w) < w/(s-1) + ln c - ln y, so this seed has g <= 0
-    w = np.maximum(s1 * (lny - math.log(c)), 0.0)
+    w = wa = np.maximum(s1 * (lny - math.log(c)), 0.0)
+    idx = None      # indices in w of the points still stepping (wa); None while all are
     for _ in range(_NEWTON_MAXITER):
-        g = w / s1 + np.log1p(c * w) - np.log1p(w) - lny
-        dg = 1.0 / s1 + c / (1.0 + c * w) - 1.0 / (1.0 + w)
+        g = wa / s1 + np.log1p(c * wa) - np.log1p(wa) - lny
+        dg = 1.0 / s1 + c / (1.0 + c * wa) - 1.0 / (1.0 + wa)
         step = g / dg
-        w = w - step
-        done = np.abs(step) <= _NEWTON_RTOL * w
-        if done.all():
+        wa -= step
+        done = np.abs(step) <= _NEWTON_RTOL * wa
+        if idx is not None:
+            w[idx] = wa
+        if (n := np.count_nonzero(done)) == wa.size:
             break
+        if n:
+            j = np.flatnonzero(~done)
+            idx = j if idx is None else idx[j]
+            wa, lny = wa[j], lny[j]
     else:
-        y_bad = ys[pos][~done][0]
+        y_bad = ys[pos][0 if idx is None else idx[0]]     # the active points are the unconverged
         raise NumericalError(f"phi_sigma_conjugate: Newton did not converge in "
                              f"{_NEWTON_MAXITER} steps; sigma={sigma}, y={y_bad}")
     with np.errstate(over="ignore"):

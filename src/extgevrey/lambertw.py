@@ -4,6 +4,7 @@ its standard properties (defining identity, log-log bracket, asymptotics).
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +35,8 @@ def _validate(x):
 def lambert_w0(x):
     """W(x) for a single nonnegative real x."""
     x = float(x)
-    _validate(x)
+    if not 0.0 <= x < math.inf:
+        _validate(x)
     return w0_scalar(x)[0]
 
 
@@ -56,8 +58,7 @@ def w_residual(x, w):
     return abs(w * math.exp(w) - x) / max(x, 1.0)
 
 
-@dataclass(frozen=True)
-class WEvaluation:
+class WEvaluation(NamedTuple):
     """One W evaluation with its convergence diagnostics."""
 
     x: float
@@ -69,7 +70,8 @@ class WEvaluation:
 def evaluate_w(x):
     """Like :func:`lambert_w0` but reports residual and iteration count."""
     x = float(x)
-    _validate(x)
+    if not 0.0 <= x < math.inf:
+        _validate(x)
     w, iters = w0_scalar(x)
     return WEvaluation(x, w, w_residual(x, w), iters)
 

@@ -1,11 +1,13 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from extgevrey import (
+    AssocFnResult,
     DomainError,
     NumericalError,
     SequenceParams,
@@ -372,3 +374,89 @@ def test_h_shift_offsets():
     rep = h_shift_check(params, 2.0, 0.5, 2.0, k)
     assert rep.holds
     assert rep.A <= rep.B
+
+
+# -- AssocFnResult is a named tuple ------------------------------------------------
+
+def test_assoc_fn_result_is_a_named_tuple():
+    r = assoc_fn_sup(SequenceParams(1.0, 2.0), 1.0, 1e5)
+    assert AssocFnResult._fields == ("value", "argmax_p", "method")
+    assert repr(r) == f"AssocFnResult(value={r.value!r}, argmax_p={r.argmax_p!r}, method='supremum')"
+    value, p, method = r
+    assert r == (value, 3, "supremum") and type(value) is float and type(p) is int
+    with pytest.raises(AttributeError):
+        r.value = 0.0
+
+
+# -- the input guards keep their messages --------------------------------------
+
+@pytest.mark.parametrize("h, k, message", [
+    (math.nan, 10.0, "h must be finite and positive, got nan"),
+    (1.0, math.inf, "k must be finite and positive, got inf"),
+    (0.0, -1.0, "h must be finite and positive, got 0.0"),
+    (2, -0.0, "k must be finite and positive, got -0.0")])
+def test_assoc_fn_sup_guard_messages(h, k, message):
+    with pytest.raises(DomainError) as err:
+        assoc_fn_sup(SequenceParams(1.0, 2.0), h, k)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("C, lam, message", [
+    (math.nan, 10.0, "C must be finite and positive, got nan"),
+    (0.0, math.nan, "C must be finite and positive, got 0.0"),
+    (1.0, math.nan, "lambda must be finite and >= 1, got nan"),
+    (1.0, math.inf, "lambda must be finite and >= 1, got inf"),
+    (2, 0.5, "lambda must be finite and >= 1, got 0.5")])
+@pytest.mark.parametrize("fn", [counting_fn_floor, counting_fn_direct])
+def test_counting_fn_guard_messages(fn, C, lam, message):
+    with pytest.raises(DomainError) as err:
+        fn(SequenceParams(1.0, 2.0), C, lam)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("x", [3, np.float64(3.0), np.int64(3), np.float32(3.0)])
+def test_single_point_calls_take_any_real_scalar(x):
+    P = SequenceParams(1.0, 2.0)
+    assert assoc_fn_sup(P, x, x) == assoc_fn_sup(P, 3.0, 3.0)
+    assert counting_fn_floor(P, x, 1e3 * x) == counting_fn_floor(P, 3.0, 3e3)
+
+
+# -- subnormal tau: the documented error, not a bare one or a NaN ----------------
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-310, 5e-324])
+@pytest.mark.parametrize("sigma", [1.2, 2.0, 6.0])
+def test_subnormal_tau_raises_numerical_error(tau, sigma):
+    P, at = SequenceParams(tau, sigma), rf"tau={tau!r}, sigma={sigma!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=rf"2\*\*53.*{at}, h=1, k=10$"):
+            assoc_fn_sup(P, 1, 10)
+        with pytest.raises(NumericalError, match=rf"2\*\*53.*{at}, h=1, k=100000$"):
+            assoc_fn_sup_grid(P, 1, [10, 1e5])
+        with pytest.raises(NumericalError, match=rf"resolves: {at}, C=2.718281828459045, lambda=10$"):
+            counting_fn_floor(P, math.e, 10)
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-310])
+def test_subnormal_tau_with_h_above_one_raises_as_at_1e_300(tau):
+    # T_h(k) peaks near ln p = ln h / tau: for k < 1 as well
+    with pytest.raises(NumericalError, match=rf"2\*\*53.*tau={tau!r}, sigma=1.2, h=1000000, k=1e-10"):
+        assoc_fn_sup(SequenceParams(tau, 1.2), 1e6, 1e-10)
+
+
+def test_subnormal_tau_with_h_below_one_fails_the_nan_guard():
+    # ln h / tau overflows, so c = inf and the peak's ln p is NaN
+    P, at = SequenceParams(1e-310, 2.0), r"tau=1e-310, sigma=2.0, h=0.5, k=10"
+    with pytest.raises(NumericalError, match=rf"exp\(nan\) > 2\*\*53.*{at}$"):
+        assoc_fn_sup(P, 0.5, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # the Halley seeds at ln x = inf
+        with pytest.raises(NumericalError, match=rf"exp\(nan\) > 2\*\*53.*{at}$"):
+            assoc_fn_sup_grid(P, 0.5, [10, 1e5])
+
+
+@pytest.mark.parametrize("C", [math.e, 1e10, 1e300])
+def test_subnormal_tau_count_at_lambda_one_is_zero(C):
+    # ln C / tau overflows, so the closed form's error bound is inf, but its count is 0
+    P = SequenceParams(1e-310, 2.0)
+    assert counting_fn_floor(P, C, 1.0) == counting_fn_direct(P, C, 1.0) == 0

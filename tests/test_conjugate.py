@@ -303,3 +303,131 @@ def test_import_leaves_numpy_polynomial_unimported():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+# -- young_conjugate: one phi call per bracket doubling, the same result ------
+
+def _young_conjugate_two_calls(phi, y, *, bracket_hint=None, t_cap=2.0 ** 1000, tol=1e-10):
+    """`young_conjugate` with both bracket ends evaluated at every doubling. An oracle only."""
+    def f(t):
+        return y * t - phi(t)
+
+    cap = min(t_cap, sys.float_info.max / y) if y > 0 else t_cap
+    b = max(1.0, 2.0 * bracket_hint) if bracket_hint else 1.0
+    while f(b) > f(0.5 * b):
+        b *= 2.0
+        if b > cap:
+            raise DivergenceError(f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
+                                  cap=cap)
+    t_star, val = conjugate._golden_max(f, 0.0, b, tol * max(1.0, b * 1e-6))
+    return max(val, 0.0), t_star
+
+
+class _Counted:
+    """phi_sigma(sigma, .) recording every t it is called at."""
+
+    def __init__(self, sigma):
+        self.sigma, self.ts = sigma, []
+
+    def __call__(self, t):
+        self.ts.append(t)
+        return phi_sigma(self.sigma, t)
+
+
+def _young_cases():
+    rng = np.random.default_rng(21)
+    ys = np.concatenate([300.0 * (np.arange(200) + rng.random(200)) / 200, 10.0 ** rng.uniform(-3, 3, 60),
+                         [0.0, 1.0, 1.5]])
+    return [(s, float(y), hint) for s in (1.5, 2.0, 3.0) for y in ys
+            for hint in (None, float(rng.uniform(0.1, 40.0)))]
+
+
+def test_young_conjugate_matches_the_two_call_bracket():
+    for sigma, y, hint in _young_cases():
+        phi = lambda t: phi_sigma(sigma, t)
+        got = young_conjugate(phi, y, bracket_hint=hint)
+        assert repr(got) == repr(_young_conjugate_two_calls(phi, y, bracket_hint=hint)), (sigma, y, hint)
+
+
+def test_young_conjugate_calls_phi_once_per_doubling():
+    for sigma, y, hint in _young_cases()[::7]:
+        new, old = _Counted(sigma), _Counted(sigma)
+        young_conjugate(new, y, bracket_hint=hint)
+        _young_conjugate_two_calls(old, y, bracket_hint=hint)
+        b0 = max(1.0, 2.0 * hint) if hint else 1.0
+        # the bracket: b0, b0/2, then each doubled b once; golden section starts off the powers of 2
+        n = 2
+        while n < len(new.ts) and new.ts[n] == b0 * 2.0 ** (n - 1):
+            n += 1
+        assert new.ts[:n] == [b0, 0.5 * b0] + [b0 * 2.0 ** i for i in range(1, n - 1)]
+        assert len(new.ts) == len(old.ts) - (n - 2)
+
+
+@pytest.mark.parametrize("y, t_cap", [(2.0, 1e3), (2.0, 1e6), (1e300, 2.0 ** 1000)])
+def test_young_conjugate_divergence_is_unchanged(y, t_cap):
+    ts = []
+    phi = lambda t: ts.append(t) or t
+    with pytest.raises(DivergenceError) as got:
+        young_conjugate(phi, y, t_cap=t_cap)
+    with pytest.raises(DivergenceError) as want:
+        _young_conjugate_two_calls(lambda t: t, y, t_cap=t_cap)
+    assert str(got.value) == str(want.value) and got.value.cap == want.value.cap
+    # the cap check comes before the evaluation at the doubled b
+    assert max(ts) <= got.value.cap and len(ts) == len(set(ts))
+
+
+# -- phi_sigma_conjugate: an array entry is the scalar call ----------------------
+
+def test_phi_sigma_conjugate_array_entries_equal_scalar_calls():
+    y = np.array([1200.5962566316898, 1.0001])
+    v, t = phi_sigma_conjugate(2.0, y)
+    assert (v[0], t[0]) == phi_sigma_conjugate(2.0, float(y[0]))
+    pairs = 10.0 ** np.random.default_rng(0).uniform(0.0, 6.0, (600, 2))
+    V, T = phi_sigma_conjugate(2.0, pairs)
+    for row, vr, tr in zip(pairs, V, T):
+        v, t = phi_sigma_conjugate(2.0, row)
+        for i in range(2):
+            assert (v[i], t[i]) == (vr[i], tr[i]) == phi_sigma_conjugate(2.0, float(row[i]))
+
+
+@pytest.mark.parametrize("sigma", [1.0001, 1.5, 3.0, 6.0])
+def test_phi_sigma_conjugate_array_entries_equal_scalar_calls_at_any_sigma(sigma):
+    y = np.concatenate([[0.0, 1.0], 10.0 ** np.random.default_rng(1).uniform(-1.0, 50.0 / sigma, 2000)])
+    v, t = phi_sigma_conjugate(sigma, y)
+    assert all((v[i], t[i]) == phi_sigma_conjugate(sigma, float(yi)) for i, yi in enumerate(y))
+
+
+# -- phi_sigma: its input guard and input types -------------------------------
+
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "lambert_w0 requires finite x, got nan"),
+    (math.inf, "lambert_w0 requires finite x, got inf"),
+    (-math.inf, "phi_sigma needs t >= 0, got -inf"),
+    (-1.0, "phi_sigma needs t >= 0, got -1.0")])
+def test_phi_sigma_domain_errors(t, message):
+    with pytest.raises(DomainError) as err:
+        phi_sigma(2.0, t)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("t", [3, np.float64(3.0), np.float32(3.0), np.int64(3)])
+def test_phi_sigma_takes_any_real_scalar(t):
+    assert phi_sigma(2.0, t) == pytest.approx(phi_sigma(2.0, 3.0), rel=1e-6)
+    assert phi_sigma(2.0, t) == phi_sigma(2.0, 3.0) or isinstance(t, np.float32)
+
+
+@pytest.mark.parametrize("maxiter", [1, 2, 3, 4, 5])
+def test_phi_sigma_conjugate_names_the_first_unconverged_y(monkeypatch, maxiter):
+    monkeypatch.setattr(conjugate, "_NEWTON_MAXITER", maxiter)
+    y = 10.0 ** np.random.default_rng(2).uniform(0.0, 6.0, 50)
+    fails = []
+    for v in y.tolist():
+        try:
+            phi_sigma_conjugate(2.0, v)
+        except NumericalError:
+            fails.append(v)
+    if not fails:
+        phi_sigma_conjugate(2.0, y)
+        return
+    with pytest.raises(NumericalError, match=rf"in {maxiter} steps; sigma=2.0, y={fails[0]!r}$"):
+        phi_sigma_conjugate(2.0, y)

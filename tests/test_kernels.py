@@ -377,3 +377,72 @@ def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
     np.testing.assert_array_equal(counts, [c for _, c in brute])
     with pytest.raises(NumericalError, match="past p = 4096"):
         _kernels.counting_sum_grid(np.array([log_m(n) + 1e-9]), tau, sigma)
+
+
+# -- the scalar W loops against loops that redo the tolerance every step -------
+
+def _w0_scalar_every_step(x):
+    """`w0_scalar` with its tolerance, `abs` test and `max` clamp inside the loop. An oracle only."""
+    if x == 0.0:
+        return 0.0, 0
+    if abs(x) < 1e-4:
+        return x - x * x * (1.0 - x * (1.5 - x * (8.0 / 3.0 - x * (125.0 / 24.0)))), 0
+    if x >= math.e:
+        return _w0_log_scalar_every_step(math.log(x))
+    w = x
+    for n in range(1, 51):
+        ew = math.exp(w)
+        f = w * ew - x
+        w = max(w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)), -1.0)
+        if abs(f) <= _ORACLE_W_TOL * max(1.0, x):
+            break
+    return w, n
+
+
+def _w0_log_scalar_every_step(lx):
+    """`_w0_log_scalar` with its tolerance inside the loop. An oracle only."""
+    w = lx - math.log(lx)
+    for n in range(1, 51):
+        g = w + math.log(w) - lx
+        gp = 1.0 + 1.0 / w
+        w -= 2.0 * g * gp / (2.0 * gp * gp + g / (w * w))
+        if abs(g) <= 1e-15 * max(1.0, lx):
+            break
+    return w, n
+
+
+# the direct branch's edges, each with its neighbours, and NaN
+_W_EDGES = [v for e in (-1.0 / math.e, 1e-4, -1e-4, math.e) for v in _both_sides(e)] + [
+    -0.0, 0.0, math.nan]
+
+
+def _outcome(fn, x):
+    """repr of fn(x), which tells -0.0 from 0.0 and compares NaN, or the error raised."""
+    try:
+        return repr(fn(x))
+    except ArithmeticError as err:
+        return repr(err)
+
+
+def test_w0_scalar_matches_the_every_step_loop():
+    rng = np.random.default_rng(13)
+    # below -1/e, outside W's domain, the steps pass -1 and the clamp acts
+    x = np.concatenate([10.0 ** rng.uniform(-320.0, 308.0, 3000), rng.uniform(-1.0 / math.e, math.e, 3000),
+                        -(10.0 ** rng.uniform(-4.0, -math.log10(math.e), 1000)), _STAGED, _W_EDGES,
+                        -1.0 / math.e - 10.0 ** rng.uniform(-17.0, 0.0, 1000)])
+    for v in x.tolist():
+        assert _outcome(_kernels.w0_scalar, v) == _outcome(_w0_scalar_every_step, v), v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_W_X)
+def test_w0_scalar_matches_the_every_step_loop_anywhere(x):
+    assert _outcome(_kernels.w0_scalar, x) == _outcome(_w0_scalar_every_step, x)
+
+
+def test_w0_log_scalar_matches_the_every_step_loop():
+    rng = np.random.default_rng(14)
+    lx = np.concatenate([1.0 + 10.0 ** rng.uniform(-16.0, 2.9, 3000), 10.0 ** rng.uniform(2.9, 308.0, 500),
+                         [1.0, np.nextafter(1.0, 2.0), 709.0, 1.7976931348623157e308, math.inf, math.nan]])
+    for v in lx.tolist():
+        assert _outcome(_kernels._w0_log_scalar, v) == _outcome(_w0_log_scalar_every_step, v), v

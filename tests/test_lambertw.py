@@ -6,6 +6,7 @@ import pytest
 from extgevrey import (
     OMEGA,
     DomainError,
+    WEvaluation,
     check_w3_bounds,
     check_w_identities,
     evaluate_w,
@@ -95,3 +96,41 @@ def test_identities():
     rep = check_w_identities(np.logspace(0.5, 10, 100), C=10.0)
     assert rep.passed
     assert np.max(rep.identity_err) <= 1e-12 * 10 * math.log(10)
+
+
+# -- the one-comparison guard keeps the messages and the accepted types --------
+
+@pytest.mark.parametrize("x, message", [
+    (math.nan, "lambert_w0 requires finite x, got nan"),
+    (math.inf, "lambert_w0 requires finite x, got inf"),
+    (-math.inf, "lambert_w0 requires finite x, got -inf"),
+    (-1.0, "lambert_w0 is only defined for x >= 0, got -1.0"),
+    (-1, "lambert_w0 is only defined for x >= 0, got -1.0"),
+    (-5e-324, "lambert_w0 is only defined for x >= 0, got -5e-324")])
+@pytest.mark.parametrize("fn", [lambert_w0, evaluate_w])
+def test_guard_messages(fn, x, message):
+    with pytest.raises(DomainError) as err:
+        fn(x)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("x", [0, 2, np.float64(2.0), np.float32(2.0), np.int64(2), True, -0.0])
+def test_w_takes_any_real_scalar(x):
+    assert lambert_w0(x) == lambert_w0(float(x))
+    ev = evaluate_w(x)
+    assert type(ev.x) is float and type(ev.w) is float and type(ev.iterations) is int
+    assert ev == evaluate_w(float(x))
+
+
+# -- the result types are named tuples -----------------------------------------
+
+def test_w_evaluation_is_a_named_tuple():
+    ev = evaluate_w(1.0)
+    assert WEvaluation._fields == ("x", "w", "residual", "iterations")
+    assert repr(ev) == (f"WEvaluation(x=1.0, w={ev.w!r}, residual={ev.residual!r}, "
+                        f"iterations={ev.iterations!r})")
+    x, w, residual, iterations = ev
+    assert ev == (x, w, residual, iterations) and w == OMEGA
+    with pytest.raises(AttributeError):
+        ev.w = 0.0
+
