@@ -4,6 +4,7 @@ Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar`
 counts its Halley steps. `w0_grid` takes the same steps in numpy over cache-sized
 blocks, each pass on the block's still-active points only: a point takes its own
 steps, and its w is bit-identical whichever block and other points it comes with.
+`w0_exp_scalar` and `w0_exp_grid` take W(+-e^lx) from ln x, in log form where lx >= 1.
 
 T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
 g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = (tau - sigma ln h)/(tau sigma),
@@ -80,13 +81,22 @@ def w0_grid(x):
     small, mid, big = (x != 0.0) & (ax < 1e-4), (ax >= 1e-4) & (x < math.e), x >= math.e
     w[small] = _w0_series(x[small])
     w[mid] = _halley_blocks(x[mid], log_form=False)
-    w[big] = _w0_log_grid(np.log(x[big]))
+    w[big] = _halley_blocks(np.log(x[big]), log_form=True)
     return w
 
 
-def _w0_log_grid(lx):
-    """Elementwise `_w0_log_scalar`."""
-    return _halley_blocks(lx, log_form=True)
+def w0_exp_scalar(lx, sign=1.0):
+    """W(x) for x = sign e^lx >= -1/e, as (w, iterations): the Halley steps of
+    `_w0_log_scalar` on ln x where lx >= 1, else those of `w0_scalar` on x."""
+    return _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), sign))
+
+
+def w0_exp_grid(lx, sign=1.0):
+    """Elementwise `w0_exp_scalar`'s w; `sign` is a scalar or an array shaped like lx."""
+    w, big = np.empty_like(lx), lx >= 1.0
+    w[big] = _halley_blocks(lx[big], log_form=True)
+    w[~big] = w0_grid(np.copysign(np.exp(lx[~big]), np.broadcast_to(sign, lx.shape)[~big]))
+    return w
 
 
 def _halley_blocks(v, log_form):
@@ -171,7 +181,7 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     lx = math.log(abs(lnk)) + _ln_x_over_lnk(tau, sigma, c) if lnk else -math.inf
     near = ()
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
-        w, _ = _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), lnk))
+        w, _ = w0_exp_scalar(lx, lnk)
         lnp = w / (sigma - 1.0) - c
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _beyond_2_53(lnp, lnk, lnh, tau, sigma)
@@ -196,10 +206,8 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
         lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(tau, sigma, c)
     t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
-    L, lx = lnk_arr[t], lx[t]
-    w, big = np.empty_like(lx), lx >= 1.0
-    w[big], w[~big] = _w0_log_grid(lx[big]), w0_grid(np.copysign(np.exp(lx[~big]), L[~big]))
-    lnp = w / (sigma - 1.0) - c
+    L = lnk_arr[t]
+    lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
         raise _beyond_2_53(lnp.max(), L[np.argmax(lnp)], lnh, tau, sigma)
     q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), 1.0)
@@ -216,6 +224,11 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
 # Counting-sum evaluation  T(k) = sum_{log m_p <= ln k} (ln k - log m_p)
 # ---------------------------------------------------------------------------
 
+def ext_log_M(p, tau, sigma):
+    """log M_p = tau p^sigma ln p of the extended Gevrey sequence at float p, 0 for p <= 1."""
+    return np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
+
+
 def counting_sum_grid(lnk_arr, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
@@ -226,8 +239,7 @@ def counting_sum_grid(lnk_arr, tau, sigma):
             raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
                                  f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
         n *= 2
-    p = np.arange(0, n + 1, dtype=np.float64)
-    logm = np.diff(np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0))
+    logm = np.diff(ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma))
     counts = np.searchsorted(logm, lnk_arr, side="right")   # logm[j] = log m_{j+1}
     cum = np.concatenate(([0.0], np.cumsum(logm)))
     values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]

@@ -5,13 +5,12 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._kernels import (_assoc_sup_scalar, _w0_log_grid, _w0_log_scalar, assoc_sup_grid,
-                       counting_sum_grid, w0_scalar)
+from ._kernels import (_assoc_sup_scalar, assoc_sup_grid, counting_sum_grid, w0_exp_grid,
+                       w0_exp_scalar)
 from .errors import DomainError, NumericalError, UsageError
 from .lambertw import lambert_w0_grid
 from .sequences import SequenceParams, _fit_band
@@ -111,7 +110,7 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     tau, s = params.tau, params.sigma
     lnC, lnlam, q = math.log(C), math.log(lam), (s - 1.0) / tau
     lx = q * lnC + math.log(q * lnlam) if lnlam > 0.0 else -math.inf
-    w = (_w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.exp(lx)))[0]
+    w = w0_exp_scalar(lx)[0]
     ln_val = w / (s - 1.0) - lnC / tau
     val = math.exp(ln_val) if ln_val < 709.0 else math.inf
     # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
@@ -205,7 +204,7 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     mid = ~(over | under)
     w = np.empty_like(ln_ek)                    # W(R), and ln R where R underflows
     w[mid] = lambert_w0_grid(r[mid])
-    w[over] = _w0_log_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1
+    w[over] = w0_exp_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1
     # W(R) = R - R^2 + ... below the normal floats: ln W = ln R - W(R) rounds to ln R
     w[under] = _ln_r(tau, s, h, ln_ek[under])
     lnk = np.log(np.maximum(k, 1.0))
@@ -229,8 +228,7 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     return E
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     params: SequenceParams
     h: float
     k: np.ndarray
@@ -273,8 +271,7 @@ def sandwich_bounds_check(params: SequenceParams, h: float, k_grid) -> SandwichR
     return SandwichReport(params, h, k, T, E, A1, B1, A2, B2, ratio_lo, ratio_hi, holds)
 
 
-@dataclass(frozen=True)
-class HShiftReport:
+class HShiftReport(NamedTuple):
     A: float
     B: float
     holds: bool

@@ -247,11 +247,11 @@ def _claim_weight_axioms(a):
 
 def _claim_t_phi(a):
     rep = equivalence.check_T_phi_equivalence(SequenceParams(a.tau, a.sigma), a.h)
-    return rep.holds, rep.to_dict()
+    return rep.holds, rep._asdict()
 
 def _claim_ocena_norme(a):
     rep = equivalence.check_ocena_norme(a.sigma, a.tau, 1000)
-    return rep.holds, rep.to_dict()
+    return rep.holds, rep._asdict()
 
 def _claim_matrix(a):
     taus = [a.tau / 2, a.tau, 2 * a.tau, 4 * a.tau]
@@ -262,11 +262,11 @@ def _claim_matrix(a):
     M = equivalence.extended_matrix(a.sigma, taus)
     N = equivalence.conjugate_matrix(a.sigma, sorted(Hs))
     rep = equivalence.check_matrix_equivalence(M, N, 300)
-    return rep.holds, rep.to_dict()
+    return rep.holds, rep._asdict()
 
 def _claim_corollary(a):
     rep = equivalence.check_corollary(a.s)
-    return rep.holds, rep.to_dict()
+    return rep.holds, rep._asdict()
 
 def _claim_m2_classical(a):
     rep = sequences.check_condition("M.2-classical", SequenceParams(a.tau, a.sigma), a.pmax)

@@ -5,8 +5,7 @@ Lambert-type integral that drives the main growth estimate.
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -64,8 +63,7 @@ def phi_sigma(sigma: float, t):
 # weight-function catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeightFn:
+class WeightFn(NamedTuple):
     """An even weight candidate t -> omega(t), vectorized over |t|."""
 
     name: str
@@ -201,14 +199,13 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     return val, t_star
 
 
-@dataclass
-class ConjugateTable:
+class ConjugateTable(NamedTuple):
     """Monotone table (y, argmax t, phi*(y)) built with warm-started brackets."""
 
     y: np.ndarray
     t_star: np.ndarray
     phi_star: np.ndarray
-    phi: Callable[[float], float] = field(repr=False, default=None)
+    phi: Callable[[float], float] = None
 
     def __call__(self, y):
         scalar = np.isscalar(y)
@@ -338,8 +335,7 @@ def phi_sigma_conjugate(sigma: float, y):
 # weight-function axioms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     name: str
     alpha: bool
     beta: bool
@@ -407,8 +403,7 @@ def check_weight_axioms(w: WeightFn, grid=None) -> AxiomReport:
 # closed form of the Lambert-type integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegralCheckReport:
+class IntegralCheckReport(NamedTuple):
     params: SequenceParams
     C: float
     k: np.ndarray

@@ -4,8 +4,7 @@ weight-matrix equivalence, and the closing corollary weight.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -31,24 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     claim: str
     grids: str
     fitted_constants: Dict[str, float]
     holds: bool
     max_violation: float
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "claim": self.claim,
-            "grids": self.grids,
-            "fitted_constants": {k: self.fitted_constants[k] for k in sorted(self.fitted_constants)},
-            "holds": self.holds,
-            "max_violation": self.max_violation,
-            "notes": self.notes,
-        }
 
 
 def default_k_grid() -> np.ndarray:
@@ -63,12 +51,10 @@ def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray, phi: np.ndarra
     return T, _fit_band(x, T[pos], x >= 0.5 * x.max())
 
 
-def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
-                            k_grid: Optional[np.ndarray] = None,
-                            check_tau_scaling: bool = True) -> EquivalenceReport:
-    """Fit B*phi + B~ <= T_h <= A*phi + A~ on the grid and check that the
+def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0) -> EquivalenceReport:
+    """Fit B*phi + B~ <= T_h <= A*phi + A~ on `default_k_grid` and check that the
     fitted slopes scale like tau^(-1/(sigma-1)) under tau -> 2^(sigma-1) tau."""
-    k = np.asarray(k_grid, dtype=np.float64) if k_grid is not None else default_k_grid()
+    k = default_k_grid()
     lnk = np.log(k)
     phi = phi_sigma(params.sigma, np.maximum(lnk, 0.0))    # free of tau: both fits share it
     T, fit = _fit_T_phi(params, h, lnk, phi)
@@ -78,22 +64,17 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0,
     max_violation = max(viol_up, viol_lo)
     holds = fit["B"] > 0 and max_violation <= 1e-8
 
-    fitted = dict(fit)
-    notes = ""
-    if check_tau_scaling:
-        factor = 2.0 ** (params.sigma - 1.0)
-        params2 = SequenceParams(params.tau * factor, params.sigma)
-        _, fit2 = _fit_T_phi(params2, h, lnk, phi)
-        expected = factor ** (1.0 / (params.sigma - 1.0))      # = 2
-        ratio_A = fit["A"] / fit2["A"]
-        ratio_B = fit["B"] / fit2["B"]
-        fitted.update({"scaling_ratio_A": ratio_A, "scaling_ratio_B": ratio_B,
-                       "scaling_expected": expected})
-        scale_ok = (expected / 2.0 <= ratio_A <= expected * 2.0
-                    and expected / 2.0 <= ratio_B <= expected * 2.0)
-        holds = holds and scale_ok
-        if not scale_ok:
-            notes = "fitted slope ratio outside the tau-scaling band"
+    factor = 2.0 ** (params.sigma - 1.0)
+    params2 = SequenceParams(params.tau * factor, params.sigma)
+    _, fit2 = _fit_T_phi(params2, h, lnk, phi)
+    expected = factor ** (1.0 / (params.sigma - 1.0))      # = 2
+    ratio_A = fit["A"] / fit2["A"]
+    ratio_B = fit["B"] / fit2["B"]
+    fitted = dict(fit, scaling_ratio_A=ratio_A, scaling_ratio_B=ratio_B, scaling_expected=expected)
+    scale_ok = (expected / 2.0 <= ratio_A <= expected * 2.0
+                and expected / 2.0 <= ratio_B <= expected * 2.0)
+    holds = holds and scale_ok
+    notes = "" if scale_ok else "fitted slope ratio outside the tau-scaling band"
     return EquivalenceReport(
         "T-phi-equivalence",
         f"k log grid [{k.min():.3g}, {k.max():.3g}] x {k.size}",
@@ -210,12 +191,11 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
 # weight matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixHandle:
+class MatrixHandle(NamedTuple):
     family: str
     sigma: float
     indices: Tuple[float, ...]
-    make: Callable[[float], LogWeightSequence] = field(repr=False)
+    make: Callable[[float], LogWeightSequence]
 
     def log_M_table(self, p: np.ndarray) -> Dict[float, np.ndarray]:
         return {idx: self.make(idx).log_M(p) for idx in self.indices}
@@ -284,12 +264,12 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
         fitted, holds, worst if math.isfinite(worst) else 0.0, "; ".join(notes))
 
 
-def check_corollary(s: float, t_grid: Optional[np.ndarray] = None) -> EquivalenceReport:
-    """Ratio band of the corollary weight against phi_s(ln_+ t), plus the
-    axiom classification of the corollary weight itself."""
+def check_corollary(s: float) -> EquivalenceReport:
+    """Ratio band of the corollary weight against phi_s(ln_+ t) on 600 log-spaced
+    t in [1e3, 1e12], plus the axiom classification of the corollary weight itself."""
     if not s > 1:
         raise UsageError("corollary check needs s > 1")
-    t = np.asarray(t_grid, dtype=np.float64) if t_grid is not None else np.logspace(3, 12, 600)
+    t = np.logspace(3, 12, 600)
     w = corollary_weight(s)
     num = w(t)
     den = phi_sigma(s, np.maximum(np.log(t), 0.0))

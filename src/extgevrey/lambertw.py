@@ -3,7 +3,6 @@ its standard properties (defining identity, log-log bracket, asymptotics).
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -76,8 +75,7 @@ def evaluate_w(x):
     return WEvaluation(x, w, w_residual(x, w), iters)
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     x: np.ndarray
     w: np.ndarray
     lower: np.ndarray
@@ -102,8 +100,7 @@ def check_w3_bounds(x_grid):
     return BracketReport(x, w, lower, upper, ok, bool(np.all(ok)))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     x: np.ndarray
     identity_err: np.ndarray
     ratio: np.ndarray

@@ -6,11 +6,11 @@ already around p = 15, so every quantity here is a log value.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import ext_log_M
 from .errors import DomainError, RangeError, UsageError
 
 __all__ = [
@@ -34,22 +34,25 @@ _P_LIMIT = 10 ** 9
 P_MAX_CAP = 10 ** 7
 
 
-@dataclass(frozen=True)
-class SequenceParams:
+class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", float)])):
     """Parameter pair (tau, sigma) of one extended Gevrey sequence."""
 
-    tau: float
-    sigma: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.tau > 0:
-            raise DomainError(f"tau must be positive, got {self.tau}")
-        if not self.sigma > 1:
-            raise DomainError(f"sigma must exceed 1, got {self.sigma}")
+    def __new__(cls, tau, sigma):
+        if not tau > 0:
+            raise DomainError(f"tau must be positive, got {tau}")
+        if not sigma > 1:
+            raise DomainError(f"sigma must exceed 1, got {sigma}")
+        return super().__new__(cls, tau, sigma)
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through the checks of `__new__`, so `_replace` cannot build an invalid pair."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LogWeightSequence:
+class LogWeightSequence(NamedTuple):
     """An evaluable sequence p -> log M_p with log M_0 = 0."""
 
     kind: str
@@ -76,16 +79,10 @@ class LogWeightSequence:
         return float(out) if scalar else out
 
 
-def _ext_log_M(tau, sigma):
-    def fn(p):
-        return np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
-
-    return fn
-
-
 def extended_gevrey(params: SequenceParams) -> LogWeightSequence:
     """log M_p = tau * p^sigma * ln p."""
-    return LogWeightSequence("extended_gevrey", _ext_log_M(params.tau, params.sigma), params)
+    tau, sigma = params.tau, params.sigma
+    return LogWeightSequence("extended_gevrey", lambda p: ext_log_M(p, tau, sigma), params)
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
@@ -165,8 +162,7 @@ def _fit_band(x: np.ndarray, y: np.ndarray, top: np.ndarray) -> Dict[str, float]
 # condition reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     condition: str
     p_range: Tuple[int, int]
     holds: bool
@@ -344,8 +340,7 @@ def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) 
     return ConditionReport(f"liminf-Q{Q}", (2, int(p.max())), holds, tail_min, witness)
 
 
-@dataclass(frozen=True)
-class LemmaBoundsReport:
+class LemmaBoundsReport(NamedTuple):
     params: SequenceParams
     p_range: Tuple[int, int]
     passed: bool

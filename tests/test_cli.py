@@ -444,6 +444,18 @@ def test_default_commands_leave_numpy_ma_unimported():
     assert res.stdout.strip() == "False"
 
 
+def test_default_verify_leaves_dataclasses_unimported():
+    """Every record is a named tuple: the import and a default verify pass load
+    no `dataclasses` (whose class generation costs about 1.5 ms a record)."""
+    code = ("import os, sys\n"
+            "from extgevrey import cli\n"
+            "assert cli.main(['verify', '--output', os.devnull]) == 0\n"
+            "print('dataclasses' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 
 def test_the_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()

@@ -64,8 +64,7 @@ def test_t_phi_tau_scaling_band():
 def test_t_phi_h_robustness():
     # the band fit still succeeds away from h = 1; the additive-offset
     # relation between different h values is covered by h_shift_check
-    r2 = check_T_phi_equivalence(SequenceParams(1.0, 2.0), h=10.0,
-                                 check_tau_scaling=False)
+    r2 = check_T_phi_equivalence(SequenceParams(1.0, 2.0), h=10.0)
     assert r2.holds
     assert r2.fitted_constants["B"] > 0
 
@@ -135,8 +134,8 @@ def test_corollary_needs_s_above_one():
 
 
 def test_reports_serialize_deterministically():
-    a = check_T_phi_equivalence(SequenceParams(1.0, 2.0)).to_dict()
-    b = check_T_phi_equivalence(SequenceParams(1.0, 2.0)).to_dict()
+    a = check_T_phi_equivalence(SequenceParams(1.0, 2.0))._asdict()
+    b = check_T_phi_equivalence(SequenceParams(1.0, 2.0))._asdict()
     assert a == b
 
 
@@ -278,7 +277,7 @@ def test_one_array_pass_per_direction_matches_the_pair_by_pair_check():
     # a reservoir with no admissible partner: notes set, holds False
     cases.append((extended_matrix(2.0, [4.0, 1.0]), conjugate_matrix(2.0, [0.5]), 200))
     for A, B, p_max in cases:
-        got = check_matrix_equivalence(A, B, p_max).to_dict()
-        want = _matrix_check_pair_by_pair(A, B, p_max).to_dict()
+        got = check_matrix_equivalence(A, B, p_max)._asdict()
+        want = _matrix_check_pair_by_pair(A, B, p_max)._asdict()
         assert got == want and repr(got) == repr(want)      # repr tells -0.0 from 0.0
     assert not got["holds"] and got["notes"].startswith("no N_sigma member")

@@ -262,7 +262,7 @@ def _w0_grid_gather_scatter(x):
 
 
 def _w0_log_grid_gather_scatter(lx):
-    """`_w0_log_grid` as a gather/scatter loop. An oracle only."""
+    """`w0_exp_grid` at lx >= 1 (its log form) as a gather/scatter loop. An oracle only."""
     w = lx - np.log(lx)
     act = np.ones(lx.shape, dtype=bool)
     for _ in range(50):
@@ -326,7 +326,7 @@ def test_w0_log_grid_matches_the_gather_scatter_loop(n):
     rng = np.random.default_rng(n)
     lx = rng.permutation(np.concatenate([rng.uniform(1.0, 700.0, n // 2),
                                          np.exp(rng.uniform(0.0, math.log(700.0), n - n // 2))]))
-    assert np.array_equal(_kernels._w0_log_grid(lx), _w0_log_grid_gather_scatter(lx.copy()))
+    assert np.array_equal(_kernels.w0_exp_grid(lx), _w0_log_grid_gather_scatter(lx.copy()))
 
 
 def test_w0_grid_result_does_not_depend_on_the_block():
