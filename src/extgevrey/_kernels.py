@@ -15,6 +15,11 @@ for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ... floor(p*)+2)), and
 max(0, g(1)) where x < -1/e (g only falls). `assoc_sup_grid` takes one W call
 for all k; the scalar `_assoc_sup_scalar` takes the same candidates in `math`,
 since a numpy call on one point costs more than the whole scalar path.
+
+The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
+N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p:
+`counting_sum_grid` finds every N by `searchsorted` in one quotient table, and
+`_counting_sum_scalar` finds one N by galloping and bisecting in `math`.
 """
 
 import math
@@ -25,7 +30,7 @@ from .errors import NumericalError
 
 _W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
 _BLOCK = 8192        # W points per Halley block: its temporaries stay in L2
-_COUNT_P_CAP = 2 ** 22   # largest quotient table of `counting_sum_grid`: 32 MiB an array
+_COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 
 
@@ -229,18 +234,43 @@ def ext_log_M(p, tau, sigma):
     return np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
 
 
-def counting_sum_grid(lnk_arr, tau, sigma):
-    lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
-    # double the table size n until log m_n clears the largest ln k, in scalar math
+def _log_m(p, tau, sigma):
+    """log m_p = log M_p - log M_(p-1) at an integer p >= 2, in scalar math."""
+    return tau * p ** sigma * math.log(p) - tau * (p - 1) ** sigma * math.log(p - 1)
+
+
+def _count_table_size(lnk, tau, sigma):
+    """The least n = 64 * 2^j with log m_n > ln k; NumericalError where n passes _COUNT_P_CAP."""
     n = 64
-    while tau * n ** sigma * math.log(n) - tau * (n - 1) ** sigma * math.log(n - 1) <= lnk_max:
+    while _log_m(n, tau, sigma) <= lnk:
         if n >= _COUNT_P_CAP:
             raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
-                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
+                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
         n *= 2
-    logm = np.diff(ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma))
+    return n
+
+
+def _counting_sum_scalar(lnk, tau, sigma):
+    """(T(k), N) at one ln k, in `math`: (0, 0) for k < 1 and (0, 1) at k = 1 (log m_1 = 0)."""
+    if lnk <= 0.0:
+        return 0.0, int(lnk == 0.0)
+    hi = _count_table_size(lnk, tau, sigma)
+    lo = hi // 2 if hi > 64 else 1      # log m_lo <= ln k < log m_hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _log_m(mid, tau, sigma) <= lnk:
+            lo = mid
+        else:
+            hi = mid
+    return lo * lnk - tau * lo ** sigma * math.log(lo), lo
+
+
+def counting_sum_grid(lnk_arr, tau, sigma):
+    lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
+    n = _count_table_size(float(np.max(lnk_arr)) if lnk_arr.size else 0.0, tau, sigma)
+    # where tau p^sigma overflows (tau near the largest float) log m_p is inf or NaN, past every ln k
+    with np.errstate(over="ignore", invalid="ignore"):
+        logM = ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma)
+        logm = np.diff(logM)
     counts = np.searchsorted(logm, lnk_arr, side="right")   # logm[j] = log m_{j+1}
-    cum = np.concatenate(([0.0], np.cumsum(logm)))
-    values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]
-    return values, counts.astype(np.int64)
+    return np.maximum(lnk_arr, 0.0) * counts - logM[counts], counts.astype(np.int64)

@@ -9,8 +9,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._kernels import (_assoc_sup_scalar, assoc_sup_grid, counting_sum_grid, w0_exp_grid,
-                       w0_exp_scalar)
+from ._kernels import (_assoc_sup_scalar, _counting_sum_scalar, assoc_sup_grid, counting_sum_grid,
+                       w0_exp_grid, w0_exp_scalar)
 from .errors import DomainError, NumericalError, UsageError
 from .lambertw import lambert_w0_grid
 from .sequences import SequenceParams, _fit_band
@@ -76,10 +76,11 @@ def assoc_fn_sup_grid(params: SequenceParams, h: float, k_grid) -> Tuple[np.ndar
 
 
 def assoc_fn_counting(params: SequenceParams, k: float) -> AssocFnResult:
-    """T(k) at h = 1 as the exact finite sum over quotient jump points."""
-    _check_positive("k", k)
-    values, counts = counting_sum_grid(np.array([math.log(k)]), params.tau, params.sigma)
-    return AssocFnResult(float(values[0]), int(counts[0]), "counting_sum")
+    """T(k) at h = 1 as the exact finite sum over quotient jump points, N ln k - log M_N."""
+    if not 0.0 < k < math.inf:
+        _check_positive("k", k)
+    value, count = _counting_sum_scalar(math.log(k), params.tau, params.sigma)
+    return AssocFnResult(float(value), count, "counting_sum")
 
 
 def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, np.ndarray]:

@@ -179,7 +179,7 @@ def _claim_w3(a):
     return rep.passed, {"points": int(rep.x.size)}
 
 def _claim_w_identities(a):
-    rep = lambertw.check_w_identities(np.logspace(0.5, 10, 100), C=10.0)
+    rep = lambertw.check_w_identities(np.logspace(0.5, 10, 100))
     return rep.passed, {"max_identity_err": float(np.max(rep.identity_err))}
 
 def _claim_lemma(a):

@@ -109,11 +109,11 @@ class IdentityReport(NamedTuple):
     passed: bool
 
 
-def check_w_identities(x_grid, C=10.0):
-    """Check W(x ln x) = ln x and the W(Cx) ~ W(x) asymptotic band.
+def check_w_identities(x_grid):
+    """Check W(x ln x) = ln x and the W(10 x) ~ W(x) asymptotic band.
 
-    The band half-width 3 ln max(C, 1/C) / ln x follows from the
-    log-log bracket for x large enough that both brackets apply.
+    The band half-width 3 ln 10 / ln x follows from the log-log bracket
+    for x large enough that both brackets apply.
     """
     x = np.asarray(x_grid, dtype=np.float64)
     if np.any(x <= 1.0):
@@ -122,8 +122,8 @@ def check_w_identities(x_grid, C=10.0):
     identity_err = np.abs(lambert_w0_grid(x * lx) - lx)
     id_ok = identity_err <= 1e-12 * np.maximum(lx, 1.0)
 
-    ratio = lambert_w0_grid(C * x) / lambert_w0_grid(x)
-    eps = 3.0 * abs(math.log(max(C, 1.0 / C))) / lx
+    ratio = lambert_w0_grid(10.0 * x) / lambert_w0_grid(x)
+    eps = 3.0 * math.log(10.0) / lx
     ratio_ok = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
 
     ok = id_ok & ratio_ok

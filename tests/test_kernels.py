@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_sup,
                        assoc_fn_sup_grid, evaluate_w)
 from extgevrey import lambert_w0
-from extgevrey import _kernels
+from extgevrey import _kernels, assocfn
 from extgevrey.lambertw import w_residual
 
 
@@ -192,6 +192,93 @@ def test_counting_paths_agree():
     vb, cb = _kernels.counting_sum_grid(lnk, 1.0, 2.0)
     np.testing.assert_allclose(va, vb, rtol=1e-12, atol=1e-12)
     np.testing.assert_array_equal(ca, cb)
+
+
+def _counting_sum_cumsum(lnk_arr, tau, sigma):
+    """`counting_sum_grid` as it was: T from the cumulative sum of the quotient table. An oracle only."""
+    lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
+    lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
+    n = 64
+    while tau * n ** sigma * math.log(n) - tau * (n - 1) ** sigma * math.log(n - 1) <= lnk_max:
+        if n >= _kernels._COUNT_P_CAP:
+            raise NumericalError(f"the counting sum needs quotients m_p past p = {_kernels._COUNT_P_CAP}: "
+                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
+        n *= 2
+    with np.errstate(over="ignore", invalid="ignore"):      # tau = 1e300: it warned there
+        logm = np.diff(_kernels.ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma))
+    counts = np.searchsorted(logm, lnk_arr, side="right")
+    cum = np.concatenate(([0.0], np.cumsum(logm)))
+    values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]
+    return values, counts.astype(np.int64)
+
+
+def _counting_error(fn, lnk, tau, sigma):
+    with pytest.raises(NumericalError) as info:
+        fn(lnk, tau, sigma)
+    return type(info.value), str(info.value)
+
+
+def _counting_cases():
+    """Seeded (tau, sigma, ln k rows, ln k past the table cap), the extremes of tau included."""
+    rng = np.random.default_rng(2022)
+    pairs = [(float(np.exp(rng.uniform(math.log(0.01), math.log(100.0)))),
+              float(1.0 + np.exp(rng.uniform(math.log(0.01), math.log(5.0))))) for _ in range(60)]
+    pairs += [(tau, sigma) for tau in (1e-300, 1e300) for sigma in (1.01, 2.0, 6.0)]
+    for tau, sigma in pairs:
+        top = min(700.0, _kernels._log_m(10 ** 5, tau, sigma))     # N up to 1e5, k a float; NaN at tau = 1e300
+        lnk = [-0.5, -1e-300, 0.0]
+        if tau > 1e-300:        # at 1e-300 every ln k > 0 passes the table cap
+            lnk += [1e-300, 1e-3, *np.exp(rng.uniform(math.log(1e-3), math.log(top), 30))]
+        cap = _kernels._log_m(_kernels._COUNT_P_CAP, tau, sigma)    # inf at tau = 1e300
+        yield tau, sigma, np.array(lnk), [cap, 2.0 * cap] if cap < math.inf else []
+
+
+def test_counting_sum_scalar_and_grid_match_the_cumulative_sum():
+    for tau, sigma, lnk, past in _counting_cases():
+        vo, co = _counting_sum_cumsum(lnk, tau, sigma)
+        vg, cg = _kernels.counting_sum_grid(lnk, tau, sigma)
+        scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
+        vs, cs = np.array([v for v, _ in scalar]), np.array([n for _, n in scalar])
+        np.testing.assert_array_equal(cg, co)
+        np.testing.assert_array_equal(cs, co)
+        np.testing.assert_allclose(vg, vo, rtol=4e-15, atol=0.0)
+        np.testing.assert_allclose(vs, vo, rtol=4e-15, atol=0.0)
+        assert [n for v, n in zip(lnk, cs) if v <= 0.0] == [0, 0, 1]
+        assert np.all(vs[lnk <= 0.0] == 0.0)
+        for v in past:
+            err = _counting_error(_counting_sum_cumsum, np.array([v]), tau, sigma)
+            assert _counting_error(_kernels.counting_sum_grid, np.array([v]), tau, sigma) == err
+            assert _counting_error(_kernels._counting_sum_scalar, v, tau, sigma) == err
+
+
+def test_sup_is_attained_at_the_counting_index():
+    # T(k) = N ln k - log M_N: g(p) = p ln k - log M_p rises while log m_p <= ln k,
+    # so the sup's leftmost maximiser is N, except at a tie log m_N = ln k
+    rng = np.random.default_rng(15)
+    for _ in range(40):
+        params = SequenceParams(float(np.exp(rng.uniform(math.log(0.05), math.log(50.0)))),
+                                float(1.0 + np.exp(rng.uniform(math.log(0.01), math.log(5.0)))))
+        for k in [0.5, 1.0, *np.exp(rng.uniform(0.0, 20.0, 25)).tolist()]:
+            lnk = math.log(k)
+            try:
+                n = assoc_fn_counting(params, k).argmax_p
+            except NumericalError:      # past the table cap
+                continue
+            p = assoc_fn_sup(params, 1.0, k).argmax_p
+            log_m_n = _kernels._log_m(n, params.tau, params.sigma) if n >= 2 else (-math.inf, 0.0)[n]
+            if log_m_n != lnk:      # log m_1 = 0, and no m_0
+                assert p == n, (params, k)
+
+
+def test_assoc_fn_counting_takes_the_scalar_route(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counting_sum_grid called")
+
+    monkeypatch.setattr(_kernels, "counting_sum_grid", refuse)
+    monkeypatch.setattr(assocfn, "counting_sum_grid", refuse)
+    res = assoc_fn_counting(SequenceParams(1.0, 2.0), 1e6)
+    assert res == _kernels._counting_sum_scalar(math.log(1e6), 1.0, 2.0) + ("counting_sum",)
+    assert assoc_fn_counting(SequenceParams(1.0, 2.0), 0.5) == (0.0, 0, "counting_sum")
 
 
 def test_scan_cap_is_past_the_maximizer():
@@ -375,8 +462,15 @@ def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
     brute = [_counting_sum_brute(v, tau, sigma) for v in lnk]
     np.testing.assert_allclose(values, [v for v, _ in brute], rtol=1e-12)
     np.testing.assert_array_equal(counts, [c for _, c in brute])
+    scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
+    np.testing.assert_allclose([v for v, _ in scalar], values, rtol=4e-15)
+    assert [c for _, c in scalar] == counts.tolist()
     with pytest.raises(NumericalError, match="past p = 4096"):
         _kernels.counting_sum_grid(np.array([log_m(n) + 1e-9]), tau, sigma)
+    with pytest.raises(NumericalError, match="past p = 4096"):
+        _kernels._counting_sum_scalar(log_m(n) + 1e-9, tau, sigma)
+    with pytest.raises(NumericalError, match="past p = 4096"):
+        assoc_fn_counting(SequenceParams(tau, sigma), math.exp(log_m(n) + 1e-9))
 
 
 # -- the scalar W loops against loops that redo the tolerance every step -------

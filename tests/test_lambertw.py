@@ -93,9 +93,12 @@ def test_w3_bracket_rejects_small_x():
 
 
 def test_identities():
-    rep = check_w_identities(np.logspace(0.5, 10, 100), C=10.0)
+    rep = check_w_identities(np.logspace(0.5, 10, 100))
     assert rep.passed
     assert np.max(rep.identity_err) <= 1e-12 * 10 * math.log(10)
+    # the asymptotic band compares W(10 x) with W(x), half-width 3 ln 10 / ln x
+    np.testing.assert_array_equal(rep.ratio, lambert_w0_grid(10.0 * rep.x) / lambert_w0_grid(rep.x))
+    np.testing.assert_array_equal(rep.eps_band, 3.0 * math.log(10.0) / np.log(rep.x))
 
 
 # -- the one-comparison guard keeps the messages and the accepted types --------
