@@ -20,9 +20,13 @@ The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
 N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p:
 `counting_sum_grid` finds every N by `searchsorted` in one quotient table, and
 `_counting_sum_scalar` finds one N by galloping and bisecting in `math`.
+
+Where p^sigma leaves the floats (sigma > 170 at p = 64), a sup candidate scores -inf and
+a quotient counts as past ln k if a bound proves it, else NumericalError.
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -32,6 +36,7 @@ _W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
 _BLOCK = 8192        # W points per Halley block: its temporaries stay in L2
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
+_MAX = sys.float_info.max
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +171,15 @@ def _p_concave_from(lnh, tau):
     return int(min(math.exp(min(lnh / tau, 16.0)), 4e6)) + 1 if lnh > 0.0 else 1
 
 
-def _beyond_2_53(lnp, lnk, lnh, tau, sigma):
+_PAST_2_53 = "T_h(k) peaks near p = exp({:.6g}) > 2**53, past exact integer floats"
+# p^sigma > _MAX: g(p) = p^sigma (ln h - tau ln p) + p ln k < 0 if tau ln p - ln h > p ln_+ k / _MAX
+_UNRESOLVED = "p^sigma overflows a float at the candidate p = {:.17g}, where g's sign is unresolved"
+
+
+def _sup_error(what, lnk, lnh, tau, sigma):
     # exp(ln h) is off by about |ln h| ulps: 12 significant digits hide that round trip
     h, k = (f"{math.exp(v):.12g}" if v < 709.0 else f"exp({v:.12g})" for v in (lnh, lnk))
-    return NumericalError(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer "
-                          f"floats: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
+    return NumericalError(f"{what}: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
 
 
 def _ln_x_over_lnk(tau, sigma, c):
@@ -189,12 +198,17 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
         w, _ = w0_exp_scalar(lx, lnk)
         lnp = w / (sigma - 1.0) - c
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
-            raise _beyond_2_53(lnp, lnk, lnh, tau, sigma)
+            raise _sup_error(_PAST_2_53.format(lnp), lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
         near = range(max(q - 1, 1), q + 3)
     best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
     for p in (1, *near):
-        pw = float(p) ** sigma
+        try:
+            pw = float(p) ** sigma
+        except OverflowError:
+            if not tau * math.log(p) - lnh > max(lnk, 0.0) * p / _MAX:
+                raise _sup_error(_UNRESOLVED.format(p), lnk, lnh, tau, sigma) from None
+            continue        # g(p) < 0
         g = pw * lnh + p * lnk - tau * pw * math.log(p)
         if g > best:
             best, best_p = g, p
@@ -214,10 +228,18 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     L = lnk_arr[t]
     lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
-        raise _beyond_2_53(lnp.max(), L[np.argmax(lnp)], lnh, tau, sigma)
+        raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)
     q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), 1.0)
-    pwq = q ** sigma
-    g = pwq * lnh + q * L[:, None] - tau * pwq * np.log(q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pwq = q ** sigma
+        g = pwq * lnh + q * L[:, None] - tau * pwq * np.log(q)
+    over = pwq == math.inf
+    if over.any():      # the scalar kernel's test, on every candidate whose power overflowed
+        qo, Lo = q[over], np.broadcast_to(L[:, None], q.shape)[over]
+        bad = ~(tau * np.log(qo) - lnh > np.maximum(Lo, 0.0) * qo / _MAX)
+        if bad.any():
+            raise _sup_error(_UNRESOLVED.format(qo[bad][0]), Lo[bad][0], lnh, tau, sigma)
+        g[over] = -math.inf
     j = np.argmax(g, axis=1)[:, None]
     q, g = np.take_along_axis(q, j, 1)[:, 0], np.take_along_axis(g, j, 1)[:, 0]
     argmax[t] = np.where(g > values[t], q, argmax[t])
@@ -239,14 +261,26 @@ def _log_m(p, tau, sigma):
     return tau * p ** sigma * math.log(p) - tau * (p - 1) ** sigma * math.log(p - 1)
 
 
+def _check_log_m_past(p, lnk, tau, sigma):
+    """For p with p^sigma past the floats: NumericalError unless the mean-value bound
+    log m_p >= tau (p-1)^(sigma-1) (sigma ln(p-1) + 1), rising in p, passes ln k."""
+    lp = math.log(p - 1)
+    if lnk > 0.0 and not math.log(tau) + (sigma - 1.0) * lp + math.log1p(sigma * lp) > math.log(lnk):
+        raise NumericalError(f"log m_p overflows a float at p = {p} and its lower bound does not "
+                             f"pass ln k = {lnk!r}: tau={tau!r}, sigma={sigma!r}")
+
+
 def _count_table_size(lnk, tau, sigma):
     """The least n = 64 * 2^j with log m_n > ln k; NumericalError where n passes _COUNT_P_CAP."""
     n = 64
-    while _log_m(n, tau, sigma) <= lnk:
-        if n >= _COUNT_P_CAP:
-            raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
-                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
-        n *= 2
+    try:
+        while _log_m(n, tau, sigma) <= lnk:
+            if n >= _COUNT_P_CAP:
+                raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
+                                     f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
+            n *= 2
+    except OverflowError:
+        _check_log_m_past(n, lnk, tau, sigma)
     return n
 
 
@@ -258,16 +292,23 @@ def _counting_sum_scalar(lnk, tau, sigma):
     lo = hi // 2 if hi > 64 else 1      # log m_lo <= ln k < log m_hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _log_m(mid, tau, sigma) <= lnk:
-            lo = mid
-        else:
-            hi = mid
+        try:
+            if _log_m(mid, tau, sigma) <= lnk:
+                lo = mid
+                continue
+        except OverflowError:
+            _check_log_m_past(mid, lnk, tau, sigma)
+        hi = mid
     return lo * lnk - tau * lo ** sigma * math.log(lo), lo
 
 
 def counting_sum_grid(lnk_arr, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    n = _count_table_size(float(np.max(lnk_arr)) if lnk_arr.size else 0.0, tau, sigma)
+    lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
+    n = _count_table_size(lnk_max, tau, sigma)
+    p0 = max(2, int(math.exp(math.log(_MAX) / sigma) * (1.0 - 1e-12)) + 1)    # p^sigma < _MAX below p0
+    if p0 <= n:     # the table's log m_p may be inf or NaN from p0 on: past ln k there
+        _check_log_m_past(p0, lnk_max, tau, sigma)
     # where tau p^sigma overflows (tau near the largest float) log m_p is inf or NaN, past every ln k
     with np.errstate(over="ignore", invalid="ignore"):
         logM = ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma)

@@ -25,12 +25,9 @@ __all__ = [
     "assoc_fn_counting_grid",
     "counting_fn_floor",
     "counting_fn_direct",
-    "rfactor",
     "envelope",
     "sandwich_bounds_check",
-    "h_shift_check",
     "SandwichReport",
-    "HShiftReport",
 ]
 
 
@@ -45,11 +42,6 @@ def _check_positive(name, x):
         raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
-def _validate_hk(h, k):
-    _check_positive("h", h)
-    _check_positive("k", k)
-
-
 def _k_grid(k_grid, caller):
     """k_grid as a float array, rejecting nonfinite or nonpositive points."""
     k = np.asarray(k_grid, dtype=np.float64)
@@ -62,7 +54,8 @@ def _k_grid(k_grid, caller):
 def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
     """T_h(k) by direct maximization over integer p >= 0."""
     if not (0.0 < h < math.inf and 0.0 < k < math.inf):
-        _validate_hk(h, k)
+        _check_positive("h", h)
+        _check_positive("k", k)
     value, p = _assoc_sup_scalar(math.log(k), math.log(h), params.tau, params.sigma)
     return AssocFnResult(float(value), int(p), "supremum")
 
@@ -171,27 +164,6 @@ def _ln_r(tau, s, h, ln_ek):
             + np.log(ln_ek))
 
 
-def rfactor(params: SequenceParams, h: float, k: float) -> float:
-    """h^(-(s-1)/tau) * e^((s-1)/s) * ((s-1)/(tau s)) * ln(e + k).
-
-    Raises NumericalError where this value is not a finite normal float."""
-    _validate_hk(h, k)
-    tau, s = params.tau, params.sigma
-    ln_ek = math.log(math.e + k)
-    r = _r_direct(tau, s, h, ln_ek)
-    if _TINY <= r < math.inf:
-        return r
-    lr = float(_ln_r(tau, s, h, ln_ek))
-    try:
-        r = math.exp(lr)
-    except OverflowError:
-        r = math.inf
-    if not _TINY <= r < math.inf:
-        raise NumericalError(f"rfactor = exp({lr:.6g}) {'overflows' if lr > 0.0 else 'underflows'} "
-                             f"a float: tau={tau!r}, sigma={s!r}, h={h!r}, k={k!r}")
-    return r
-
-
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, from ln R where R leaves the normal floats.
 
@@ -271,25 +243,3 @@ def sandwich_bounds_check(params: SequenceParams, h: float, k_grid) -> SandwichR
              and bool(np.all(Tp <= A2 * Ep + B2 + slack)))
     return SandwichReport(params, h, k, T, E, A1, B1, A2, B2, ratio_lo, ratio_hi, holds)
 
-
-class HShiftReport(NamedTuple):
-    A: float
-    B: float
-    holds: bool
-    max_violation: float
-
-
-def h_shift_check(params: SequenceParams, h: float, tau1: float, tau2: float,
-                  k_grid) -> HShiftReport:
-    """Additive offsets A, B with T(tau2) + A <= T_h(tau) <= T(tau1) + B
-    for tau1 < tau < tau2, fitted on the grid and verified pointwise."""
-    if not (0 < tau1 <= params.tau <= tau2):
-        raise UsageError("need tau1 <= tau <= tau2")
-    k = np.asarray(k_grid, dtype=np.float64)
-    T_mid, _ = assoc_fn_sup_grid(params, h, k)
-    T_lo, _ = assoc_fn_sup_grid(SequenceParams(tau2, params.sigma), 1.0, k)
-    T_hi, _ = assoc_fn_sup_grid(SequenceParams(tau1, params.sigma), 1.0, k)
-    A = float(np.min(T_mid - T_lo))
-    B = float(np.max(T_mid - T_hi))
-    viol = np.maximum(T_lo + A - T_mid, T_mid - T_hi - B)
-    return HShiftReport(A, B, bool(np.all(viol <= 1e-9)), float(np.max(viol)))

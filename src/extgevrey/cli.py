@@ -28,8 +28,8 @@ GRID_MAX_POINTS = 10 ** 7     # points one grid spec may ask for
 def parse_grid(spec: str, linear: bool = False) -> np.ndarray:
     """`min:max:points_per_decade`, log-spaced; with --linear the third
     field is the total point count. A nonpositive log-grid minimum is kept
-    as an extra leading point. A spec asking for more than GRID_MAX_POINTS
-    points raises UsageError."""
+    as an extra leading point; a log grid needs a positive maximum. A spec
+    asking for more than GRID_MAX_POINTS points raises UsageError."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid spec must be min:max:points, got {spec!r}")
@@ -45,6 +45,8 @@ def parse_grid(spec: str, linear: bool = False) -> np.ndarray:
         return np.linspace(lo, hi, int(_capped(n, spec)))
     if n < 4:
         raise UsageError("log grids need at least 4 points per decade")
+    if not hi > 0.0:
+        raise UsageError(f"log grids need a positive max, got {spec!r}")
     prepend = []
     if lo <= 0.0:
         prepend = [lo]
@@ -153,10 +155,9 @@ def cmd_assocfn(args):
 def cmd_phi(args):
     t = parse_grid(args.grid, args.linear)
     t = t[t >= 0]
-    # anchor rows: 0 and e whenever they fall inside the requested range
-    anchors = [a for a in (0.0, math.e) if t.min() <= a <= t.max()]
-    t = np.sort(np.concatenate([t, np.asarray(anchors)]))
-    t = t[np.r_[True, t[1:] != t[:-1]]]
+    if t.size:      # anchor rows: 0 and e whenever they fall inside the requested range
+        t = np.sort(np.concatenate([t, [a for a in (0.0, math.e) if t[0] <= a <= t[-1]]]))
+        t = t[np.r_[True, t[1:] != t[:-1]]]
     vals = conjugate.phi_sigma(args.sigma, t)
     emit([t, vals], ["t", "phi_sigma"], args.format, args.output)
     return 0

@@ -1,6 +1,6 @@
-"""Weight functions, their log-compositions and numerically computed
-Young conjugates, the axiom classifier, and the closed-form check of the
-Lambert-type integral that drives the main growth estimate.
+"""Weight functions and numerically computed Young conjugates, the axiom
+classifier, and the closed-form check of the Lambert-type integral that
+drives the main growth estimate.
 """
 
 import math
@@ -20,14 +20,10 @@ __all__ = [
     "bmt_quotient",
     "power_weight",
     "corollary_weight",
-    "phi_weight",
     "lambert_weight",
-    "custom_weight",
-    "log_composition",
     "young_conjugate",
     "ConjugateTable",
     "conjugate_table",
-    "biconjugate",
     "phi_sigma_conjugate",
     "AxiomReport",
     "check_weight_axioms",
@@ -43,8 +39,8 @@ def phi_sigma(sigma: float, t):
     t/W(t) = e^(W(t)) -> 1. Where exp(W(t)/(s-1)) passes the float range
     the value is inf, for a scalar t as for an array.
     """
-    if not sigma > 1:
-        raise DomainError(f"sigma must exceed 1, got {sigma}")
+    if not 1 < sigma < math.inf:
+        raise DomainError(f"sigma must {'be finite' if sigma > 1 else 'exceed 1'}, got {sigma}")
     if isinstance(t, float) or np.isscalar(t):
         if t < 0:
             raise DomainError(f"phi_sigma needs t >= 0, got {t}")
@@ -106,31 +102,8 @@ def corollary_weight(s: float) -> WeightFn:
     return WeightFn(f"corollary[{s}]", fn)
 
 
-def phi_weight(sigma: float) -> WeightFn:
-    """omega(k) = phi_sigma(ln_+ |k|)."""
-    if not sigma > 1:
-        raise DomainError("phi_weight needs sigma > 1")
-    return WeightFn(
-        f"phi_sigma[{sigma}]",
-        lambda a: phi_sigma(sigma, np.maximum(np.log(np.maximum(a, 1e-300)), 0.0)),
-    )
-
-
 def lambert_weight() -> WeightFn:
     return WeightFn("W", lambda a: lambert_w0_grid(a))
-
-
-def custom_weight(name: str, fn: Callable[[np.ndarray], np.ndarray]) -> WeightFn:
-    return WeightFn(name, fn)
-
-
-def log_composition(w: WeightFn) -> Callable[[float], float]:
-    """phi(t) = omega(e^t) as a scalar callable on t >= 0."""
-
-    def phi(t):
-        return float(w(math.exp(t)))
-
-    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +111,7 @@ def log_composition(w: WeightFn) -> Callable[[float], float]:
 # ---------------------------------------------------------------------------
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_T_CAP = 2.0 ** 1000     # the largest t of young_conjugate's bracket
 
 
 def _golden_max(f, lo, hi, tol):
@@ -163,14 +137,14 @@ def _golden_max(f, lo, hi, tol):
 
 
 def young_conjugate(phi: Callable[[float], float], y: float, *,
-                    bracket_hint: Optional[float] = None,
-                    t_cap: float = 2.0 ** 1000, tol: float = 1e-10) -> Tuple[float, float]:
+                    bracket_hint: Optional[float] = None, tol: float = 1e-10) -> Tuple[float, float]:
     """phi*(y) = sup_{t>0} (y t - phi(t)); returns (value, argmax t).
 
     The objective is concave for convex phi; the bracket doubles until
     the objective stops increasing, then golden section finishes on [0, b].
     The bracket costs two phi calls, then one per doubling: f(b/2) is the
-    f(b) of the step before.
+    f(b) of the step before. Where it passes _T_CAP (or max_float / y) the
+    objective is taken as unbounded: DivergenceError.
     `tol` is absolute in t (times b/1e6 once b passes 1e6), so the default
     1e-10 cannot resolve a maximiser below about 1e-10: for phi_sigma at
     sigma = 1 + 2**-52 and y = 81.79 it returns (0.0, 4.7e-11) where the
@@ -184,7 +158,7 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
         return y * t - phi(t)
 
     # past max_float / y the term y t overflows and the comparison means nothing
-    cap = min(t_cap, sys.float_info.max / y) if y > 0 else t_cap
+    cap = min(_T_CAP, sys.float_info.max / y) if y > 0 else _T_CAP
     b = max(1.0, 2.0 * bracket_hint) if bracket_hint else 1.0
     fb, fh = f(b), f(0.5 * b)
     while fb > fh:
@@ -205,23 +179,6 @@ class ConjugateTable(NamedTuple):
     y: np.ndarray
     t_star: np.ndarray
     phi_star: np.ndarray
-    phi: Callable[[float], float] = None
-
-    def __call__(self, y):
-        scalar = np.isscalar(y)
-        ys = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        out = np.array([self._one(v) for v in ys])
-        return float(out[0]) if scalar else out
-
-    def _one(self, y):
-        i = np.searchsorted(self.y, y)
-        if i < self.y.size and self.y[i] == y:
-            return float(self.phi_star[i])
-        hint = float(self.t_star[min(i, self.t_star.size - 1)]) or None
-        return young_conjugate(self.phi, y, bracket_hint=hint)[0]
-
-    def rows(self):
-        return zip(self.y, self.t_star, self.phi_star)
 
 
 def conjugate_table(phi: Callable[[float], float], y_values) -> ConjugateTable:
@@ -232,31 +189,7 @@ def conjugate_table(phi: Callable[[float], float], y_values) -> ConjugateTable:
     for i, y in enumerate(ys):
         phi_star[i], t_star[i] = young_conjugate(phi, float(y), bracket_hint=hint)
         hint = max(t_star[i], 1e-6)
-    return ConjugateTable(ys, t_star, phi_star, phi)
-
-
-_Y_CAP = 1e12      # the largest y of the biconjugate's bracket
-
-
-def biconjugate(phi: Callable[[float], float], t: float) -> float:
-    """phi**(t) = sup_{y>0} (t y - phi*(y)) with phi* evaluated numerically;
-    DivergenceError where the bracket passes y = 1e12."""
-    if t < 0:
-        raise DomainError("biconjugate needs t >= 0")
-    t_hint = [None]
-
-    def f(y):
-        val, ts = young_conjugate(phi, y, bracket_hint=t_hint[0])
-        t_hint[0] = max(ts, 1e-6)
-        return t * y - val
-
-    b = 1.0
-    while f(b) > f(0.5 * b):
-        b *= 2.0
-        if b > _Y_CAP:
-            raise DivergenceError(f"biconjugate diverges at t = {t}", cap=_Y_CAP)
-    _, val = _golden_max(f, 0.0, b, 1e-9 * max(1.0, b * 1e-3))
-    return max(val, 0.0)
+    return ConjugateTable(ys, t_star, phi_star)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +286,6 @@ class AxiomReport(NamedTuple):
                 "details": self.details}
 
 
-def default_axiom_grid():
-    return np.logspace(2, 14, 64 * 12)
-
-
 def check_weight_axioms(w: WeightFn, grid=None) -> AxiomReport:
     """Classify omega against the four weight-function axioms.
 
@@ -367,7 +296,7 @@ def check_weight_axioms(w: WeightFn, grid=None) -> AxiomReport:
     the 12-decade default); convexity (delta) checks second divided
     differences of omega(e^t).
     """
-    t = np.sort(np.asarray(grid, dtype=np.float64)) if grid is not None else default_axiom_grid()
+    t = np.logspace(2, 14, 64 * 12) if grid is None else np.sort(np.asarray(grid, dtype=np.float64))
     if t.max() / t.min() < 1e8:
         raise DomainError("axiom grid must span at least 8 decades")
     wt = w(t)

@@ -4,6 +4,8 @@ The CLI maps these onto its exit-code contract: usage/domain problems
 exit with 2, numerical failures with 3.
 """
 
+__all__ = ["DivergenceError", "DomainError", "NumericalError", "RangeError", "UsageError"]
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""

@@ -19,7 +19,6 @@ __all__ = [
     "extended_gevrey",
     "gevrey",
     "conjugate_generated",
-    "constant_quotient",
     "ConditionReport",
     "check_condition",
     "check_liminf_condition",
@@ -40,10 +39,10 @@ class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", flo
     __slots__ = ()
 
     def __new__(cls, tau, sigma):
-        if not tau > 0:
-            raise DomainError(f"tau must be positive, got {tau}")
-        if not sigma > 1:
-            raise DomainError(f"sigma must exceed 1, got {sigma}")
+        if not 0 < tau < math.inf:
+            raise DomainError(f"tau must be {'finite' if tau > 0 else 'positive'}, got {tau}")
+        if not 1 < sigma < math.inf:
+            raise DomainError(f"sigma must {'be finite' if sigma > 1 else 'exceed 1'}, got {sigma}")
         return super().__new__(cls, tau, sigma)
 
     @classmethod
@@ -90,8 +89,8 @@ _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 def gevrey(t: float) -> LogWeightSequence:
     """Classical Gevrey sequence p!^t; admitted for t > 1."""
-    if not t > 1:
-        raise DomainError(f"gevrey index must exceed 1, got {t}")
+    if not 1 < t < math.inf:
+        raise DomainError(f"gevrey index must {'be finite' if t > 1 else 'exceed 1'}, got {t}")
     return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0))
 
 
@@ -100,11 +99,6 @@ def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) 
     if not H > 0:
         raise DomainError(f"H must be positive, got {H}")
     return LogWeightSequence("conjugate_generated", lambda p: np.asarray(phi_star(H * p)) / H)
-
-
-def constant_quotient() -> LogWeightSequence:
-    """Degenerate mock M_p = 1; its quotient ratio never exceeds 1."""
-    return LogWeightSequence("constant_quotient", lambda p: np.zeros_like(p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from extgevrey import (
     SequenceParams,
     assoc_fn_counting_grid,
     assoc_fn_sup_grid,
-    biconjugate,
     bmt_log_power,
     bmt_quotient,
     check_condition,
@@ -153,7 +152,7 @@ def test_10_conjugate_norm_bounds():
     report("two-sided conjugate bound constants stabilize", ok)
 
 
-def test_11_fenchel_young_and_biconjugate():
+def test_11_fenchel_young():
     ok = True
     for s in (1.5, 2.0, 3.0):
         phi = lambda u: phi_sigma(s, u)
@@ -162,10 +161,7 @@ def test_11_fenchel_young_and_biconjugate():
         tab = conjugate_table(phi, y)
         phi_t = phi_sigma(s, t)
         ok = ok and bool(np.all(np.outer(y, t) <= phi_t[None, :] + tab.phi_star[:, None] + 1e-8))
-        for u in t[::7]:
-            val = biconjugate(phi, float(u))
-            ok = ok and abs(val - phi(float(u))) <= 1e-6 * max(1.0, phi(float(u)))
-    report("Fenchel-Young inequality and biconjugate recovery", ok)
+    report("Fenchel-Young inequality", ok)
 
 
 def test_12_weight_axiom_classifier():

@@ -19,9 +19,7 @@ from extgevrey import (
     counting_fn_direct,
     counting_fn_floor,
     envelope,
-    h_shift_check,
     lambert_w0_grid,
-    rfactor,
     sandwich_bounds_check,
 )
 
@@ -251,11 +249,9 @@ def test_counting_bracket_invariant():
         assert lo <= hi
 
 
-def test_rfactor_and_envelope_positive():
+def test_envelope_positive_and_increasing():
     params = SequenceParams(1.0, 2.0)
     k = np.logspace(0.5, 10, 50)
-    r = rfactor(params, 1.0, 1e4)
-    assert r > 0
     E = envelope(params, 1.0, k)
     assert np.all(E > 0)
     assert np.all(np.diff(E) > 0)
@@ -275,6 +271,14 @@ def test_envelope_where_the_h_factor_overflows():
         ln_r = (-(s - 1.0) / tau * math.log(1e-6) + (s - 1.0) / s
                 + math.log((s - 1.0) / (tau * s)) + np.log(np.log(math.e + k[1:])))
         np.testing.assert_allclose(w + np.log(w), ln_r, rtol=1e-12)
+    # at sigma = 1e6, h = 1e-300 the factor e^(1.03 * 690.8) overflows but
+    # (s-1)/(tau s) = 1.03e-6 brings R itself back into the floats
+    s, h = 1e6, 1e-300
+    params = SequenceParams((s - 1.0) / 1.03, s)
+    ln_r = (-(s - 1.0) / params.tau * math.log(h) + (s - 1.0) / s
+            + math.log((s - 1.0) / (params.tau * s)) + np.log(np.log(math.e + k[1:])))
+    want = lambert_w0_grid(np.exp(ln_r)) ** (-1.0 / (s - 1.0)) * np.log(k[1:]) ** (s / (s - 1.0))
+    np.testing.assert_allclose(envelope(params, h, k[1:]), want, rtol=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -319,39 +323,6 @@ def test_envelope_keeps_the_direct_expression_where_finite():
          * (s - 1.0) / (tau * s) * np.log(math.e + k))
     want = lambert_w0_grid(r) ** (-1.0 / (s - 1.0)) * np.log(k) ** (s / (s - 1.0))
     assert np.array_equal(envelope(params, h, k), want)
-    assert rfactor(params, h, 1e4) == (h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s)
-                                       * (s - 1.0) / (tau * s) * math.log(math.e + 1e4))
-
-
-def test_rfactor_past_the_float_range_raises():
-    with pytest.raises(NumericalError, match=r"tau=0\.05, sigma=6\.0, h=1e-06, k=10\.0"):
-        rfactor(SequenceParams(0.05, 6.0), 1e-6, 10.0)
-
-
-def test_rfactor_below_the_float_range_raises():
-    with pytest.raises(NumericalError, match=r"underflows.*tau=0\.05, sigma=6\.0, h=1000000\.0, k=10\.0"):
-        rfactor(SequenceParams(0.05, 6.0), 1e6, 10.0)
-
-
-def test_rfactor_finite_although_the_h_factor_underflows():
-    # h^(-(s-1)/tau) = e^-746 underflows to 0, (s-1)/(tau s) = 3.5e16 brings R back
-    s, h = 1.5, 1.0 + 2.0 ** -46
-    params, k = SequenceParams((s - 1.0) * math.log(h) / 746.0, s), 10.0
-    tau = params.tau
-    assert h ** (-(s - 1.0) / tau) == 0.0
-    ln_r = (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
-            + math.log(math.log(math.e + k)))
-    assert rfactor(params, h, k) == pytest.approx(math.exp(ln_r), rel=1e-12, abs=0.0)
-
-
-def test_rfactor_finite_although_the_h_factor_overflows():
-    # h^(-(s-1)/tau) = e^(1.03 * 690.8) overflows, (s-1)/(tau s) = 1.03e-6 brings R back
-    s = 1e6
-    params, h, k = SequenceParams((s - 1.0) / 1.03, s), 1e-300, 10.0
-    tau = params.tau
-    ln_r = (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
-            + math.log(math.log(math.e + k)))
-    assert rfactor(params, h, k) == pytest.approx(math.exp(ln_r), rel=1e-12)
 
 
 def test_sandwich_bounds():
@@ -366,14 +337,6 @@ def test_sandwich_bounds():
 def test_sandwich_needs_wide_grid():
     with pytest.raises(UsageError):
         sandwich_bounds_check(SequenceParams(1.0, 2.0), 1.0, np.logspace(0, 2, 50))
-
-
-def test_h_shift_offsets():
-    params = SequenceParams(1.0, 2.0)
-    k = np.logspace(0.5, 10, 200)
-    rep = h_shift_check(params, 2.0, 0.5, 2.0, k)
-    assert rep.holds
-    assert rep.A <= rep.B
 
 
 # -- AssocFnResult is a named tuple ------------------------------------------------

@@ -30,7 +30,7 @@ def test_grid_parsing():
     assert zero[0] == 0.0 and zero[-1] == pytest.approx(700.0)
 
 
-@pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:1:8", "1:100:2"])
+@pytest.mark.parametrize("spec", ["1:2", "a:b:c", "5:1:8", "1:100:2", "-5:-1:8"])
 def test_grid_parse_errors(spec):
     with pytest.raises(cli.UsageError):
         cli.parse_grid(spec)
@@ -105,6 +105,25 @@ def test_phi_rows_are_sorted_and_distinct(capsys):
     assert code == 0
     t = [r["t"] for r in json.loads(out)]
     assert t == np.linspace(0.0, math.e, 5).tolist()
+
+
+@pytest.mark.parametrize("fmt, want", [("csv", "t,phi_sigma\r\n"), ("json", "[]\n")])
+def test_phi_without_a_point_t_ge_0_is_a_header_only_table(fmt, want, capsys):
+    code, out, _ = run_cli(["phi", "--grid=-5:-1:8", "--linear", "--format", fmt], capsys)
+    assert (code, out) == (0, want)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sequence", "--tau", "inf"], "tau must be finite, got inf"),
+    (["quotients", "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["sequence", "--kind", "gevrey", "--t", "inf"], "gevrey index must be finite, got inf"),
+    (["verify", "--tau", "inf"], "tau must be finite, got inf"),
+    (["assocfn", "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["phi", "--sigma", "inf"], "sigma must be finite, got inf"),
+    (["conjugate", "--sigma", "inf"], "finite sigma > 1, got sigma=inf")])
+def test_infinite_parameters_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "") and message in err
 
 
 def test_assocfn_includes_both_methods(capsys):
@@ -308,8 +327,7 @@ def _conjugate_columns():
     return [y, t_star, phi_star], ["y", "t_star", "phi_star"]
 
 
-def _sequence_columns(quotients):
-    seq = sequences.extended_gevrey(SequenceParams(1.0, 2.0))
+def _sequence_columns(quotients, seq=sequences.extended_gevrey(SequenceParams(1.0, 2.0))):
     p = sequences.default_p_grid(300)
     if quotients:
         return [p, seq.log_m(p)], ["p", "log_m"]
@@ -320,6 +338,10 @@ _COMMANDS = {
     "lambertw": (["lambertw", "--grid", "0:1e3:4"], _lambertw_columns),
     "sequence": (["sequence", "--pmax", "300"], lambda: _sequence_columns(False)),
     "quotients": (["quotients", "--pmax", "300"], lambda: _sequence_columns(True)),
+    "sequence gevrey": (["sequence", "--pmax", "300", "--kind", "gevrey", "--t", "2"],
+                        lambda: _sequence_columns(False, sequences.gevrey(2.0))),
+    "quotients gevrey": (["quotients", "--pmax", "300", "--kind", "gevrey", "--t", "2"],
+                         lambda: _sequence_columns(True, sequences.gevrey(2.0))),
     "assocfn": (["assocfn", "--grid", "1:1e8:8"], lambda: _assocfn_columns("1:1e8:8", 1.0)),
     "assocfn h=2": (["assocfn", "--h", "2", "--grid", "1:1e8:8"],
                     lambda: _assocfn_columns("1:1e8:8", 2.0)),
@@ -472,8 +494,10 @@ def test_the_shared_parser_carries_no_state_between_calls(capsys):
 
 # -- verify off the default point: a full report, a documented exit code -------
 
+# sigma = 200 and 800: 64^sigma and 3^sigma leave the floats
 _LATTICE = [(0.05, 1.2, 1.0), (0.05, 6.0, 1e-6), (0.2, 1.01, 1e-6),
-            (0.2, 1.05, 1e6), (1.0, 1.05, 1.0), (50.0, 1.05, 1e6)]
+            (0.2, 1.05, 1e6), (1.0, 1.05, 1.0), (50.0, 1.05, 1e6),
+            (1.0, 200.0, 1.0), (1.0, 800.0, 1.0)]
 
 
 @pytest.mark.parametrize("tau, sigma, h", _LATTICE)

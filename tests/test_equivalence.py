@@ -62,8 +62,7 @@ def test_t_phi_tau_scaling_band():
 
 
 def test_t_phi_h_robustness():
-    # the band fit still succeeds away from h = 1; the additive-offset
-    # relation between different h values is covered by h_shift_check
+    # the band fit still succeeds away from h = 1
     r2 = check_T_phi_equivalence(SequenceParams(1.0, 2.0), h=10.0)
     assert r2.holds
     assert r2.fitted_constants["B"] > 0

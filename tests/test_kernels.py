@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_sup,
-                       assoc_fn_sup_grid, evaluate_w)
+from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_counting_grid,
+                       assoc_fn_sup, assoc_fn_sup_grid, evaluate_w)
 from extgevrey import lambert_w0
 from extgevrey import _kernels, assocfn
 from extgevrey.lambertw import w_residual
@@ -471,6 +471,55 @@ def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
         _kernels._counting_sum_scalar(log_m(n) + 1e-9, tau, sigma)
     with pytest.raises(NumericalError, match="past p = 4096"):
         assoc_fn_counting(SequenceParams(tau, sigma), math.exp(log_m(n) + 1e-9))
+
+
+# -- past sigma ~ 170 a power p^sigma leaves the floats ------------------------
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [200.0, 800.0])
+def test_sup_and_counting_agree_where_p_to_the_sigma_overflows(sigma):
+    # 64^200 overflows in the counting gallop, 3^800 among the sup's candidates;
+    # log m_2 = 2^sigma ln 2 passes every ln k, so only p = 1 counts: T = ln_+ k
+    params = SequenceParams(1.0, sigma)
+    k = np.array([0.5, 1.0, 1.5, 1e3, 1e10, 1e300])
+    T, argmax = assoc_fn_sup_grid(params, 1.0, k)
+    Tc, counts = assoc_fn_counting_grid(params, k)
+    np.testing.assert_array_equal(T, np.maximum(np.log(k), 0.0))
+    np.testing.assert_array_equal(Tc, T)
+    assert argmax.tolist() == [0, 0, 1, 1, 1, 1] and counts.tolist() == [0, 1, 1, 1, 1, 1]
+    for kj, Tj, pj, nj in zip(k.tolist(), T.tolist(), argmax.tolist(), counts.tolist()):
+        assert assoc_fn_sup(params, 1.0, kj)[:2] == (Tj, pj)
+        assert assoc_fn_counting(params, kj)[:2] == (Tj, nj)
+    # ln 2 < tau ln 3: the overflowing candidates still fall below 0 at h = 2
+    g1 = math.log(10.0) + math.log(2.0)     # g(1) = ln k + ln h
+    assert assoc_fn_sup(params, 2.0, 10.0)[:2] == (g1, 1)
+    assert assoc_fn_sup_grid(params, 2.0, [10.0])[0].tolist() == [g1]
+
+
+def test_overflowing_powers_that_decide_nothing_raise():
+    # ln h > tau ln p: g(p) = p^sigma (ln h - tau ln p) + p ln k has no float value
+    params = SequenceParams(1.0, 800.0)
+    msg = r"overflows a float at the candidate p = .*tau=1\.0, sigma=800\.0, h=1000000, k=10$"
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_sup(params, 1e6, 10.0)
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_sup_grid(params, 1e6, [10.0])
+    # 2^1100 overflows, and the mean-value bound log m_2 >= tau = 1 does not pass ln k
+    params = SequenceParams(1.0, 1100.0)
+    msg = r"at p = 2 and its lower bound does not pass ln k = 23\.02.*: tau=1\.0, sigma=1100\.0$"
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_counting(params, 1e10)
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_counting_grid(params, [1e10])
+    assert assoc_fn_sup(params, 1.0, 1e10)[:2] == (math.log(1e10), 1)
+    # at tau = 1e-310 the bound fails at p = 35, where 35^200 overflows though log m_35
+    # is finite: a table that took the overflowed quotients as past ln k gave N = 34, not 35
+    msg = r"p = 3[56] .*tau=1e-310, sigma=200\.0$"
+    for lnk in (1.0, 700.0):
+        with pytest.raises(NumericalError, match=msg):
+            _kernels._counting_sum_scalar(lnk, 1e-310, 200.0)
+        with pytest.raises(NumericalError, match=msg):
+            _kernels.counting_sum_grid(np.array([lnk]), 1e-310, 200.0)
 
 
 # -- the scalar W loops against loops that redo the tolerance every step -------

@@ -11,7 +11,7 @@ import pytest
 from extgevrey import (DomainError, SequenceParams, assoc_fn_sup, check_condition,
                        check_T_phi_equivalence, check_w3_bounds, check_w_identities,
                        check_weight_axioms, conjugate_table, default_k_grid, evaluate_w,
-                       extended_gevrey, extended_matrix, h_shift_check, lemma_quotient_bounds,
+                       extended_gevrey, extended_matrix, lemma_quotient_bounds,
                        power_weight, sandwich_bounds_check, slope_band)
 from extgevrey.conjugate import integral_closed_form_check
 
@@ -36,10 +36,8 @@ RECORDS = [
     ("SandwichReport", ("params", "h", "k", "T", "E", "A1", "B1", "A2", "B2", "ratio_lo",
                         "ratio_hi", "holds"),
      {}, lambda: sandwich_bounds_check(_P, 1.0, default_k_grid())),
-    ("HShiftReport", ("A", "B", "holds", "max_violation"), {},
-     lambda: h_shift_check(_P, 1.0, 0.5, 2.0, default_k_grid())),
     ("WeightFn", ("name", "fn"), {}, lambda: power_weight(1.0)),
-    ("ConjugateTable", ("y", "t_star", "phi_star", "phi"), {"phi": None},
+    ("ConjugateTable", ("y", "t_star", "phi_star"), {},
      lambda: conjugate_table(lambda t: t * t, [1.0, 2.0])),
     ("AxiomReport", ("name", "alpha", "beta", "gamma", "delta", "details"), {},
      lambda: check_weight_axioms(power_weight(1.0))),
@@ -87,7 +85,11 @@ def test_every_record_is_a_named_tuple(name, fields, defaults, make):
     (math.nan, 2.0, "tau must be positive, got nan"),
     (1.0, 1, "sigma must exceed 1, got 1"),
     (1.0, 0.5, "sigma must exceed 1, got 0.5"),
-    (1.0, math.nan, "sigma must exceed 1, got nan")])
+    (1.0, math.nan, "sigma must exceed 1, got nan"),
+    (math.inf, 2.0, "tau must be finite, got inf"),
+    (-math.inf, 2.0, "tau must be positive, got -inf"),
+    (1.0, math.inf, "sigma must be finite, got inf"),
+    (math.inf, math.inf, "tau must be finite, got inf")])
 def test_sequence_params_rejects_what_it_rejected(tau, sigma, message):
     for build in (lambda: SequenceParams(tau, sigma),
                   lambda: SequenceParams._make((tau, sigma)),

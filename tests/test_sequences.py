@@ -11,7 +11,7 @@ from extgevrey import (
     UsageError,
     check_condition,
     check_liminf_condition,
-    constant_quotient,
+    LogWeightSequence,
     default_p_grid,
     extended_gevrey,
     gevrey,
@@ -189,7 +189,9 @@ def test_liminf_condition(tau, sigma):
 
 
 def test_liminf_fails_for_constant_quotients():
-    rep = check_liminf_condition(constant_quotient(), 3, 1000)
+    # M_p = 1: every quotient is 1, so log m_Qp - log m_p is 0, never positive
+    constant = LogWeightSequence("constant_quotient", lambda p: np.zeros_like(p))
+    rep = check_liminf_condition(constant, 3, 1000)
     assert not rep.holds
 
 
