@@ -271,10 +271,15 @@ def test_envelope_where_the_h_factor_overflows():
         ln_r = (-(s - 1.0) / tau * math.log(1e-6) + (s - 1.0) / s
                 + math.log((s - 1.0) / (tau * s)) + np.log(np.log(math.e + k[1:])))
         np.testing.assert_allclose(w + np.log(w), ln_r, rtol=1e-12)
-    # at sigma = 1e6, h = 1e-300 the factor e^(1.03 * 690.8) overflows but
-    # (s-1)/(tau s) = 1.03e-6 brings R itself back into the floats
+
+
+def test_rfactor_finite_although_the_h_factor_overflows():
+    # the R factor inside envelope: at sigma = 1e6, h = 1e-300 the factor
+    # h^(-(s-1)/tau) = e^(1.03 * 690.8) overflows, but (s-1)/(tau s) = 1.03e-6
+    # brings R itself back into the floats
     s, h = 1e6, 1e-300
     params = SequenceParams((s - 1.0) / 1.03, s)
+    k = np.logspace(0.0, 12.0, 13)
     ln_r = (-(s - 1.0) / params.tau * math.log(h) + (s - 1.0) / s
             + math.log((s - 1.0) / (params.tau * s)) + np.log(np.log(math.e + k[1:])))
     want = lambert_w0_grid(np.exp(ln_r)) ** (-1.0 / (s - 1.0)) * np.log(k[1:]) ** (s / (s - 1.0))
