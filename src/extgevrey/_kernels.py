@@ -17,12 +17,14 @@ for all k; the scalar `_assoc_sup_scalar` takes the same candidates in `math`,
 since a numpy call on one point costs more than the whole scalar path.
 
 The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
-N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p:
-`counting_sum_grid` finds every N by `searchsorted` in one quotient table, and
-`_counting_sum_scalar` finds one N by galloping and bisecting in `math`.
+N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p.
+With log m_p = tau p^sigma B(p) (`_quotient_factor`), both routes compare
+sigma ln p + ln B(p) with ln ln k - ln tau: values that neither cancel nor overflow.
+`_counting_sum_scalar` finds one N by galloping and bisecting in `math`,
+`counting_sum_grid` every N by `searchsorted` in one table.
 
-Where p^sigma leaves the floats (sigma > 170 at p = 64), a sup candidate scores -inf and
-a quotient counts as past ln k if a bound proves it, else NumericalError.
+Where p^sigma leaves the floats (sigma > 170 at p = 64), a sup candidate scores -inf
+if its sign is proven, else NumericalError.
 """
 
 import math
@@ -36,6 +38,7 @@ _W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
 _BLOCK = 8192        # W points per Halley block: its temporaries stay in L2
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
+_LN_POW_MAX = 709.0      # sigma ln p below this, p^sigma is a float (ln of the largest is 709.78)
 _MAX = sys.float_info.max
 
 
@@ -256,62 +259,68 @@ def ext_log_M(p, tau, sigma):
     return np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
 
 
-def _log_m(p, tau, sigma):
-    """log m_p = log M_p - log M_(p-1) at an integer p >= 2, in scalar math."""
-    return tau * p ** sigma * math.log(p) - tau * (p - 1) ** sigma * math.log(p - 1)
+def _quotient_factor(p, lp, sigma):
+    """B(p) = log m_p / (tau p^sigma) at float p >= 2, lp = ln p: with l = log1p(-1/p)
+    and em = expm1(sigma l), B = -em ln p - (1 + em) l, a sum of two positive terms, so
+    it does not cancel as the difference tau p^sigma ln p - tau (p-1)^sigma ln(p-1) does.
+    In place where it can be: a counting table holds up to _COUNT_P_CAP of them."""
+    l = np.log1p(-1.0 / p)
+    em = np.expm1(sigma * l)
+    b = em * lp
+    em += 1.0
+    em *= l
+    b += em
+    return -b
 
 
-def _check_log_m_past(p, lnk, tau, sigma):
-    """For p with p^sigma past the floats: NumericalError unless the mean-value bound
-    log m_p >= tau (p-1)^(sigma-1) (sigma ln(p-1) + 1), rising in p, passes ln k."""
-    lp = math.log(p - 1)
-    if lnk > 0.0 and not math.log(tau) + (sigma - 1.0) * lp + math.log1p(sigma * lp) > math.log(lnk):
-        raise NumericalError(f"log m_p overflows a float at p = {p} and its lower bound does not "
-                             f"pass ln k = {lnk!r}: tau={tau!r}, sigma={sigma!r}")
-
-
-def _count_table_size(lnk, tau, sigma):
-    """The least n = 64 * 2^j with log m_n > ln k; NumericalError where n passes _COUNT_P_CAP."""
-    n = 64
-    try:
-        while _log_m(n, tau, sigma) <= lnk:
-            if n >= _COUNT_P_CAP:
-                raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
-                                     f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
-            n *= 2
-    except OverflowError:
-        _check_log_m_past(n, lnk, tau, sigma)
-    return n
+def ext_log_m(p, tau, sigma):
+    """log m_p = log M_p - log M_(p-1) = tau p^sigma B(p) at float p >= 1, 0 at p = 1."""
+    q = np.maximum(p, 2.0)
+    return np.where(p > 1, tau * p ** sigma * _quotient_factor(q, np.log(q), sigma), 0.0)
 
 
 def _counting_sum_scalar(lnk, tau, sigma):
-    """(T(k), N) at one ln k, in `math`: (0, 0) for k < 1 and (0, 1) at k = 1 (log m_1 = 0)."""
+    """(T(k), N) at one ln k, in `math`: (0, 0) for k < 1 and (0, 1) at k = 1 (log m_1 = 0).
+
+    N is found by galloping over p = 64 * 2^j, then bisecting, on the finite
+    sigma ln p + ln B(p) <= ln ln k - ln tau, with `_quotient_factor`'s B written inline
+    (a call per quotient made a count about 20% slower). NumericalError where N passes
+    _COUNT_P_CAP, or where N^sigma in log M_N = tau N^sigma ln N leaves the floats."""
     if lnk <= 0.0:
         return 0.0, int(lnk == 0.0)
-    hi = _count_table_size(lnk, tau, sigma)
-    lo = hi // 2 if hi > 64 else 1      # log m_lo <= ln k < log m_hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            if _log_m(mid, tau, sigma) <= lnk:
-                lo = mid
-                continue
-        except OverflowError:
-            _check_log_m_past(mid, lnk, tau, sigma)
-        hi = mid
-    return lo * lnk - tau * lo ** sigma * math.log(lo), lo
+    log, log1p, expm1 = math.log, math.log1p, math.expm1
+    rhs = log(lnk) - log(tau)
+    lo, hi, p = 1, 0, 64     # log m_lo <= ln k; hi = 0 while galloping, then log m_hi > ln k
+    while True:
+        lp, l = log(p), log1p(-1.0 / p)
+        em = expm1(sigma * l)
+        if sigma * lp + log((-1.0 - em) * l - em * lp) <= rhs:
+            if not hi and p >= _COUNT_P_CAP:
+                raise NumericalError(f"the counting sum needs quotients m_p past p = {_COUNT_P_CAP}: "
+                                     f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
+            lo = p
+        else:
+            hi = p
+        if hi - lo == 1:
+            break
+        p = (lo + hi) // 2 if hi else 2 * p
+    lp = log(lo)
+    if not sigma * lp < _LN_POW_MAX:
+        raise NumericalError(f"log M_N = tau N^sigma ln N needs N^sigma past the floats at N = {lo}: "
+                             f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
+    return lo * lnk - tau * lo ** sigma * lp, lo
 
 
 def counting_sum_grid(lnk_arr, tau, sigma):
+    """(T(k), N) for every ln k: the scalar search finds the largest N (and raises where it
+    does), then `searchsorted` finds every N in one table of ln log m_p, p = 2 .. N_max."""
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
-    n = _count_table_size(lnk_max, tau, sigma)
-    p0 = max(2, int(math.exp(math.log(_MAX) / sigma) * (1.0 - 1e-12)) + 1)    # p^sigma < _MAX below p0
-    if p0 <= n:     # the table's log m_p may be inf or NaN from p0 on: past ln k there
-        _check_log_m_past(p0, lnk_max, tau, sigma)
-    # where tau p^sigma overflows (tau near the largest float) log m_p is inf or NaN, past every ln k
-    with np.errstate(over="ignore", invalid="ignore"):
-        logM = ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma)
-        logm = np.diff(logM)
-    counts = np.searchsorted(logm, lnk_arr, side="right")   # logm[j] = log m_{j+1}
-    return np.maximum(lnk_arr, 0.0) * counts - logM[counts], counts.astype(np.int64)
+    n = _counting_sum_scalar(float(np.max(lnk_arr)) if lnk_arr.size else 0.0, tau, sigma)[1]
+    p = np.arange(2, n + 1, dtype=np.float64)
+    lp = np.log(p)
+    lnlogm = np.log(_quotient_factor(p, lp, sigma))
+    lnlogm += sigma * lp            # ln log m_p - ln tau
+    rhs = np.log(lnk_arr, out=np.full_like(lnk_arr, -math.inf), where=lnk_arr > 0.0) - math.log(tau)
+    counts = np.searchsorted(lnlogm, rhs, side="right") + (lnk_arr >= 0.0)    # log m_1 = 0
+    logM = ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma)
+    return np.maximum(lnk_arr, 0.0) * counts - logM[counts], counts

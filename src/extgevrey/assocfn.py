@@ -165,33 +165,24 @@ def _ln_r(tau, s, h, ln_ek):
 
 
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
-    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, from ln R where R leaves the normal floats.
+    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, 0 for k <= 1.
 
-    E is 0 for k <= 1. Where a factor overflows, or the product does not come out
-    a positive float, E comes from ln E; NumericalError where E passes the largest float."""
+    The product is kept where R is a normal float and E comes out a positive float.
+    Elsewhere E = exp((s ln ln k - ln R + W(R))/(s-1)), from ln W(R) = ln R - W(R) with
+    W from ln R; NumericalError where E passes the largest float."""
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
     ln_ek = np.log(math.e + k)
     r = _r_direct(tau, s, h, ln_ek)
-    over, under = r == math.inf, r < _TINY
-    mid = ~(over | under)
-    w = np.empty_like(ln_ek)                    # W(R), and ln R where R underflows
-    w[mid] = lambert_w0_grid(r[mid])
-    w[over] = w0_exp_grid(_ln_r(tau, s, h, ln_ek[over]))     # ln R >> 1
-    # W(R) = R - R^2 + ... below the normal floats: ln W = ln R - W(R) rounds to ln R
-    w[under] = _ln_r(tau, s, h, ln_ek[under])
     lnk = np.log(np.maximum(k, 1.0))
+    direct = (k > 1.0) & (r >= _TINY) & (r < math.inf)
+    E = np.zeros_like(lnk)
     with np.errstate(over="ignore", invalid="ignore"):
-        wp = np.empty_like(w)                   # W(R)^(-1/(s-1))
-        wp[~under] = w[~under] ** (-1.0 / (s - 1.0))
-        wp[under] = np.exp(w[under] / -(s - 1.0))
-        E = wp * lnk ** (s / (s - 1.0))
-    E[k <= 1.0] = 0.0
+        E[direct] = lambert_w0_grid(r[direct]) ** (-1.0 / (s - 1.0)) * lnk[direct] ** (s / (s - 1.0))
     redo = (k > 1.0) & ~((E > 0.0) & (E < math.inf))
     if redo.any():
-        ln_w = w[redo]
-        ln_w[~under[redo]] = np.log(ln_w[~under[redo]])
-        ln_e = (s * np.log(lnk[redo]) - ln_w) / (s - 1.0)
+        ln_r = _ln_r(tau, s, h, ln_ek[redo])
+        ln_e = (s * np.log(lnk[redo]) - ln_r + w0_exp_grid(ln_r)) / (s - 1.0)
         with np.errstate(over="ignore"):
             E[redo] = np.exp(ln_e)
         if (E[redo] == math.inf).any():

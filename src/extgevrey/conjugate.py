@@ -280,25 +280,17 @@ class AxiomReport(NamedTuple):
     def passed(self):
         return self.alpha and self.beta and self.gamma and self.delta
 
-    def to_dict(self):
-        return {"weight": self.name, "alpha": self.alpha, "beta": self.beta,
-                "gamma": self.gamma, "delta": self.delta, "passed": self.passed,
-                "details": self.details}
 
-
-def check_weight_axioms(w: WeightFn, grid=None) -> AxiomReport:
+def check_weight_axioms(w: WeightFn) -> AxiomReport:
     """Classify omega against the four weight-function axioms.
 
     Doubling (alpha) and linear-growth (beta) are sup-stabilization
-    checks on the top half of the grid; the log-domination axiom (gamma)
-    requires the top-decade max of ln t / omega(t) to drop below half of
-    the first-half max (a slowly decaying ratio needs a wide grid, hence
-    the 12-decade default); convexity (delta) checks second divided
-    differences of omega(e^t).
+    checks on the top half of the grid t in [1e2, 1e14]; the log-domination
+    axiom (gamma) requires the top-decade max of ln t / omega(t) to drop below
+    half of the first-half max (a slowly decaying ratio needs the grid's 12
+    decades); convexity (delta) checks second divided differences of omega(e^t).
     """
-    t = np.logspace(2, 14, 64 * 12) if grid is None else np.sort(np.asarray(grid, dtype=np.float64))
-    if t.max() / t.min() < 1e8:
-        raise DomainError("axiom grid must span at least 8 decades")
+    t = np.logspace(2, 14, 64 * 12)
     wt = w(t)
     top = t >= math.sqrt(t.min() * t.max())
     tt, wt_top = t[top], wt[top]

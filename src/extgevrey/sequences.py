@@ -10,8 +10,8 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import ext_log_M
-from .errors import DomainError, RangeError, UsageError
+from ._kernels import ext_log_M, ext_log_m
+from .errors import DomainError, NumericalError, RangeError, UsageError
 
 __all__ = [
     "SequenceParams",
@@ -52,36 +52,44 @@ class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", flo
 
 
 class LogWeightSequence(NamedTuple):
-    """An evaluable sequence p -> log M_p with log M_0 = 0."""
+    """An evaluable sequence p -> log M_p with log M_0 = 0. `m_fn`, where given, is
+    p -> log m_p at float p >= 1; else log m_p is the difference of two `fn` values."""
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     params: Optional[SequenceParams] = None
+    m_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def log_M(self, p):
+        return self._values(self.fn, p, 0, "log M_p")
+
+    def log_m(self, p):
+        return self._values(self.m_fn or (lambda a: self.fn(a) - self.fn(a - 1)), p, 1, "log m_p")
+
+    def _values(self, fn, p, least, what):
+        """fn at the integers p in [least, _P_LIMIT], a float for a scalar p;
+        NumericalError where a value leaves the floats."""
         scalar = np.isscalar(p)
         arr = np.asarray(p)
         if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
             raise RangeError("sequence index p must be an integer")
         arr = arr.astype(np.float64)
-        if arr.size and (arr.min() < 0 or arr.max() > _P_LIMIT):
-            raise RangeError(f"p must lie in [0, {_P_LIMIT}]")
-        out = self.fn(arr)
-        return float(out) if scalar else out
-
-    def log_m(self, p):
-        scalar = np.isscalar(p)
-        arr = np.asarray(p)
-        if arr.size and arr.min() < 1:
-            raise RangeError("quotients m_p are defined for p >= 1")
-        out = self.log_M(arr) - self.log_M(arr - 1)
+        if arr.size and not least <= arr.min() <= arr.max() <= _P_LIMIT:
+            raise RangeError(f"p must lie in [{least}, {_P_LIMIT}]")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(arr)
+        if not np.isfinite(out).all():
+            at = f": tau={self.params.tau!r}, sigma={self.params.sigma!r}" if self.params else ""
+            raise NumericalError(f"{what} of the {self.kind} sequence leaves the floats at "
+                                 f"p = {int(arr[~np.isfinite(out)].flat[0])}{at}")
         return float(out) if scalar else out
 
 
 def extended_gevrey(params: SequenceParams) -> LogWeightSequence:
-    """log M_p = tau * p^sigma * ln p."""
+    """log M_p = tau * p^sigma * ln p, and its quotients log m_p without cancellation."""
     tau, sigma = params.tau, params.sigma
-    return LogWeightSequence("extended_gevrey", lambda p: ext_log_M(p, tau, sigma), params)
+    return LogWeightSequence("extended_gevrey", lambda p: ext_log_M(p, tau, sigma), params,
+                             lambda p: ext_log_m(p, tau, sigma))
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])

@@ -77,6 +77,16 @@ def test_counting_past_its_table_cap_exits_3(capsys):
     assert code == 3 and "counting sum" in err and "sigma=1.05" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, column", [("sequence", "log M_p"), ("quotients", "log m_p")])
+def test_tables_past_the_float_range_exit_3(command, column, capsys):
+    # tau 35^200 ln 35 passes the largest float: no inf or nan rows
+    code, out, err = run_cli([command, "--sigma", "200", "--pmax", "40"], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"numerical failure: {column} of the extended_gevrey sequence leaves the floats "
+                   f"at p = 35: tau=1.0, sigma=200.0\n")
+
+
 def test_lambertw_csv(capsys):
     code, out, _ = run_cli(["lambertw", "--grid", "1:1e4:4"], capsys)
     assert code == 0
@@ -500,9 +510,14 @@ _LATTICE = [(0.05, 1.2, 1.0), (0.05, 6.0, 1e-6), (0.2, 1.01, 1e-6),
             (1.0, 200.0, 1.0), (1.0, 800.0, 1.0)]
 
 
+# where log M_p leaves the floats (35^200 does), the claims on the sequence report that error
+_SEQUENCE_CLAIMS = {"lemma-quotient-bounds", "m1", "m2prime", "m2tilde", "m3prime", "m4",
+                    "m4prime", "m5", "m0", "liminf"}
+
+
 @pytest.mark.parametrize("tau, sigma, h", _LATTICE)
 def test_verify_on_the_parameter_lattice_ends_in_a_full_report(tau, sigma, h):
-    argv = [sys.executable, "-m", "extgevrey.cli", "verify",
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "extgevrey.cli", "verify",
             "--tau", repr(tau), "--sigma", repr(sigma), "--h", repr(h)]
     res = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert res.returncode in (0, 1, 3)
@@ -511,6 +526,10 @@ def test_verify_on_the_parameter_lattice_ends_in_a_full_report(tau, sigma, h):
     assert set(doc["claims"]) == set(cli.CLAIMS)
     assert doc["parameters"]["tau"] == tau and doc["parameters"]["h"] == h
     assert doc["passed"] == (res.returncode == 0)
+    if sigma == 200.0:
+        for name in _SEQUENCE_CLAIMS:
+            claim = doc["claims"][name]
+            assert claim["holds"] is False and "leaves the floats at p = 3" in claim["error"], name
 
 
 # -- the default report, pinned ----------------------------------------------------

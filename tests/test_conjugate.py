@@ -230,11 +230,6 @@ def test_axiom_classification():
     assert not rep.beta and not rep.passed
 
 
-def test_axiom_grid_width_guard():
-    with pytest.raises(DomainError):
-        check_weight_axioms(bmt_log_power(2.0), grid=np.logspace(2, 4, 50))
-
-
 @pytest.mark.parametrize("tau,sigma", [(1.0, 2.0), (2.0, 3.0), (0.5, 1.5)])
 def test_integral_closed_form(tau, sigma):
     params = SequenceParams(tau, sigma)

@@ -195,15 +195,17 @@ def test_counting_paths_agree():
 
 
 def _counting_sum_cumsum(lnk_arr, tau, sigma):
-    """`counting_sum_grid` as it was: T from the cumulative sum of the quotient table. An oracle only."""
+    """`counting_sum_grid` as it was: T from the cumulative sum of the quotient table, the
+    table sized by the cancellation-free quotient of the kernels. An oracle only."""
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
     n = 64
-    while tau * n ** sigma * math.log(n) - tau * (n - 1) ** sigma * math.log(n - 1) <= lnk_max:
-        if n >= _kernels._COUNT_P_CAP:
-            raise NumericalError(f"the counting sum needs quotients m_p past p = {_kernels._COUNT_P_CAP}: "
-                                 f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
-        n *= 2
+    with np.errstate(over="ignore"):       # log m_p is inf at tau = 1e300
+        while _kernels.ext_log_m(np.float64(n), tau, sigma) <= lnk_max:
+            if n >= _kernels._COUNT_P_CAP:
+                raise NumericalError(f"the counting sum needs quotients m_p past p = {_kernels._COUNT_P_CAP}: "
+                                     f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
+            n *= 2
     with np.errstate(over="ignore", invalid="ignore"):      # tau = 1e300: it warned there
         logm = np.diff(_kernels.ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma))
     counts = np.searchsorted(logm, lnk_arr, side="right")
@@ -225,12 +227,16 @@ def _counting_cases():
               float(1.0 + np.exp(rng.uniform(math.log(0.01), math.log(5.0))))) for _ in range(60)]
     pairs += [(tau, sigma) for tau in (1e-300, 1e300) for sigma in (1.01, 2.0, 6.0)]
     for tau, sigma in pairs:
-        top = min(700.0, _kernels._log_m(10 ** 5, tau, sigma))     # N up to 1e5, k a float; NaN at tau = 1e300
+        with np.errstate(over="ignore"):       # log m_p is inf at tau = 1e300
+            top, cap = (float(_kernels.ext_log_m(np.float64(p), tau, sigma))
+                        for p in (10 ** 5, _kernels._COUNT_P_CAP))
+        top = min(700.0, top)       # N up to 1e5, k a float
         lnk = [-0.5, -1e-300, 0.0]
         if tau > 1e-300:        # at 1e-300 every ln k > 0 passes the table cap
             lnk += [1e-300, 1e-3, *np.exp(rng.uniform(math.log(1e-3), math.log(top), 30))]
-        cap = _kernels._log_m(_kernels._COUNT_P_CAP, tau, sigma)    # inf at tau = 1e300
-        yield tau, sigma, np.array(lnk), [cap, 2.0 * cap] if cap < math.inf else []
+        # the kernels compare sigma ln p + ln B(p) with ln ln k - ln tau, each rounded to a few
+        # ulps of up to 700 (ln tau at tau = 1e-300): 1e-12 past log m_p at the cap is past it
+        yield tau, sigma, np.array(lnk), [cap * (1.0 + 1e-12), 2.0 * cap] if cap < math.inf else []
 
 
 def test_counting_sum_scalar_and_grid_match_the_cumulative_sum():
@@ -251,6 +257,53 @@ def test_counting_sum_scalar_and_grid_match_the_cumulative_sum():
             assert _counting_error(_kernels._counting_sum_scalar, v, tau, sigma) == err
 
 
+def _log_m_decimal(p, tau, sigma):
+    """log m_p = tau p^sigma ln p - tau (p-1)^sigma ln(p-1) to 50 digits, as a Decimal."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        t, s = decimal.Decimal(tau), decimal.Decimal(sigma)
+        log_M = lambda q: t * (s * decimal.Decimal(q).ln()).exp() * decimal.Decimal(q).ln()
+        return log_M(p) - log_M(p - 1)
+
+
+@pytest.mark.parametrize("sigma", [1.001, 1.01, 2.0, 6.0])
+def test_quotients_are_within_a_few_ulps(sigma):
+    # the difference of the two log M terms is off by about eps p / sigma relative
+    # (3.7e6 ulps near p = 2**22 at sigma = 1.01); tau p^sigma B(p) is not
+    rng = np.random.default_rng(17)
+    cap = _kernels._COUNT_P_CAP
+    p = sorted({2, 3, 10, 64, 1000, 2 ** 16, cap - 1, cap, *rng.integers(2, cap, 25).tolist()})
+    for tau in (1.0, 0.03):
+        want = [_log_m_decimal(q, tau, sigma) for q in p]
+        got = _kernels.ext_log_m(np.array(p, dtype=np.float64), tau, sigma)
+        w = np.array([float(v) for v in want])
+        assert np.all(np.abs(got - w) <= 8.0 * np.spacing(w)), (tau, sigma)
+        # the scalar search decides log m_p <= ln k 1e-13 relative from either side
+        for q, v in zip(p, w.tolist()):
+            below, above = v * (1.0 - 1e-13), v * (1.0 + 1e-13)
+            assert _kernels._counting_sum_scalar(below, tau, sigma)[1] == q - 1
+            if q < cap:
+                assert _kernels._counting_sum_scalar(above, tau, sigma)[1] == q
+            else:
+                with pytest.raises(NumericalError, match=f"past p = {cap}"):
+                    _kernels._counting_sum_scalar(above, tau, sigma)
+
+
+def test_scalar_and_grid_counts_agree_up_to_the_cap():
+    # ln k log-uniform in (0, log m_N] for N up to 2**22: one grid call per (tau, sigma)
+    rng = np.random.default_rng(23)
+    for j in range(12):
+        tau = float(np.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+        sigma = float(1.0 + np.exp(rng.uniform(math.log(1e-3), math.log(5.0))))
+        top = 2 ** (22 if j < 2 else int(rng.integers(8, 20))) - 1
+        lnk_max = float(_kernels.ext_log_m(np.float64(top), tau, sigma))
+        lnk = np.exp(rng.uniform(math.log(1e-3), math.log(lnk_max), 200))
+        T, counts = _kernels.counting_sum_grid(lnk, tau, sigma)
+        scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
+        assert counts.tolist() == [n for _, n in scalar], (tau, sigma)
+        np.testing.assert_allclose(T, [v for v, _ in scalar], rtol=4e-15, atol=0.0)
+
+
 def test_sup_is_attained_at_the_counting_index():
     # T(k) = N ln k - log M_N: g(p) = p ln k - log M_p rises while log m_p <= ln k,
     # so the sup's leftmost maximiser is N, except at a tie log m_N = ln k
@@ -265,8 +318,8 @@ def test_sup_is_attained_at_the_counting_index():
             except NumericalError:      # past the table cap
                 continue
             p = assoc_fn_sup(params, 1.0, k).argmax_p
-            log_m_n = _kernels._log_m(n, params.tau, params.sigma) if n >= 2 else (-math.inf, 0.0)[n]
-            if log_m_n != lnk:      # log m_1 = 0, and no m_0
+            log_m_n = float(_kernels.ext_log_m(np.float64(n), params.tau, params.sigma)) if n else -math.inf
+            if log_m_n != lnk:      # no m_0
                 assert p == n, (params, k)
 
 
@@ -475,12 +528,9 @@ def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
 
 # -- past sigma ~ 170 a power p^sigma leaves the floats ------------------------
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("sigma", [200.0, 800.0])
-def test_sup_and_counting_agree_where_p_to_the_sigma_overflows(sigma):
-    # 64^200 overflows in the counting gallop, 3^800 among the sup's candidates;
-    # log m_2 = 2^sigma ln 2 passes every ln k, so only p = 1 counts: T = ln_+ k
-    params = SequenceParams(1.0, sigma)
+def _assert_only_p_1_counts(params):
+    """log m_2 >= 2^sigma ln 2 passes every ln k, so only p = 1 counts: T = ln_+ k by
+    the sup and the counting sum, each on the grid and at single points."""
     k = np.array([0.5, 1.0, 1.5, 1e3, 1e10, 1e300])
     T, argmax = assoc_fn_sup_grid(params, 1.0, k)
     Tc, counts = assoc_fn_counting_grid(params, k)
@@ -490,10 +540,25 @@ def test_sup_and_counting_agree_where_p_to_the_sigma_overflows(sigma):
     for kj, Tj, pj, nj in zip(k.tolist(), T.tolist(), argmax.tolist(), counts.tolist()):
         assert assoc_fn_sup(params, 1.0, kj)[:2] == (Tj, pj)
         assert assoc_fn_counting(params, kj)[:2] == (Tj, nj)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [200.0, 800.0])
+def test_sup_and_counting_agree_where_p_to_the_sigma_overflows(sigma):
+    # 3^800 overflows among the sup's candidates; the counting sum forms no power but N^sigma
+    params = SequenceParams(1.0, sigma)
+    _assert_only_p_1_counts(params)
     # ln 2 < tau ln 3: the overflowing candidates still fall below 0 at h = 2
     g1 = math.log(10.0) + math.log(2.0)     # g(1) = ln k + ln h
     assert assoc_fn_sup(params, 2.0, 10.0)[:2] == (g1, 1)
     assert assoc_fn_sup_grid(params, 2.0, [10.0])[0].tolist() == [g1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sigma", [1100.0, 1e6])
+def test_counting_equals_the_sup_where_2_to_the_sigma_overflows(sigma):
+    # ln log m_p = ln tau + sigma ln p + ln B(p) stays a float wherever p^sigma does not
+    _assert_only_p_1_counts(SequenceParams(1.0, sigma))
 
 
 def test_overflowing_powers_that_decide_nothing_raise():
@@ -504,17 +569,13 @@ def test_overflowing_powers_that_decide_nothing_raise():
         assoc_fn_sup(params, 1e6, 10.0)
     with pytest.raises(NumericalError, match=msg):
         assoc_fn_sup_grid(params, 1e6, [10.0])
-    # 2^1100 overflows, and the mean-value bound log m_2 >= tau = 1 does not pass ln k
+    # 2^1100 overflows, but ln log m_2 = 1100 ln 2 + ln B(2) does not: N = 1, T = ln k, as the sup
     params = SequenceParams(1.0, 1100.0)
-    msg = r"at p = 2 and its lower bound does not pass ln k = 23\.02.*: tau=1\.0, sigma=1100\.0$"
-    with pytest.raises(NumericalError, match=msg):
-        assoc_fn_counting(params, 1e10)
-    with pytest.raises(NumericalError, match=msg):
-        assoc_fn_counting_grid(params, [1e10])
+    assert assoc_fn_counting(params, 1e10)[:2] == (math.log(1e10), 1)
+    assert [a.tolist() for a in assoc_fn_counting_grid(params, [1e10])] == [[math.log(1e10)], [1]]
     assert assoc_fn_sup(params, 1.0, 1e10)[:2] == (math.log(1e10), 1)
-    # at tau = 1e-310 the bound fails at p = 35, where 35^200 overflows though log m_35
-    # is finite: a table that took the overflowed quotients as past ln k gave N = 34, not 35
-    msg = r"p = 3[56] .*tau=1e-310, sigma=200\.0$"
+    # at tau = 1e-310, N = 35 or 36 is found, but N^200 in log M_N = tau N^sigma ln N overflows
+    msg = r"at N = 3[56]: tau=1e-310, sigma=200\.0, k up to exp\((1|700)\.0\)$"
     for lnk in (1.0, 700.0):
         with pytest.raises(NumericalError, match=msg):
             _kernels._counting_sum_scalar(lnk, 1e-310, 200.0)

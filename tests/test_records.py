@@ -21,7 +21,8 @@ _P = SequenceParams(1.0, 2.0)       # the default point of `extgevrey verify`
 # (name, fields in order, defaults, a default-point instance)
 RECORDS = [
     ("SequenceParams", ("tau", "sigma"), {}, lambda: _P),
-    ("LogWeightSequence", ("kind", "fn", "params"), {"params": None}, lambda: extended_gevrey(_P)),
+    ("LogWeightSequence", ("kind", "fn", "params", "m_fn"), {"params": None, "m_fn": None},
+     lambda: extended_gevrey(_P)),
     ("ConditionReport", ("condition", "p_range", "holds", "fitted_constant", "witness"),
      {"fitted_constant": None, "witness": None}, lambda: check_condition("M.0", _P, 10_000)),
     ("LemmaBoundsReport", ("params", "p_range", "passed", "max_lower_violation",
@@ -56,12 +57,6 @@ DICT_FORMS = {
     "ConditionReport": (lambda r: r.to_dict(), _GOLDEN["m0"]["details"]),
     "SandwichReport": (lambda r: r.fitted(), _GOLDEN["sandwich"]["details"]),
     "EquivalenceReport": (lambda r: r._asdict(), _GOLDEN["t-phi-equivalence"]["details"]),
-    "AxiomReport": (lambda r: r.to_dict(), {
-        "weight": "|t|^1.0", "alpha": True, "beta": True, "gamma": True, "delta": True,
-        "passed": True, "details": {"alpha_sup": 2.0, "beta_sup": 1.0,
-                                    "gamma_top": 2.899320989894628e-12,
-                                    "gamma_head": 0.04605170185988092,
-                                    "delta_defect": 0.0005310980702817726}}),
 }
 
 

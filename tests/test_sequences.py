@@ -6,6 +6,7 @@ import pytest
 
 from extgevrey import (
     DomainError,
+    NumericalError,
     RangeError,
     SequenceParams,
     UsageError,
@@ -258,13 +259,24 @@ def test_a_non_finite_sup_is_unstable():
 
 @pytest.mark.parametrize("name", ["~M.2'", "~M.4", "~M.5"])
 def test_conditions_past_the_float_range_do_not_hold(name):
-    # at tau = 1e305, log M_p overflows to inf and the differences are NaN
+    # at tau = 1e305, log M_p leaves the floats from p = 24 on: no report on inf or NaN
     params = SequenceParams(1e305, 2.0)
     second = {"~M.4": SequenceParams(2e305, 2.0), "~M.5": SequenceParams(1e305, 3.0)}
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = check_condition(name, params, 10_000, params2=second.get(name))
-    assert rep.holds is False
-    assert math.isnan(rep.fitted_constant) and rep.witness is not None
+    msg = r"^log M_p of the extended_gevrey sequence leaves the floats at p = 24: tau=1e\+305, sigma=2\.0$"
+    with pytest.raises(NumericalError, match=msg):
+        check_condition(name, params, 10_000, params2=second.get(name))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_values_past_the_float_range_raise():
+    seq = extended_gevrey(SequenceParams(1.0, 200.0))
+    for what, fn in (("log M_p", seq.log_M), ("log m_p", seq.log_m)):
+        with pytest.raises(NumericalError, match=rf"^{what} .* at p = 35: tau=1\.0, sigma=200\.0$"):
+            fn(np.arange(1, 41))
+        assert np.isfinite(fn(np.arange(1, 35))).all()
+    # a sequence without parameters names its kind; its quotients are differences of log M_p
+    with pytest.raises(NumericalError, match=r"^log m_p of the gevrey sequence leaves the floats at p = 4$"):
+        gevrey(1e308).log_m([1, 4])
 
 
 def test_the_first_unstable_row_decides_a_condition_report():
