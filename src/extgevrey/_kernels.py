@@ -185,17 +185,20 @@ def _sup_error(what, lnk, lnh, tau, sigma):
     return NumericalError(f"{what}: tau={tau!r}, sigma={sigma!r}, h={h}, k={k}")
 
 
-def _ln_x_over_lnk(tau, sigma, c):
-    """ln |x| - ln |ln k| = ln((sigma-1)/(tau sigma)) + (sigma-1) c; the quotient's log
-    is ln((sigma-1)/sigma) - ln tau where the quotient leaves the floats (tau subnormal)."""
-    q = (sigma - 1.0) / (tau * sigma)
-    lq = math.log(q) if 0.0 < q < math.inf else math.log((sigma - 1.0) / sigma) - math.log(tau)
-    return lq + (sigma - 1.0) * c
+def _ln_x_over_lnk(s1, tau, b, c):
+    """ln |x| - ln |L| = ln(s1/(tau b)) + s1 c for a W argument x = L s1/(tau b) e^(s1 c):
+    the one place it is formed. The sups pass s1 = sigma-1, b = sigma and L = ln k,
+    `envelope` the same at L = ln(e+k), `counting_fn_floor` b = 1, c = ln C/tau and
+    L = ln lambda. The quotient's log is ln(s1/b) - ln tau where the quotient leaves the
+    floats (tau subnormal), so a subnormal tau b loses no digits of the log."""
+    q = s1 / (tau * b)
+    lq = math.log(q) if 0.0 < q < math.inf else math.log(s1 / b) - math.log(tau)
+    return lq + s1 * c
 
 
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     c = (tau - sigma * lnh) / (tau * sigma)
-    lx = math.log(abs(lnk)) + _ln_x_over_lnk(tau, sigma, c) if lnk else -math.inf
+    lx = math.log(abs(lnk)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c) if lnk else -math.inf
     near = ()
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
         w, _ = w0_exp_scalar(lx, lnk)
@@ -226,7 +229,7 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     # the integers next to p*, where x >= -1/e
     c = (tau - sigma * lnh) / (tau * sigma)
     with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
-        lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(tau, sigma, c)
+        lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
     t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
     L = lnk_arr[t]
     lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c

@@ -4,18 +4,14 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 """
 
 import math
-import sys
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._kernels import (_assoc_sup_scalar, _counting_sum_scalar, assoc_sup_grid, counting_sum_grid,
-                       w0_exp_grid, w0_exp_scalar)
+from ._kernels import (_assoc_sup_scalar, _counting_sum_scalar, _ln_x_over_lnk, assoc_sup_grid,
+                       counting_sum_grid, w0_exp_grid, w0_exp_scalar)
 from .errors import DomainError, NumericalError, UsageError
-from .lambertw import lambert_w0_grid
 from .sequences import SequenceParams, _fit_band
-
-_TINY = sys.float_info.min      # the smallest normal float
 
 __all__ = [
     "AssocFnResult",
@@ -102,14 +98,15 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     reaches 1/2, more than one integer is in doubt and NumericalError is raised."""
     _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
-    lnC, lnlam, q = math.log(C), math.log(lam), (s - 1.0) / tau
-    lx = q * lnC + math.log(q * lnlam) if lnlam > 0.0 else -math.inf
+    lnC, lnlam = math.log(C), math.log(lam)
+    c = lnC / tau
+    lx = math.log(lnlam) + _ln_x_over_lnk(s - 1.0, tau, 1.0, c) if lnlam > 0.0 else -math.inf
     w = w0_exp_scalar(lx)[0]
-    ln_val = w / (s - 1.0) - lnC / tau
+    ln_val = w / (s - 1.0) - c
     val = math.exp(ln_val) if ln_val < 709.0 else math.inf
     # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
     rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
-    if val and not rel * val < 0.5:     # a NaN count too: (s-1)/tau past the floats
+    if val and not rel * val < 0.5:     # a NaN count too: ln C/tau past the floats
         raise NumericalError(f"the count exp({ln_val:.6g}) is past what the closed form resolves: "
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
     n = round(val)
@@ -149,46 +146,27 @@ def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
 # sandwich bounds
 # ---------------------------------------------------------------------------
 
-def _r_direct(tau, s, h, ln_ek):
-    """R(h, k) from the expression itself; inf where h^(-(s-1)/tau) overflows."""
-    try:
-        with np.errstate(over="ignore"):
-            return h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s) * (s - 1.0) / (tau * s) * ln_ek
-    except OverflowError:
-        return math.inf * ln_ek
-
-
-def _ln_r(tau, s, h, ln_ek):
-    """ln R(h, k), for where R itself leaves the float range."""
-    return (-(s - 1.0) / tau * math.log(h) + (s - 1.0) / s + math.log((s - 1.0) / (tau * s))
-            + np.log(ln_ek))
-
-
 def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
-    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, 0 for k <= 1.
+    """E(k) = W(R(h,k))^(-1/(s-1)) * ln_+^(s/(s-1)) k, 0 for k <= 1, with
+    R = h^(-(s-1)/tau) e^((s-1)/s) (s-1)/(tau s) ln(e+k).
 
-    The product is kept where R is a normal float and E comes out a positive float.
-    Elsewhere E = exp((s ln ln k - ln R + W(R))/(s-1)), from ln W(R) = ln R - W(R) with
-    W from ln R; NumericalError where E passes the largest float."""
+    Taken as E = exp((s ln ln k - ln W(R))/(s-1)) with ln R from `_ln_x_over_lnk`, W from
+    ln R, and ln W(R) = ln R - W(R) where W <= 1 (W underflows with R): no factor of R or
+    E is formed, so none leaves the floats. NumericalError where E passes the largest float."""
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
-    ln_ek = np.log(math.e + k)
-    r = _r_direct(tau, s, h, ln_ek)
-    lnk = np.log(np.maximum(k, 1.0))
-    direct = (k > 1.0) & (r >= _TINY) & (r < math.inf)
-    E = np.zeros_like(lnk)
-    with np.errstate(over="ignore", invalid="ignore"):
-        E[direct] = lambert_w0_grid(r[direct]) ** (-1.0 / (s - 1.0)) * lnk[direct] ** (s / (s - 1.0))
-    redo = (k > 1.0) & ~((E > 0.0) & (E < math.inf))
-    if redo.any():
-        ln_r = _ln_r(tau, s, h, ln_ek[redo])
-        ln_e = (s * np.log(lnk[redo]) - ln_r + w0_exp_grid(ln_r)) / (s - 1.0)
-        with np.errstate(over="ignore"):
-            E[redo] = np.exp(ln_e)
-        if (E[redo] == math.inf).any():
-            i = np.argmax(ln_e)
-            raise NumericalError(f"envelope E = exp({ln_e[i]:.6g}) overflows a float: tau={tau!r}, "
-                                 f"sigma={s!r}, h={h!r}, k={float(k[redo][i])!r}")
+    E, big = np.zeros_like(k), k > 1.0
+    kb, c = k[big], (tau - s * math.log(h)) / (tau * s)
+    ln_r = np.log(np.log(math.e + kb)) + _ln_x_over_lnk(s - 1.0, tau, s, c)
+    w = w0_exp_grid(ln_r)
+    ln_w = np.log(w, out=ln_r - w, where=w > 1.0)     # ln R - W cancels where W is large
+    ln_e = (s * np.log(np.log(kb)) - ln_w) / (s - 1.0)
+    with np.errstate(over="ignore"):
+        E[big] = np.exp(ln_e)
+    if (E == math.inf).any():
+        i = np.argmax(ln_e)
+        raise NumericalError(f"envelope E = exp({ln_e[i]:.6g}) overflows a float: tau={tau!r}, "
+                             f"sigma={s!r}, h={h!r}, k={float(kb[i])!r}")
     return E
 
 

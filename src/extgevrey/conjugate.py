@@ -386,15 +386,20 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid) -> Inte
     c = C^((s-1)/tau)(s-1)/tau; quadrature runs in u = ln l, the closed
     form comes from the W-substitution plus integration by parts.
     """
-    if not C > 0:
-        raise DomainError("C must be positive")
+    if not 0.0 < C < math.inf:
+        raise DomainError(f"C must be finite and positive, got {C}")
     tau, s = params.tau, params.sigma
     k = np.asarray(k_grid, dtype=np.float64)
     ok = (k > 1) & (k < math.inf)
     if not np.all(ok):
         raise DomainError(f"integral check needs finite k > 1, got k = {k[~ok][0]}")
-    c_ts = C ** ((s - 1.0) / tau) * (s - 1.0) / tau
-    pref = C ** (-1.0 / tau)
+    try:
+        powers = (C ** ((s - 1.0) / tau) * (s - 1.0) / tau, C ** (-1.0 / tau), C ** (-s / tau))
+    except OverflowError:
+        powers = (math.inf,)
+    if not all(sys.float_info.min <= v < math.inf for v in powers):
+        raise NumericalError(f"a power of C leaves the normal floats: tau={tau!r}, sigma={s!r}, C={C!r}")
+    c_ts, pref, post = powers
 
     val, err = _panel_quadrature(lambda u: np.exp(lambert_w0_grid(c_ts * u) / (s - 1.0)),
                                  np.log(k), 1.0 / (math.e * c_ts))
@@ -408,7 +413,7 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid) -> Inte
     # with w = W(c ln k) the antiderivative (s-1)/s e^{sw/(s-1)} (w + 1/s) rises
     # from w = 0 by (s-1)/s [expm1(sw/(s-1)) (w + 1/s) + w], free of cancellation
     w = lambert_w0_grid(c_ts * np.log(k))
-    closed = C ** (-s / tau) * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
+    closed = post * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
 
     rel = np.abs(quads - closed) / np.maximum(np.abs(closed), 1e-12)
     return IntegralCheckReport(params, C, k, quads, closed, rel, bool(np.all(rel <= 1e-6)))

@@ -29,7 +29,8 @@ __all__ = [
 
 _P_LIMIT = 10 ** 9
 # the largest p_max of a check: M.1, M.3' and the quotient bounds build dense arrays
-# over [1, p_max] that peak at about 64 bytes a p, 0.6 GiB at this cap
+# over [1, p_max] that peak at about 73 (M.1, M.3') and 81 (the quotient bounds) bytes
+# a p by tracemalloc at p_max = 1e6, about 0.8 GiB at this cap
 P_MAX_CAP = 10 ** 7
 
 
@@ -52,12 +53,13 @@ class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", flo
 
 
 class LogWeightSequence(NamedTuple):
-    """An evaluable sequence p -> log M_p with log M_0 = 0. `m_fn`, where given, is
-    p -> log m_p at float p >= 1; else log m_p is the difference of two `fn` values."""
+    """An evaluable sequence p -> log M_p with log M_0 = 0. `params` names its parameters
+    in errors. `m_fn`, where given, is p -> log m_p at float p >= 1; else log m_p is the
+    difference of two `fn` values."""
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]
-    params: Optional[SequenceParams] = None
+    params: Optional[Dict[str, float]] = None
     m_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def log_M(self, p):
@@ -79,7 +81,7 @@ class LogWeightSequence(NamedTuple):
         with np.errstate(over="ignore", invalid="ignore"):
             out = fn(arr)
         if not np.isfinite(out).all():
-            at = f": tau={self.params.tau!r}, sigma={self.params.sigma!r}" if self.params else ""
+            at = ": " + ", ".join(f"{k}={v!r}" for k, v in self.params.items()) if self.params else ""
             raise NumericalError(f"{what} of the {self.kind} sequence leaves the floats at "
                                  f"p = {int(arr[~np.isfinite(out)].flat[0])}{at}")
         return float(out) if scalar else out
@@ -88,8 +90,8 @@ class LogWeightSequence(NamedTuple):
 def extended_gevrey(params: SequenceParams) -> LogWeightSequence:
     """log M_p = tau * p^sigma * ln p, and its quotients log m_p without cancellation."""
     tau, sigma = params.tau, params.sigma
-    return LogWeightSequence("extended_gevrey", lambda p: ext_log_M(p, tau, sigma), params,
-                             lambda p: ext_log_m(p, tau, sigma))
+    return LogWeightSequence("extended_gevrey", lambda p: ext_log_M(p, tau, sigma),
+                             {"tau": tau, "sigma": sigma}, lambda p: ext_log_m(p, tau, sigma))
 
 
 _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
@@ -99,14 +101,15 @@ def gevrey(t: float) -> LogWeightSequence:
     """Classical Gevrey sequence p!^t; admitted for t > 1."""
     if not 1 < t < math.inf:
         raise DomainError(f"gevrey index must {'be finite' if t > 1 else 'exceed 1'}, got {t}")
-    return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0))
+    return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0), {"t": t})
 
 
 def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) -> LogWeightSequence:
     """log M_p = phi*(H p) / H for a Young conjugate phi*."""
     if not H > 0:
         raise DomainError(f"H must be positive, got {H}")
-    return LogWeightSequence("conjugate_generated", lambda p: np.asarray(phi_star(H * p)) / H)
+    return LogWeightSequence("conjugate_generated", lambda p: np.asarray(phi_star(H * p)) / H,
+                             {"H": H})
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +197,12 @@ def _require_ext(params):
 
 
 def _check_m1(params, params2, p_max):
+    # M_p^2 <= M_(p-1) M_(p+1) is log m_p <= log m_(p+1): compared as the quotients
+    # themselves, which do not cancel as second differences of log M_p do
     seq = _require_ext(params)
-    p = np.arange(1, p_max + 1, dtype=np.float64)
-    f = seq.log_M(np.arange(0, p_max + 2))
-    mid, lo, hi = f[1:-1], f[:-2], f[2:]
-    slack = 1e-9 * np.maximum(1.0, np.abs(mid))
-    bad = 2.0 * mid > lo + hi + slack
-    witness = int(p[bad][0]) if bad.any() else None
+    logm = seq.log_m(np.arange(1, p_max + 2))
+    bad = logm[:-1] > logm[1:]
+    witness = int(np.argmax(bad)) + 1 if bad.any() else None
     return ConditionReport("M.1", (1, p_max), not bad.any(), None, witness)
 
 
@@ -221,7 +223,7 @@ def _stable_report(name, p_max, p, values, sign=1.0):
 def _check_m2_prime(params, params2, p_max):
     seq = _require_ext(params)
     p = default_p_grid(p_max)
-    v = (seq.log_M(p + 1) - seq.log_M(p)) / p.astype(np.float64) ** params.sigma
+    v = seq.log_m(p + 1) / p.astype(np.float64) ** params.sigma
     return _stable_report("~M.2'", p_max, p, [v])
 
 

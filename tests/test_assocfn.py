@@ -1,3 +1,4 @@
+import decimal
 import math
 import time
 import warnings
@@ -320,14 +321,36 @@ def test_envelope_where_a_factor_or_E_leaves_the_floats():
         envelope(SequenceParams(1.0, 1.001), 1.0, [1.0, 10.0, 1e6])
 
 
-def test_envelope_keeps_the_direct_expression_where_finite():
-    params, h = SequenceParams(0.3, 1.5), 1e-3
-    k = np.logspace(0.5, 10.0, 40)
-    s, tau = params.sigma, params.tau
-    r = (h ** (-(s - 1.0) / tau) * math.exp((s - 1.0) / s)
-         * (s - 1.0) / (tau * s) * np.log(math.e + k))
-    want = lambert_w0_grid(r) ** (-1.0 / (s - 1.0)) * np.log(k) ** (s / (s - 1.0))
-    assert np.array_equal(envelope(params, h, k), want)
+def _envelope_decimal(tau, s, h, k):
+    """W(R)^(-1/(s-1)) ln^(s/(s-1)) k to 50 digits, W(R) by Newton's method on w + ln w = ln R."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        tau, s, h, k = D(tau), D(s), D(h), D(k)
+        ln_r = (-(s - 1) / tau * h.ln() + (s - 1) / s + ((s - 1) / (tau * s)).ln()
+                + (D(1).exp() + k).ln().ln())
+        w = ln_r - ln_r.ln() if ln_r > 1 else ln_r.exp()
+        for _ in range(200):
+            step = (w + w.ln() - ln_r) / (1 + 1 / w)
+            w -= step
+            if abs(step) <= w * D(10) ** -45:
+                break
+        return ((s * k.ln().ln() - w.ln()) / (s - 1)).exp()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("tau, sigma, h, k", [
+    (0.3, 1.5, 1e-3, np.logspace(0.5, 10.0, 40)),           # R a normal float
+    (0.05, 6.0, 1e-6, np.logspace(0.5, 12.0, 24)),          # h^(-(s-1)/tau) = 1e600 overflows
+    (0.05, 6.0, 1e6, np.logspace(0.5, 12.0, 24)),           # h^(-(s-1)/tau) = 1e-600 underflows
+    (1e-3, 1.001, 1e-6, np.logspace(5.0, 12.0, 15)),        # W(R)^-1000 and ln^1001 k overflow
+    ((1e6 - 1.0) / 1.03, 1e6, 1e-300, np.logspace(0.5, 12.0, 24)),   # R finite, its h factor not
+], ids=["normal-R", "h-factor-overflows", "h-factor-underflows", "sigma-1.001", "sigma-1e6"])
+def test_envelope_matches_a_50_digit_reference(tau, sigma, h, k):
+    E = envelope(SequenceParams(tau, sigma), h, k)
+    for kj, Ej in zip(k.tolist(), E.tolist()):
+        want = _envelope_decimal(tau, sigma, h, kj)
+        assert abs(decimal.Decimal(Ej) / want - 1) <= decimal.Decimal("1e-12"), (kj, Ej, want)
 
 
 def test_sandwich_bounds():

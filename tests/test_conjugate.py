@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 
@@ -245,6 +246,21 @@ def test_integral_closed_form_small_c():
     rep = integral_closed_form_check(SequenceParams(0.2, 4.0), 0.1, np.logspace(0.5, 8, 50))
     assert rep.passed
     assert np.max(rep.rel_err) <= 1e-10
+
+
+@pytest.mark.parametrize("C", [math.inf, math.nan, 0.0, -1.0])
+def test_integral_closed_form_rejects_a_non_finite_c(C):
+    with pytest.raises(DomainError, match=r"^C must be finite and positive, got "):
+        integral_closed_form_check(SequenceParams(1.0, 2.0), C, [10.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("C", [1e-300, 1e300])
+def test_integral_closed_form_names_a_power_of_c_past_the_floats(C):
+    # at tau = 1, sigma = 2 the closed form's C^(-2) is 1e600 or 1e-600
+    msg = f"a power of C leaves the normal floats: tau=1.0, sigma=2.0, C={C!r}"
+    with pytest.raises(NumericalError, match=f"^{re.escape(msg)}$"):
+        integral_closed_form_check(SequenceParams(1.0, 2.0), C, np.logspace(0.5, 8, 25))
 
 
 @pytest.mark.parametrize("bad", [1.0, np.inf, np.nan])

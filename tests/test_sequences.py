@@ -12,6 +12,7 @@ from extgevrey import (
     UsageError,
     check_condition,
     check_liminf_condition,
+    conjugate_generated,
     LogWeightSequence,
     default_p_grid,
     extended_gevrey,
@@ -259,10 +260,12 @@ def test_a_non_finite_sup_is_unstable():
 
 @pytest.mark.parametrize("name", ["~M.2'", "~M.4", "~M.5"])
 def test_conditions_past_the_float_range_do_not_hold(name):
-    # at tau = 1e305, log M_p leaves the floats from p = 24 on: no report on inf or NaN
+    # at tau = 1e305, log M_p leaves the floats from p = 24 on and log m_p (which ~M.2'
+    # reads) from p = 43 on: no report on inf or NaN
     params = SequenceParams(1e305, 2.0)
     second = {"~M.4": SequenceParams(2e305, 2.0), "~M.5": SequenceParams(1e305, 3.0)}
-    msg = r"^log M_p of the extended_gevrey sequence leaves the floats at p = 24: tau=1e\+305, sigma=2\.0$"
+    what, p = ("log m_p", 43) if name == "~M.2'" else ("log M_p", 24)
+    msg = rf"^{what} of the extended_gevrey sequence leaves the floats at p = {p}: tau=1e\+305, sigma=2\.0$"
     with pytest.raises(NumericalError, match=msg):
         check_condition(name, params, 10_000, params2=second.get(name))
 
@@ -274,9 +277,31 @@ def test_values_past_the_float_range_raise():
         with pytest.raises(NumericalError, match=rf"^{what} .* at p = 35: tau=1\.0, sigma=200\.0$"):
             fn(np.arange(1, 41))
         assert np.isfinite(fn(np.arange(1, 35))).all()
-    # a sequence without parameters names its kind; its quotients are differences of log M_p
-    with pytest.raises(NumericalError, match=r"^log m_p of the gevrey sequence leaves the floats at p = 4$"):
+    # the other sequences name their parameter; their quotients are differences of log M_p
+    msg = r"^log m_p of the {} sequence leaves the floats at p = {}: {}$"
+    with pytest.raises(NumericalError, match=msg.format("gevrey", 4, r"t=1e\+308")):
         gevrey(1e308).log_m([1, 4])
+    with pytest.raises(NumericalError, match=msg.format("conjugate_generated", 2000, r"H=0\.5")):
+        conjugate_generated(np.exp, 0.5).log_m([1, 2000])      # e^1000
+    # one built without parameters names its kind alone
+    with pytest.raises(NumericalError, match=r"^log M_p of the bare sequence leaves the floats at p = 2$"):
+        LogWeightSequence("bare", lambda p: np.where(p > 1, np.inf, 0.0)).log_M([1, 2])
+
+
+def test_m1_catches_a_dip_below_the_old_second_difference_slack(monkeypatch):
+    # at tau = 0.05, sigma = 1.01 log m_p rises by about 6e-7 a step near p = 9e4, where
+    # 1e-9 |log M_p| is about 6e-5: a dip of 1e-5 in log m_(p+1) passed a test of second
+    # differences of log M_p with that slack, and fails the comparison of quotients
+    params, p0, dip = SequenceParams(0.05, 1.01), 90_000, 1e-5
+    true = extended_gevrey(params)
+    dipped = LogWeightSequence("dipped", lambda p: true.fn(p) + dip * (p == p0), None,
+                               lambda p: true.m_fn(p) + dip * ((p == p0) - 1.0 * (p == p0 + 1)))
+    step = true.log_m(p0 + 1) - true.log_m(p0)
+    assert 0.0 < step < dip < 1e-9 * true.log_M(p0)
+    assert check_condition("M.1", params, 100_000).holds
+    monkeypatch.setattr(sequences, "extended_gevrey", lambda _: dipped)
+    rep = check_condition("M.1", params, 100_000)
+    assert (rep.holds, rep.witness) == (False, p0)
 
 
 def test_the_first_unstable_row_decides_a_condition_report():
