@@ -115,6 +115,18 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     return math.floor(val)
 
 
+def _fits_past_floats(p, e, lnC, tau, lnlam):
+    """g(p) <= ln lambda where p^e overflows: q f q with q = p^(e/2), f = ln C + tau ln p, tau
+    taking a factor q first at C = 1 (f may be subnormal); if q overflows, g > 710 unless f <= 0."""
+    lnp = math.log(p)
+    f = lnC + tau * lnp
+    try:
+        q = p ** (0.5 * e)
+    except OverflowError:
+        return f <= 0.0
+    return (q * tau * q * lnp if lnC == 0.0 else q * f * q) <= lnlam
+
+
 def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
     """The same count from its defining inequality, without W.
 
@@ -127,7 +139,13 @@ def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
     if lnC > lnlam:     # g(1) = ln C
         return 0
     hi = 2
-    while hi ** e * (lnC + tau * math.log(hi)) <= lnlam:
+    while True:
+        try:
+            if not hi ** e * (lnC + tau * math.log(hi)) <= lnlam:
+                break
+        except OverflowError:
+            if not _fits_past_floats(hi, e, lnC, tau, lnlam):
+                break
         if hi >= 2 ** 53:
             raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
                                  f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
@@ -135,7 +153,11 @@ def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
     lo = hi // 2        # g(lo) <= ln lambda < g(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if mid ** e * (lnC + tau * math.log(mid)) <= lnlam:
+        try:
+            fits = mid ** e * (lnC + tau * math.log(mid)) <= lnlam
+        except OverflowError:
+            fits = _fits_past_floats(mid, e, lnC, tau, lnlam)
+        if fits:
             lo = mid
         else:
             hi = mid

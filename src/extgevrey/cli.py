@@ -8,7 +8,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -97,9 +96,6 @@ def _jsonable(v):
 
 def _write(text, out_path):
     if out_path:
-        base = os.environ.get("EXTGEVREY_OUTDIR", "")
-        if base and not os.path.isabs(out_path):
-            out_path = os.path.join(base, out_path)
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
     else:
@@ -196,13 +192,13 @@ def _cond(name):
         if name == "~M.5":
             kwargs["params2"] = SequenceParams(a.tau, a.sigma + 1.0)
         rep = sequences.check_condition(name, SequenceParams(a.tau, a.sigma), a.pmax, **kwargs)
-        return rep.holds, rep.to_dict()
+        return rep.holds, rep._asdict()
     return run
 
 def _claim_liminf(a):
     seq = sequences.extended_gevrey(SequenceParams(a.tau, a.sigma))
     rep = sequences.check_liminf_condition(seq, a.Q, a.pmax)
-    return rep.holds, rep.to_dict()
+    return rep.holds, rep._asdict()
 
 def _claim_counting_floor(a):
     params = SequenceParams(a.tau, a.sigma)

@@ -114,15 +114,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _T_CAP = 2.0 ** 1000     # the largest t of young_conjugate's bracket
 
 
-def _golden_max(f, lo, hi, tol):
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+def _golden_max(f, b):
+    a, c, d = 0.0, b - _INVPHI * b, _INVPHI * b
     fc, fd = f(c), f(d)
-    # the iteration cap guards against stalling once the interval width
-    # reaches the float spacing at |b|, where c and d stop moving
+    # f is flat to rounding within ~sqrt(eps) of its maximiser; the cap ends a maximum at t = 0
     for _ in range(200):
-        if b - a <= tol or not (a < c <= d < b):
+        if b - a <= 2.0 ** -26 * b or not (a < c <= d < b):
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -137,19 +134,14 @@ def _golden_max(f, lo, hi, tol):
 
 
 def young_conjugate(phi: Callable[[float], float], y: float, *,
-                    bracket_hint: Optional[float] = None, tol: float = 1e-10) -> Tuple[float, float]:
+                    bracket_hint: Optional[float] = None) -> Tuple[float, float]:
     """phi*(y) = sup_{t>0} (y t - phi(t)); returns (value, argmax t).
 
     The objective is concave for convex phi; the bracket doubles until
-    the objective stops increasing, then golden section finishes on [0, b].
-    The bracket costs two phi calls, then one per doubling: f(b/2) is the
-    f(b) of the step before. Where it passes _T_CAP (or max_float / y) the
-    objective is taken as unbounded: DivergenceError.
-    `tol` is absolute in t (times b/1e6 once b passes 1e6), so the default
-    1e-10 cannot resolve a maximiser below about 1e-10: for phi_sigma at
-    sigma = 1 + 2**-52 and y = 81.79 it returns (0.0, 4.7e-11) where the
-    closed form gives phi* = 4.1e-14 at t* = 6.7e-16. tol=0.0 runs golden
-    section down to the float spacing and agrees with the closed form there.
+    the objective stops increasing, then golden section finishes on [0, b]
+    to 2**-26 relative in t. The bracket costs two phi calls, then one per
+    doubling: f(b/2) is the f(b) of the step before. Where it passes _T_CAP
+    (or max_float / y) the objective is taken as unbounded: DivergenceError.
     """
     if not (math.isfinite(y) and y >= 0):
         raise DomainError(f"young_conjugate needs finite y >= 0, got {y}")
@@ -168,9 +160,8 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
                 f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
                 cap=cap)
         fh, fb = fb, f(b)     # 0.5 * b is the last b exactly
-    t_star, val = _golden_max(f, 0.0, b, tol * max(1.0, b * 1e-6))
-    val = max(val, 0.0)       # t -> 0+ always yields 0
-    return val, t_star
+    t_star, val = _golden_max(f, b)
+    return max(val, 0.0), t_star      # t -> 0+ always yields 0
 
 
 class ConjugateTable(NamedTuple):
@@ -200,6 +191,11 @@ _NEWTON_MAXITER = 50
 _NEWTON_RTOL = 1e-14
 
 
+def _ln_phi_slope(w, s1, c):
+    """ln phi_sigma'(t) at t = w e^w, with s1 = sigma - 1 and c = sigma/s1."""
+    return w / s1 + np.log1p(c * w) - np.log1p(w)
+
+
 def phi_sigma_conjugate(sigma: float, y):
     """phi_sigma*(y) = sup_{t>=0} (y t - phi_sigma(t)) in closed form;
     returns (value, argmax t), floats for a scalar y, else arrays shaped
@@ -209,8 +205,8 @@ def phi_sigma_conjugate(sigma: float, y):
     phi_sigma'(t) = e^(w/(s-1)) (s-1+s w) / ((s-1)(1+w)), which increases
     strictly from 1 at t = 0. So phi*(y) = 0 at t* = 0 for y <= 1. For
     y > 1 the maximiser solves phi'(t) = y, in log form
-        g(w) = w/(s-1) + ln(1 + s w/(s-1)) - ln(1 + w) - ln y = 0,
-    and phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
+    g(w) = ln phi'(w e^w) - ln y = 0 (`_ln_phi_slope`), and
+    phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
     g is increasing and concave and the seed lies left of its root, so
     Newton's iterates rise monotonically to it. Each point stops at its own
     convergence, so an array entry equals the scalar call at that y bit for bit.
@@ -230,7 +226,7 @@ def phi_sigma_conjugate(sigma: float, y):
     w = wa = np.maximum(s1 * (lny - math.log(c)), 0.0)
     idx = None      # indices in w of the points still stepping (wa); None while all are
     for _ in range(_NEWTON_MAXITER):
-        g = wa / s1 + np.log1p(c * wa) - np.log1p(wa) - lny
+        g = _ln_phi_slope(wa, s1, c) - lny
         dg = 1.0 / s1 + c / (1.0 + c * wa) - 1.0 / (1.0 + wa)
         step = g / dg
         wa -= step

@@ -9,7 +9,7 @@ from typing import Callable, Dict, NamedTuple, Tuple
 import numpy as np
 
 from ._kernels import _assoc_sup_scalar, assoc_sup_grid, w0_scalar
-from .conjugate import (check_weight_axioms, corollary_weight, phi_sigma,
+from .conjugate import (_ln_phi_slope, check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
 from .sequences import (LogWeightSequence, SequenceParams, _fit_band, conjugate_generated,
@@ -96,35 +96,30 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
             T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
             c = T / phi_sigma(sigma, t)
             b, a = float(np.min(c)), float(np.max(c))
-            _, t_star = phi_sigma_conjugate(sigma, p_max / b)
-            if t_star <= 0.8 * t_max:
+            if not _t_star_past(sigma, p_max / b, 0.8 * t_max):
                 return a, b, t_max
         t_max *= 2.0
+
+
+def _t_star_past(sigma, y, t0):
+    """t* > t0 for the argmax t* of y t - phi_sigma(t): ln y > ln phi_sigma'(t0) where 1 < y <=
+    e^(650/sigma), phi_sigma' rising from 1; elsewhere the Newton call decides, with its errors."""
+    if 1.0 < y <= math.exp(650.0 / sigma):
+        return math.log(y) > _ln_phi_slope(w0_scalar(t0)[0], sigma - 1.0, sigma / (sigma - 1.0))
+    return phi_sigma_conjugate(sigma, y)[1] > t0
 
 
 def _window_must_fail(sigma, tau, p_max, t_last, t_max):
     """True where the window ending at t_last cannot pass the test of
     `_fit_slopes_extended`: b = min c over the window is at most c(t_last), so
     t*(p_max/b) >= t*(y), y = p_max/c(t_last), here past t0 = 0.8 t_max with a 1e-9
-    margin for the rounding between the scalar and grid paths. phi_sigma' rises
-    strictly from 1 (see `phi_sigma_conjugate`): t*(y) > t0 exactly when
-    y > phi_sigma'(t0), one W(t0) in closed form. Past ln y = 650/sigma, near the
-    conjugate's overflow, its Newton call decides, as the evaluated window would.
-    False where c(t_last) is not positive, y is not finite, or a scalar step
-    raises: the window then runs, and raises as it would."""
-    t0 = 0.8 * t_max * (1.0 + 1e-9)
-    s1 = sigma - 1.0
+    margin for the rounding between the scalar and grid paths. False where c(t_last)
+    is not positive or a step raises: the window then runs, and raises as it would."""
     try:
         T_last, _ = _assoc_sup_scalar(t_last, 0.0, tau, sigma)
         c_last = T_last / phi_sigma(sigma, t_last)
-        if not (c_last > 0.0 and math.isfinite(p_max / c_last)):
-            return False
-        y = p_max / c_last
-        if y > math.exp(650.0 / sigma):
-            return phi_sigma_conjugate(sigma, y)[1] > t0
-        w = w0_scalar(t0)[0]
-        return y > math.exp(w / s1) * (s1 + sigma * w) / (s1 * (1.0 + w))
-    except (NumericalError, DomainError, OverflowError):
+        return c_last > 0.0 and _t_star_past(sigma, p_max / c_last, 0.8 * t_max * (1.0 + 1e-9))
+    except (NumericalError, DomainError):
         return False
 
 

@@ -174,15 +174,6 @@ class ConditionReport(NamedTuple):
     fitted_constant: Optional[float] = None
     witness: Optional[int] = None
 
-    def to_dict(self):
-        return {
-            "condition": self.condition,
-            "p_range": list(self.p_range),
-            "holds": self.holds,
-            "fitted_constant": self.fitted_constant,
-            "witness": self.witness,
-        }
-
 
 def _check_p_max(p_max, least):
     """UsageError unless least <= p_max <= P_MAX_CAP, before any array is built."""

@@ -237,6 +237,30 @@ def test_counting_fn_direct_past_2_53_raises():
         counting_fn_direct(SequenceParams(0.05, 1.01), 0.001, 1.0)
 
 
+def _count_decimal(tau, sigma, C, lam):
+    """#{p >= 1 : p^(s-1) (ln C + tau ln p) <= ln lambda} in 50-digit decimal arithmetic."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        lnC, lnlam = D(C).ln(), D(lam).ln()
+        fits = lambda p: D(p) ** D(sigma - 1.0) * (lnC + D(tau) * D(p).ln()) <= lnlam
+        lo, hi = 0, 1
+        while fits(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        return lo
+
+
+@pytest.mark.parametrize("tau, count", [(1e-300, 1060), (1e-310, 1337), (5e-324, 1821)])
+def test_counting_fn_direct_where_the_power_overflows(tau, count):
+    # p^99 passes the floats from p = 1300, where the count is decided as q (ln C + tau ln p) q,
+    # q = p^49.5; at tau = 5e-324 tau ln p is subnormal, and q (tau ln p) q gives 1820
+    P = SequenceParams(tau, 100.0)
+    assert counting_fn_direct(P, 1.0, 10.0) == _count_decimal(tau, 100.0, 1.0, 10.0) == count
+
+
 def test_counting_bracket_invariant():
     # with C1 = e^tau the sublevel count never exceeds the raw count,
     # with C2 = (e/2^sigma)^(tau/2^(sigma-1)) it never falls below

@@ -236,14 +236,12 @@ def test_assocfn_maximiser_past_2_53_exits_3(capsys):
     assert "2**53" in err
 
 
-def test_output_file_respects_outdir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("EXTGEVREY_OUTDIR", str(tmp_path))
-    code, out, _ = run_cli(["lambertw", "--grid", "1:10:4",
-                            "--output", "w.csv"], capsys)
+def test_output_file_takes_a_relative_path_from_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(["lambertw", "--grid", "1:10:4", "--output", "w.csv"], capsys)
     assert code == 0
     assert out == ""
-    text = (tmp_path / "w.csv").read_text()
-    assert text.startswith("x,w,residual")
+    assert (tmp_path / "w.csv").read_text().startswith("x,w,residual")
 
 
 # -- table output: the column-wise emit against the per-cell serializer it replaced --

@@ -81,20 +81,37 @@ def test_phi_sigma_conjugate_matches_golden_section(sigma):
     tab = conjugate_table(lambda t: phi_sigma(sigma, t), y)
     np.testing.assert_allclose(val, tab.phi_star, rtol=1e-12, atol=0.0)
     # golden section pins the maximiser of a flat maximum only to about
-    # sqrt(machine eps) relative, plus its absolute tolerance near t = 0
+    # sqrt(machine eps) relative
     np.testing.assert_allclose(ts, tab.t_star, rtol=1e-6, atol=1e-9)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.floats(1.0, 6.0, exclude_min=True), st.floats(0.0, 300.0))
 def test_phi_sigma_conjugate_matches_golden_section_at_any_sigma(sigma, y):
-    # golden section run to the float spacing (tol = 0), so that it resolves
-    # maximisers as small as the 1e-15 of sigma = 1 + 2**-52; its objective
-    # y t - phi(t) still carries a rounding error of about eps y t
+    # golden section stops relative in t, so it resolves maximisers as small as
+    # the 1e-15 of sigma = 1 + 2**-52; its objective y t - phi(t) still carries
+    # a rounding error of about eps y t
     val, ts = phi_sigma_conjugate(sigma, y)
-    gv, gt = young_conjugate(lambda t: phi_sigma(sigma, t), y, tol=0.0)
+    gv, gt = young_conjugate(lambda t: phi_sigma(sigma, t), y)
     assert val == pytest.approx(gv, rel=1e-12, abs=4.0 * sys.float_info.epsilon * y * gt)
     assert ts == pytest.approx(gt, rel=1e-6, abs=1e-9)
+
+
+def test_young_conjugate_resolves_a_maximiser_below_1e_10():
+    # t* = 6.7e-16: only a stop relative in t resolves it
+    sigma, y = 1.0 + 2.0 ** -52, 81.7947327544369
+    val, ts = phi_sigma_conjugate(sigma, y)
+    gv, gt = young_conjugate(lambda t: phi_sigma(sigma, t), y)
+    assert ts == pytest.approx(6.693179e-16, rel=1e-6) and gt == pytest.approx(ts, rel=1e-6)
+    assert gv == pytest.approx(val, rel=1e-12)
+
+
+def test_young_conjugate_takes_at_most_60_phi_calls_a_solve():
+    # phi_2 at 2000 y in (0, 300]: 53.7 calls a solve with the 2**-26 relative stop
+    ts = []
+    for y in 300.0 * np.arange(1, 2001) / 2000:
+        young_conjugate(lambda t: ts.append(t) or phi_sigma(2.0, t), float(y))
+    assert len(ts) / 2000 <= 60.0
 
 
 def test_phi_sigma_past_the_float_range_is_inf():
@@ -292,7 +309,7 @@ def test_import_leaves_numpy_polynomial_unimported():
 
 # -- young_conjugate: one phi call per bracket doubling, the same result ------
 
-def _young_conjugate_two_calls(phi, y, *, bracket_hint=None, t_cap=2.0 ** 1000, tol=1e-10):
+def _young_conjugate_two_calls(phi, y, *, bracket_hint=None, t_cap=2.0 ** 1000):
     """`young_conjugate` with both bracket ends evaluated at every doubling. An oracle only."""
     def f(t):
         return y * t - phi(t)
@@ -304,7 +321,7 @@ def _young_conjugate_two_calls(phi, y, *, bracket_hint=None, t_cap=2.0 ** 1000, 
         if b > cap:
             raise DivergenceError(f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
                                   cap=cap)
-    t_star, val = conjugate._golden_max(f, 0.0, b, tol * max(1.0, b * 1e-6))
+    t_star, val = conjugate._golden_max(f, b)
     return max(val, 0.0), t_star
 
 

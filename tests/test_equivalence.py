@@ -6,11 +6,12 @@ import pytest
 
 from extgevrey import cli, equivalence
 from extgevrey._kernels import assoc_sup_grid
-from extgevrey.conjugate import phi_sigma, phi_sigma_conjugate
+from extgevrey.conjugate import _ln_phi_slope, phi_sigma, phi_sigma_conjugate
 from extgevrey.lambertw import lambert_w0
 from extgevrey.sequences import _fit_band, default_p_grid, stable_sup
 from extgevrey import (
     DomainError,
+    NumericalError,
     SequenceParams,
     UsageError,
     check_T_phi_equivalence,
@@ -211,12 +212,23 @@ def test_the_window_test_reads_phi_prime_in_closed_form():
         assert phi_sigma_conjugate(sigma, y * (1 + 1e-9))[1] > t0
         assert phi_sigma_conjugate(sigma, y * (1 - 1e-9))[1] < t0
         assert phi_sigma_conjugate(sigma, y)[1] == pytest.approx(t0, rel=1e-9)
+        # the window's test reads the same slope in log form, without the Newton call
+        assert _ln_phi_slope(w, s1, sigma / s1) == pytest.approx(math.log(y), rel=1e-14, abs=1e-15)
+        assert [equivalence._t_star_past(sigma, y * f, t0) for f in (1 + 1e-9, 1 - 1e-9)] == [True, False]
 
 
-def test_a_default_pass_makes_five_scalar_conjugate_calls(monkeypatch, tmp_path):
-    """One per evaluated slope window (ocena-norme and four matrix fits); the
-    skipped windows take the closed-form test. The matrix check takes one
-    stable_sup call a direction, after ocena-norme's two."""
+def test_the_window_test_keeps_the_conjugate_outside_its_closed_form_range():
+    # y <= 1 has t* = 0; a negative or infinite y and one past the overflow raise as the Newton call does
+    assert equivalence._t_star_past(2.0, 1.0, 0.0) is False
+    assert equivalence._t_star_past(2.0, 0.0, 1e-300) is False
+    for y, error in ((-1.0, DomainError), (math.inf, DomainError), (1e150, NumericalError)):
+        with pytest.raises(error):
+            equivalence._t_star_past(3.0, y, 1e6)
+
+
+def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch, tmp_path):
+    """Every slope window, skipped or evaluated, takes the closed-form test. The
+    matrix check takes one stable_sup call a direction, after ocena-norme's two."""
     scalar_calls, sup_shapes = [], []
     conj, sup = equivalence.phi_sigma_conjugate, equivalence.stable_sup
 
@@ -232,7 +244,7 @@ def test_a_default_pass_makes_five_scalar_conjugate_calls(monkeypatch, tmp_path)
     monkeypatch.setattr(equivalence, "phi_sigma_conjugate", counted_conj)
     monkeypatch.setattr(equivalence, "stable_sup", counted_sup)
     assert cli.main(["verify", "--output", str(tmp_path / "v.json")]) == 0
-    assert len(scalar_calls) == 5
+    assert scalar_calls == []
     # ocena-norme's two rows, then one (|A|, |B|, p) table per direction
     assert sup_shapes[2:] == [(4, 5, 163)] * 2 and len(sup_shapes) == 4
 
