@@ -99,6 +99,8 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
     _validate_c_lam(C, lam)
     tau, s = params.tau, params.sigma
     lnC, lnlam = math.log(C), math.log(lam)
+    if lnC > lnlam:     # g(1) = ln C: no p counts, whatever W's resolution
+        return 0
     c = lnC / tau
     lx = math.log(lnlam) + _ln_x_over_lnk(s - 1.0, tau, 1.0, c) if lnlam > 0.0 else -math.inf
     w = w0_exp_scalar(lx)[0]

@@ -52,7 +52,9 @@ def phi_sigma(sigma: float, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise DomainError("phi_sigma needs t >= 0")
-    return t * np.exp(lambert_w0_grid(t) / (sigma - 1.0))
+    e = lambert_w0_grid(t) / (sigma - 1.0)
+    with np.errstate(over="ignore"):    # inf past the floats, as the scalar path returns
+        return t * np.exp(e)
 
 
 # ---------------------------------------------------------------------------

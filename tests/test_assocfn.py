@@ -208,6 +208,7 @@ def test_counting_fn_floor_matches_direct(tau, sigma, C, lam):
     (0.05, 6.0, 0.5, 25.016864604141244, 1048575),   # P = 2**20 less a hair: not counted
     (0.99999, 1.01, 1.0 + 2.0 ** -52, 1.0, 0),        # g(1) = ln C > 0 = ln lambda
     (0.05, 6.0, 1e4, 10.0, 0),                        # C^((s-1)/tau) = 1e400 overflows
+    (1e-300, 100.0, math.e, 1.167, 0),                # ln C/tau = 1e300, past W's resolution
 ])
 def test_counting_fn_floor_at_its_edges(tau, sigma, C, lam, expected):
     params = SequenceParams(tau, sigma)
@@ -369,7 +370,9 @@ def _envelope_decimal(tau, s, h, k):
     (0.05, 6.0, 1e6, np.logspace(0.5, 12.0, 24)),           # h^(-(s-1)/tau) = 1e-600 underflows
     (1e-3, 1.001, 1e-6, np.logspace(5.0, 12.0, 15)),        # W(R)^-1000 and ln^1001 k overflow
     ((1e6 - 1.0) / 1.03, 1e6, 1e-300, np.logspace(0.5, 12.0, 24)),   # R finite, its h factor not
-], ids=["normal-R", "h-factor-overflows", "h-factor-underflows", "sigma-1.001", "sigma-1e6"])
+    (1e-300, 2.0, 0.5, np.logspace(0.5, 12.0, 24)),         # ln R = 7e299: W's w^2 overflows
+], ids=["normal-R", "h-factor-overflows", "h-factor-underflows", "sigma-1.001", "sigma-1e6",
+        "w-squared-overflows"])
 def test_envelope_matches_a_50_digit_reference(tau, sigma, h, k):
     E = envelope(SequenceParams(tau, sigma), h, k)
     for kj, Ej in zip(k.tolist(), E.tolist()):
@@ -468,6 +471,15 @@ def test_subnormal_tau_with_h_below_one_fails_the_nan_guard():
         warnings.simplefilter("ignore", RuntimeWarning)     # the Halley seeds at ln x = inf
         with pytest.raises(NumericalError, match=rf"exp\(nan\) > 2\*\*53.*{at}$"):
             assoc_fn_sup_grid(P, 0.5, [10, 1e5])
+
+
+def test_tau_1e_300_with_h_below_one_gives_the_scalar_sup_on_the_grid_without_a_warning():
+    # ln x = 7e299: the grid's log-form W squares w, which leaves the floats, where r/w^2 = 0
+    P = SequenceParams(1e-300, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T, p = assoc_fn_sup_grid(P, 0.5, [10.0, 1e5])
+        assert [(T[i], p[i]) for i in (0, 1)] == [assoc_fn_sup(P, 0.5, k)[:2] for k in (10.0, 1e5)]
 
 
 @pytest.mark.parametrize("C", [math.e, 1e10, 1e300])

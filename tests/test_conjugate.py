@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -115,11 +116,12 @@ def test_young_conjugate_takes_at_most_60_phi_calls_a_solve():
 
 
 def test_phi_sigma_past_the_float_range_is_inf():
-    # e^(W(1)/(s-1)) at s = 1 + 2**-52 is e^(2.6e15)
-    sigma = 1.0 + 2.0 ** -52
-    assert phi_sigma(sigma, 1.0) == math.inf
-    with np.errstate(over="ignore"):
-        assert phi_sigma(sigma, np.array([1.0]))[0] == math.inf
+    # e^(W(1)/(s-1)) at s = 1 + 2**-52 is e^(2.6e15); at (1.01, 1e6) the exp overflows,
+    # at (2, 1e300) the product t e^(W(t)): the scalar and array paths give inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma, t in ((1.0 + 2.0 ** -52, 1.0), (1.01, 1e6), (2.0, 1e300)):
+            assert phi_sigma(sigma, t) == phi_sigma(sigma, np.array([t]))[0] == math.inf
 
 
 @pytest.mark.parametrize("sigma,y,star,t_star", CONJ_REFERENCE)
