@@ -240,21 +240,27 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
         raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)
-    q = np.maximum(np.floor(np.exp(lnp))[:, None] + np.arange(-1.0, 3.0), 1.0)
+    # the four candidates as contiguous rows, (4, len(t))
+    q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         pwq = q ** sigma
-        g = pwq * lnh + q * L[:, None] - tau * pwq * np.log(q)
+        g = pwq * lnh + q * L - tau * pwq * np.log(q)
     over = pwq == math.inf
     if over.any():      # the scalar kernel's test, on every candidate whose power overflowed
-        qo, Lo = q[over], np.broadcast_to(L[:, None], q.shape)[over]
+        qo, Lo = q.T[over.T], np.broadcast_to(L[:, None], over.T.shape)[over.T]   # point by point
         bad = ~(tau * np.log(qo) - lnh > np.maximum(Lo, 0.0) * qo / _MAX)
         if bad.any():
             raise _sup_error(_UNRESOLVED.format(qo[bad][0]), Lo[bad][0], lnh, tau, sigma)
         g[over] = -math.inf
-    j = np.argmax(g, axis=1)[:, None]
-    q, g = np.take_along_axis(q, j, 1)[:, 0], np.take_along_axis(g, j, 1)[:, 0]
-    argmax[t] = np.where(g > values[t], q, argmax[t])
-    values[t] = np.maximum(values[t], g)
+    # a running max over the rows, in place in row 0: the first largest, or the first NaN, as argmax
+    best_q, best_g = q[0], g[0]
+    for qr, gr in zip(q[1:], g[1:]):
+        better = ~(gr <= best_g)
+        better &= best_g == best_g
+        np.copyto(best_q, qr, where=better)
+        np.copyto(best_g, gr, where=better)
+    argmax[t] = np.where(best_g > values[t], best_q, argmax[t])
+    values[t] = np.maximum(values[t], best_g)
     return values, argmax
 
 

@@ -89,15 +89,31 @@ def _validate_c_lam(C, lam):
         raise DomainError(f"lambda must be finite and >= 1, got {lam}")
 
 
-def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
+def _is_array(C, lam):
+    """Whether a counting call takes its array path: a float lambda and C take the scalar
+    one at the cost of two isinstance tests, any other 0-d value after np.ndim."""
+    return (not isinstance(lam, float) and np.ndim(lam) > 0
+            or not isinstance(C, float) and np.ndim(C) > 0)
+
+
+def counting_fn_floor(params: SequenceParams, C, lam):
     """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W.
 
     The bound is P = exp(W(x)/(s-1) - ln C/tau), x = C^((s-1)/tau) (s-1)/tau ln lambda,
     with W from ln x where x is large. Within the rounding error of P of an integer n,
     the defining inequality at p = n decides whether n counts; where that error
-    reaches 1/2, more than one integer is in doubt and NumericalError is raised."""
+    reaches 1/2, more than one integer is in doubt and NumericalError is raised.
+
+    C and lambda may be arrays, which broadcast: the counts come back as an int64 array
+    with one W call for all of them, each entry equal to the scalar call at its point,
+    and an error is the scalar call's at the first failing point in C order."""
+    if _is_array(C, lam):
+        return _counts_grid(_floor_grid, _floor_scalar, params, C, lam)
+    return _floor_scalar(params.tau, params.sigma, C, lam)
+
+
+def _floor_scalar(tau, s, C, lam):
     _validate_c_lam(C, lam)
-    tau, s = params.tau, params.sigma
     lnC, lnlam = math.log(C), math.log(lam)
     if lnC > lnlam:     # g(1) = ln C: no p counts, whatever W's resolution
         return 0
@@ -113,8 +129,16 @@ def counting_fn_floor(params: SequenceParams, C: float, lam: float) -> int:
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
     n = round(val)
     if n >= 1 and abs(val - n) <= rel * val:
-        return n if n ** (s - 1.0) * (lnC + tau * math.log(n)) <= lnlam else n - 1
+        return n if _fits(n, s - 1.0, lnC, tau, lnlam) else n - 1
     return math.floor(val)
+
+
+def _fits(p, e, lnC, tau, lnlam):
+    """g(p) = p^e (ln C + tau ln p) <= ln lambda, through `_fits_past_floats` where p^e overflows."""
+    try:
+        return p ** e * (lnC + tau * math.log(p)) <= lnlam
+    except OverflowError:
+        return _fits_past_floats(p, e, lnC, tau, lnlam)
 
 
 def _fits_past_floats(p, e, lnC, tau, lnlam):
@@ -129,14 +153,22 @@ def _fits_past_floats(p, e, lnC, tau, lnlam):
     return (q * tau * q * lnp if lnC == 0.0 else q * f * q) <= lnlam
 
 
-def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
+def counting_fn_direct(params: SequenceParams, C, lam):
     """The same count from its defining inequality, without W.
 
     g(p) = p^(s-1) (ln C + tau ln p) is negative wherever it falls, so
     {p >= 1 : g(p) <= ln lambda} is an interval [1, P]: P is found by galloping
-    over powers of two, then bisecting. Raises NumericalError past p = 2**53."""
+    over powers of two, then bisecting. Raises NumericalError past p = 2**53.
+
+    C and lambda may be arrays, as for `counting_fn_floor`: one gallop and one
+    bisection then run over every point at once."""
+    if _is_array(C, lam):
+        return _counts_grid(_direct_grid, _direct_scalar, params, C, lam)
+    return _direct_scalar(params.tau, params.sigma, C, lam)
+
+
+def _direct_scalar(tau, s, C, lam):
     _validate_c_lam(C, lam)
-    tau, s = params.tau, params.sigma
     lnC, lnlam, e = math.log(C), math.log(lam), s - 1.0
     if lnC > lnlam:     # g(1) = ln C
         return 0
@@ -164,6 +196,98 @@ def counting_fn_direct(params: SequenceParams, C: float, lam: float) -> int:
         else:
             hi = mid
     return lo
+
+
+# -- the array paths -----------------------------------------------------------
+#
+# Each decides every point as its scalar route does, in numpy. numpy's log, pow and exp
+# may differ from math's by an ulp (pow and exp do at about 5% of arguments here), and
+# the grid W from the scalar W by a few, so a point whose decision lies within a bound on
+# those differences of its threshold, or that raises, is handed to the scalar route.
+
+def _counts_grid(grid, scalar, params, C, lam):
+    """`grid`'s counts at the broadcast (C, lambda), with `scalar` at every point it
+    leaves in doubt, in C order, so that the first failing point raises."""
+    C, lam = np.broadcast_arrays(np.asarray(C, dtype=np.float64), np.asarray(lam, dtype=np.float64))
+    Cf, lamf = C.ravel(), lam.ravel()
+    ok = (Cf > 0.0) & (Cf < math.inf) & (lamf >= 1.0) & (lamf < math.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _validate_c_lam(float(Cf[i]), float(lamf[i]))
+    tau, s = params.tau, params.sigma
+    lnC, lnlam = np.log(Cf), np.log(lamf)
+    counts, doubt = np.zeros(Cf.size, dtype=np.int64), np.zeros(Cf.size, dtype=bool)
+    # g(1) = ln C > ln lambda: no p counts
+    live, doubt[:] = _fits_grid(1.0, 0.0, lnC, lnlam)
+    live = np.flatnonzero(live & ~doubt)
+    if live.size:
+        counts[live], doubt[live] = grid(tau, s, lnC[live], lnlam[live])
+    for i in np.flatnonzero(doubt).tolist():
+        counts[i] = scalar(tau, s, float(Cf[i]), float(lamf[i]))
+    return counts.reshape(C.shape)
+
+
+def _fits_grid(pe, t, lnC, lnlam):
+    """(g <= ln lambda, in doubt) for g = pe (ln C + t), pe = p^(s-1), t = tau ln p at
+    p >= 1: in doubt where g is within 1e-14 of its terms (plus a few subnormal units of t)
+    of ln lambda, or pe nears the largest float, where the scalar test may decide otherwise
+    or take its overflow branch."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = pe * (lnC + t)
+        doubt = (pe >= 1e300) | (np.abs(g - lnlam) <= pe * (1e-14 * (np.abs(lnC) + t) + 2e-323))
+    return g <= lnlam, doubt
+
+
+def _fits_at(p, e, tau, lnC, lnlam):
+    """`_fits_grid` at the float integers p."""
+    with np.errstate(over="ignore"):
+        return _fits_grid(p ** e, tau * np.log(p), lnC, lnlam)
+
+
+def _floor_grid(tau, s, lnC, lnlam):
+    s1 = s - 1.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = lnC / tau
+        lx = np.log(lnlam) + _ln_x_over_lnk(s1, tau, 1.0, c)
+        fin = lx < math.inf         # ln C/tau past the floats: the scalar route raises
+        w = w0_exp_grid(np.where(fin, lx, 0.0))
+        ln_val = w / s1 - c
+        val = np.where(ln_val < 709.0, np.exp(np.minimum(ln_val, 709.0)), math.inf)
+        wl = np.multiply(w, 1.0 + np.abs(lx), out=np.zeros_like(w), where=w != 0.0)
+        rel_val = (1e-12 + 1e-15 * (wl / s1 + np.abs(lnC) / tau)) * val
+        n = np.rint(val)
+        gap = np.abs(val - n)
+        # a bound on val's difference from the scalar route's: w's relative one, amplified
+        # by ln P = w/(s-1) - c, plus the roundings of c, ln P and exp
+        slack = 4e-14 * (1.0 + np.abs(w) / s1 + np.abs(c)) * val
+        doubt = (~fin | ~(rel_val < 0.5) | (np.abs(rel_val - 0.5) <= slack)
+                 | ((n >= 1.0) & (np.abs(gap - rel_val) <= slack)))
+    at_n = (n >= 1.0) & (gap <= rel_val) & ~doubt
+    counts = np.floor(np.where(doubt, 0.0, val)).astype(np.int64)
+    fits, doubt[at_n] = _fits_at(n[at_n], s1, tau, lnC[at_n], lnlam[at_n])
+    counts[at_n] = n[at_n].astype(np.int64) - ~fits
+    return counts, doubt
+
+
+def _direct_grid(tau, s, lnC, lnlam):
+    e = s - 1.0
+    hi, doubt = np.full(lnC.size, 2, dtype=np.int64), np.zeros(lnC.size, dtype=bool)
+    act = np.arange(lnC.size)
+    while act.size:     # gallop: hi doubles while g(hi) fits, up to 2**53
+        fit, in_doubt = _fits_at(hi[act].astype(np.float64), e, tau, lnC[act], lnlam[act])
+        doubt[act] |= in_doubt | (fit & (hi[act] == 2 ** 53))
+        act = act[fit & ~doubt[act]]
+        hi[act] *= 2
+    lo = hi // 2
+    act = np.flatnonzero((hi - lo > 1) & ~doubt)
+    while act.size:     # bisect: g(lo) <= ln lambda < g(hi)
+        mid = (lo[act] + hi[act]) // 2
+        fit, in_doubt = _fits_at(mid.astype(np.float64), e, tau, lnC[act], lnlam[act])
+        doubt[act] |= in_doubt
+        lo[act] = np.where(fit, mid, lo[act])
+        hi[act] = np.where(fit, hi[act], mid)
+        act = act[(hi[act] - lo[act] > 1) & ~in_doubt]
+    return lo, doubt
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ weight-matrix equivalence, and the closing corollary weight.
 """
 
 import math
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -158,8 +158,7 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
     logM = seq.log_M(p)
-    star1, _ = phi_sigma_conjugate(sigma, H1 * pf)
-    star2, _ = phi_sigma_conjugate(sigma, H2 * pf)
+    star1, star2 = phi_sigma_conjugate(sigma, np.multiply.outer((H1, H2), pf))[0]
 
     v1 = logM - star1 / H1
     v2 = star2 / H2 - logM
@@ -187,12 +186,17 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
 # ---------------------------------------------------------------------------
 
 class MatrixHandle(NamedTuple):
+    """A weight matrix: one sequence `make(idx)` per index. `table`, where given, is
+    p -> `log_M_table(p)` computed for all members at once."""
     family: str
     sigma: float
     indices: Tuple[float, ...]
     make: Callable[[float], LogWeightSequence]
+    table: Optional[Callable[[np.ndarray], Dict[float, np.ndarray]]] = None
 
     def log_M_table(self, p: np.ndarray) -> Dict[float, np.ndarray]:
+        if self.table is not None:
+            return self.table(p)
         return {idx: self.make(idx).log_M(p) for idx in self.indices}
 
 
@@ -207,8 +211,16 @@ def conjugate_matrix(sigma: float, Hs) -> MatrixHandle:
     def phi_star(y):
         return phi_sigma_conjugate(sigma, y)[0]
 
+    def table(p):
+        # every member's phi*(H p) in one call: an entry of it does not depend on the other
+        # points, so each member's log_M, handed its row, is its own log_M bit for bit
+        members = {H: conjugate_generated(phi_star, H) for H in Hs}
+        stars = phi_star(np.multiply.outer(tuple(members), np.asarray(p, dtype=np.float64)))
+        return {H: seq._replace(fn=lambda _, v=v, H=H: v / H).log_M(p)
+                for (H, seq), v in zip(members.items(), stars)}
+
     return MatrixHandle("N_sigma", sigma, tuple(Hs),
-                        lambda H: conjugate_generated(phi_star, H))
+                        lambda H: conjugate_generated(phi_star, H), table)
 
 
 def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,

@@ -222,13 +222,14 @@ def _check_m2_tilde(params, params2, p_max):
     seq = _require_ext(params)
     big = extended_gevrey(SequenceParams(2.0 ** (params.sigma - 1.0) * params.tau, params.sigma))
     p = default_p_grid(p_max, per_decade=30)
-    pf = p.astype(np.float64)
-    fsum = seq.log_M(p[:, None] + p[None, :])
+    # each unordered pair p <= q once: the objective is symmetric but for the order of its
+    # two subtractions, so the pair takes the larger of its two orders, the sup over both
+    i, j = np.triu_indices(p.size)
+    fsum = seq.log_M(p[i] + p[j])
     fbig = big.log_M(p)
-    denom = pf[:, None] ** params.sigma + pf[None, :] ** params.sigma
-    v = (fsum - fbig[:, None] - fbig[None, :]) / denom
-    pmax_pair = np.maximum(p[:, None], p[None, :])
-    return _stable_report("~M.2", p_max, pmax_pair.ravel(), [v.ravel()])
+    fi, fj, pw = fbig[i], fbig[j], p.astype(np.float64) ** params.sigma
+    v = np.maximum(fsum - fi - fj, fsum - fj - fi) / (pw[i] + pw[j])     # p[j] = max(p, q)
+    return _stable_report("~M.2", p_max, p[j], [v])
 
 
 def _check_m2_classical(params, params2, p_max):

@@ -262,6 +262,89 @@ def test_counting_fn_direct_where_the_power_overflows(tau, count):
     assert counting_fn_direct(P, 1.0, 10.0) == _count_decimal(tau, 100.0, 1.0, 10.0) == count
 
 
+def _scalar_table(fn, P, C, lam):
+    """fn's scalar calls over the broadcast (C, lambda) in C order: the counts (None where a
+    call raises), and the message of the first call that raises."""
+    counts, first = [], None
+    for c, l in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(C, lam))):
+        try:
+            counts.append(fn(P, c, l))
+        except NumericalError as exc:
+            counts.append(None)
+            first = first or str(exc)
+    return counts, first
+
+
+def _assert_array_equals_scalar(fn, P, C, lam):
+    counts, first = _scalar_table(fn, P, C, lam)
+    if first is None:
+        got = fn(P, C, lam)
+        assert got.dtype == np.int64 and got.shape == np.broadcast_shapes(C.shape, lam.shape)
+        assert got.ravel().tolist() == counts
+        return
+    with pytest.raises(NumericalError) as err:
+        fn(P, C, lam)
+    assert str(err.value) == first
+    # the points that do not raise, as one flat call
+    Cb, lb = (a.ravel() for a in np.broadcast_arrays(C, lam))
+    ok = np.array([n is not None for n in counts])
+    assert fn(P, Cb[ok], lb[ok]).tolist() == [n for n in counts if n is not None]
+
+
+def _boundary_lams(rng, tau, sigma, C, n):
+    """lambda = exp(g(p)) at random integers p: ln lambda lies within a few ulps of g(p), where
+    numpy's and math's pow and log can decide g(p) <= ln lambda differently."""
+    p = np.floor(10.0 ** rng.uniform(0.0, 6.0, n))
+    with np.errstate(over="ignore"):
+        lam = np.exp(p ** (sigma - 1.0) * (math.log(C) + tau * np.log(p)))
+    return lam[(lam >= 1.0) & (lam < math.inf)]
+
+
+@pytest.mark.parametrize("fn", [counting_fn_floor, counting_fn_direct])
+@pytest.mark.parametrize("seed", range(12))
+def test_counting_array_equals_the_scalar_calls(fn, seed):
+    # seeded (tau, sigma) with sigma up to 101, for the overflow branch past p^(sigma-1) = 1e308
+    rng = np.random.default_rng(seed)
+    tau, sigma = 10.0 ** rng.uniform(-3.0, 2.0), 1.0 + 10.0 ** rng.uniform(-2.0, 2.0)
+    C = np.array([[1.0], [math.e], [10.0 ** rng.uniform(-3.0, 3.0)]])
+    lam = np.concatenate([[1.0, 1.0 + 2.0 ** -52], 10.0 ** rng.uniform(0.0, 12.0, 40),
+                          _boundary_lams(rng, tau, sigma, 1.0, 40)])
+    _assert_array_equals_scalar(fn, SequenceParams(tau, sigma), C, lam)
+
+
+@pytest.mark.parametrize("fn", [counting_fn_floor, counting_fn_direct])
+@pytest.mark.parametrize("tau, sigma", [(1e-300, 2.0), (1e-300, 100.0), (2.5e-320, 31.46),
+                                        (0.05, 1.01), (0.2, 1.01), (1.0, 2.0)])
+def test_counting_array_equals_the_scalar_calls_at_the_edges(fn, tau, sigma):
+    # tau = 1e-300 and subnormal: ln C/tau past the floats, subnormal tau ln p; sigma = 1.01:
+    # counts past the closed form's resolution and past 2**53
+    rng = np.random.default_rng(7)
+    C = np.array([[1.0], [math.e], [0.5], [1e-3]])
+    lam = np.concatenate([[1.0, 2.955, 10.0], 10.0 ** rng.uniform(0.0, 8.0, 30),
+                          _boundary_lams(rng, tau, sigma, 1.0, 20)])
+    _assert_array_equals_scalar(fn, SequenceParams(tau, sigma), C, lam)
+
+
+def test_counting_array_error_names_the_first_failing_point_in_c_order():
+    # row 0 fails at its second lambda, row 1 at its first: C order reaches row 0's first
+    lam = np.array([2.0, 960831131233.0902])
+    with pytest.raises(NumericalError, match=r"C=0\.001, lambda=960831131233\.0902$"):
+        counting_fn_floor(SequenceParams(1.01, 1.01), np.array([[0.001], [1e-12]]), lam)
+    with pytest.raises(NumericalError, match=r"2\*\*53.*C=1\.0, lambda=1000\.0$"):
+        counting_fn_direct(SequenceParams(0.05, 1.01), np.array([[1.0], [0.001]]), [2.0, 1000.0])
+
+
+@pytest.mark.parametrize("C, lam, message", [
+    ([1.0, math.nan], [2.0, 3.0], "C must be finite and positive, got nan"),
+    ([[1.0], [2.0]], [0.5, 2.0, math.inf], "lambda must be finite and >= 1, got 0.5"),
+    (1.0, [2.0, math.inf], "lambda must be finite and >= 1, got inf")])
+@pytest.mark.parametrize("fn", [counting_fn_floor, counting_fn_direct])
+def test_counting_array_guard_names_the_first_bad_point(fn, C, lam, message):
+    with pytest.raises(DomainError) as err:
+        fn(SequenceParams(1.0, 2.0), np.asarray(C), np.asarray(lam))
+    assert str(err.value) == message
+
+
 def test_counting_bracket_invariant():
     # with C1 = e^tau the sublevel count never exceeds the raw count,
     # with C2 = (e/2^sigma)^(tau/2^(sigma-1)) it never falls below
