@@ -327,14 +327,25 @@ def _counting_sum_scalar(lnk, tau, sigma):
 
 def counting_sum_grid(lnk_arr, tau, sigma):
     """(T(k), N) for every ln k: the scalar search finds the largest N (and raises where it
-    does), then `searchsorted` finds every N in one table of ln log m_p, p = 2 .. N_max."""
+    does), then `searchsorted` finds every N in one table of ln log m_p, p = 2 .. N_max.
+
+    The table is `_quotient_factor`'s B, its log, plus sigma ln p, built step for step in
+    four buffers, and log M_N is taken at the counts alone: the peak is four table-sized
+    arrays (128 MiB at the cap)."""
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     n = _counting_sum_scalar(float(np.max(lnk_arr)) if lnk_arr.size else 0.0, tau, sigma)[1]
     p = np.arange(2, n + 1, dtype=np.float64)
     lp = np.log(p)
-    lnlogm = np.log(_quotient_factor(p, lp, sigma))
-    lnlogm += sigma * lp            # ln log m_p - ln tau
+    l = np.divide(-1.0, p)
+    np.log1p(l, out=l)
+    em = np.multiply(l, sigma, out=p)       # p is done with
+    np.expm1(em, out=em)
+    b = em * lp
+    em += 1.0
+    em *= l
+    b += em
+    lnlogm = np.log(np.negative(b, out=b), out=b)
+    lnlogm += np.multiply(lp, sigma, out=lp)     # ln log m_p - ln tau
     rhs = np.log(lnk_arr, out=np.full_like(lnk_arr, -math.inf), where=lnk_arr > 0.0) - math.log(tau)
     counts = np.searchsorted(lnlogm, rhs, side="right") + (lnk_arr >= 0.0)    # log m_1 = 0
-    logM = ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma)
-    return np.maximum(lnk_arr, 0.0) * counts - logM[counts], counts
+    return np.maximum(lnk_arr, 0.0) * counts - ext_log_M(counts.astype(np.float64), tau, sigma), counts

@@ -138,17 +138,22 @@ def stable_sup(p: np.ndarray, values: np.ndarray):
     of p, or the last decade adds less than 1% on top of it."""
     p = np.asarray(p)
     values = np.asarray(values, dtype=np.float64)
-    i = values.argmax(axis=-1)
-    sup = values[i] if values.ndim == 1 else np.take_along_axis(values, i[..., None], -1)[..., 0]
     cut = p.max() / 10
     early = p <= cut
+    if values.ndim == 1:    # in floats: a NaN or infinite sup is unstable before any subtraction
+        i = int(values.argmax())
+        sup, arg = float(values[i]), int(p[i])
+        stable = math.isfinite(sup) and early.any() and (
+            arg <= cut or sup - float(values.max(where=early, initial=-np.inf))
+            <= 0.01 * max(1.0, abs(sup)))
+        return sup, arg, bool(stable)
+    i = values.argmax(axis=-1)
+    sup = np.take_along_axis(values, i[..., None], -1)[..., 0]
     stable = np.isfinite(sup) & early.any()
     if early.any():
         prev = values.max(axis=-1, where=early, initial=-np.inf)
         with np.errstate(invalid="ignore"):     # inf - inf: unstable all the same
             stable &= (p[i] <= cut) | ((sup - prev) <= 0.01 * np.maximum(1.0, abs(sup)))
-    if values.ndim == 1:
-        return float(sup), int(p[i]), bool(stable)
     return sup, p[i], stable
 
 

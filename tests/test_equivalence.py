@@ -12,6 +12,7 @@ from extgevrey.sequences import _fit_band, default_p_grid, stable_sup
 from extgevrey import (
     DomainError,
     NumericalError,
+    RangeError,
     SequenceParams,
     UsageError,
     check_T_phi_equivalence,
@@ -247,6 +248,23 @@ def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch, tmp_path):
     assert scalar_calls == []
     # ocena-norme's two rows, then one (|A|, |B|, p) table per direction
     assert sup_shapes[2:] == [(4, 5, 163)] * 2 and len(sup_shapes) == 4
+
+
+def test_the_conjugate_matrix_table_equals_its_members_one_by_one():
+    p = default_p_grid(300)
+    for sigma in (1.05, 2.0, 6.0):
+        N = conjugate_matrix(sigma, [8.0, 0.125, 3.6390532111798644, 0.5, 0.125])
+        got, want = N.log_M_table(p), N._replace(table=None).log_M_table(p)
+        assert list(got) == list(want)
+        assert all(got[H].tobytes() == want[H].tobytes() for H in want)
+    for Hs, p, error in (([1.0, -1.0], p, DomainError), ([1.0], [1.5], RangeError),
+                         ([1.0, 1e300], p, NumericalError)):
+        N = conjugate_matrix(2.0, Hs)
+        with pytest.raises(error) as one_call:
+            N.log_M_table(p)
+        with pytest.raises(error) as member_by_member:
+            N._replace(table=None).log_M_table(p)
+        assert str(one_call.value) == str(member_by_member.value)
 
 
 def _matrix_check_pair_by_pair(A, B, p_max):

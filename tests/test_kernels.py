@@ -496,6 +496,20 @@ def test_counting_sum_past_its_table_cap_raises_before_allocating():
     assert peak < 4 * 2 ** 20
 
 
+def test_counting_sum_table_near_its_cap_peaks_at_four_table_arrays():
+    # p = 2 .. 4194298: four float arrays the table's length are 128 MiB; the temporaries of
+    # B(p) and of log M_p over the whole table took the peak to 228 MiB
+    lnk = _kernels.ext_log_m(np.array([2.0 ** 22 - 5]), 1.0, 1.01)
+    tracemalloc.start()
+    try:
+        T, counts = _kernels.counting_sum_grid(lnk, 1.0, 1.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert T.tolist() == [5630202.120881453] and counts.tolist() == [4194298]
+    assert peak < 4.1 * 8 * 2 ** 22
+
+
 def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
     # with the cap lowered to 2**12: a ln k that log m_p clears at p = 2**12
     # is answered from a table of that size, one that needs p = 2**13 raises

@@ -21,7 +21,7 @@ from extgevrey import (
     stable_sup,
 )
 from extgevrey import sequences
-from extgevrey.sequences import P_MAX_CAP
+from extgevrey.sequences import P_MAX_CAP, _stable_report
 
 PARAM_SET = [(t, s) for t in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)]
 
@@ -101,6 +101,47 @@ def test_stable_sup_flags_growth():
     sup, arg, stable = stable_sup(p, np.log(p.astype(float)))
     assert not stable
     assert arg == 1000
+
+
+def test_stable_sup_on_one_row_equals_its_row_of_a_table():
+    # the 1-D path decides in Python floats, the N-D one in numpy
+    p = default_p_grid(1000)
+    rows = np.random.default_rng(3).normal(size=(11, p.size))
+    rows[1, -1] = 50.0                      # a late sup: unstable
+    rows[2, -1] = rows[2].max() + 0.005     # late, within 1%: stable
+    rows[3, 5] = rows[4, -3] = math.nan     # a NaN sup, early and late
+    rows[5, 2] = rows[6, -2] = math.inf
+    rows[7] = -math.inf
+    rows[8] = 1.0                           # ties: the first attains the sup
+    rows[9, :5] = math.nan                  # NaN where the early max is taken
+    rows[10, -1] = -rows[10, -1]
+    for q in (p, np.array([7, 8, 9])):      # with early points, and with none
+        v = rows[:, :q.size]
+        sups, args, stables = stable_sup(q, v)
+        for row, sup, arg, stable in zip(v, sups.tolist(), args.tolist(), stables.tolist()):
+            got = stable_sup(q, row)
+            assert [type(x) for x in got] == [float, int, bool]
+            assert (repr(got[0]), got[1], got[2]) == (repr(sup), arg, stable)
+
+
+def _m2_tilde_every_ordered_pair(params, p_max):
+    """~M.2 over the full (p, q) table, both orders of each pair: an oracle only."""
+    seq = extended_gevrey(params)
+    big = extended_gevrey(SequenceParams(2.0 ** (params.sigma - 1.0) * params.tau, params.sigma))
+    p = default_p_grid(p_max, per_decade=30)
+    pf = p.astype(np.float64)
+    fsum, fbig = seq.log_M(p[:, None] + p[None, :]), big.log_M(p)
+    v = (fsum - fbig[:, None] - fbig[None, :]) / (pf[:, None] ** params.sigma + pf[None, :] ** params.sigma)
+    return _stable_report("~M.2", p_max, np.maximum(p[:, None], p[None, :]).ravel(), [v.ravel()])
+
+
+@pytest.mark.parametrize("tau", [0.05, 1.0, 50.0])
+@pytest.mark.parametrize("sigma", [1.01, 1.2, 2.0, 6.0])
+def test_m2_tilde_on_unordered_pairs_equals_every_ordered_pair(tau, sigma):
+    P = SequenceParams(tau, sigma)
+    for p_max in (300, 10_000):
+        got = check_condition("~M.2", P, p_max)
+        assert repr(got) == repr(_m2_tilde_every_ordered_pair(P, p_max))
 
 
 @pytest.mark.parametrize("tau,sigma", PARAM_SET)
