@@ -277,19 +277,21 @@ def _quotient_factor(p, lp, sigma):
     """B(p) = log m_p / (tau p^sigma) at float p >= 2, lp = ln p: with l = log1p(-1/p)
     and em = expm1(sigma l), B = -em ln p - (1 + em) l, a sum of two positive terms, so
     it does not cancel as the difference tau p^sigma ln p - tau (p-1)^sigma ln(p-1) does.
-    In place where it can be: a counting table holds up to _COUNT_P_CAP of them."""
-    l = np.log1p(-1.0 / p)
-    em = np.expm1(sigma * l)
-    b = em * lp
+    It overwrites p: a counting table of up to _COUNT_P_CAP quotients then peaks at four
+    arrays its size, p and lp included."""
+    l = np.divide(-1.0, p, out=np.empty_like(p))
+    np.log1p(l, out=l)
+    em = np.expm1(np.multiply(l, sigma, out=p), out=p)
+    b = np.multiply(em, lp, out=np.empty_like(p))
     em += 1.0
     em *= l
     b += em
-    return -b
+    return np.negative(b, out=b)
 
 
 def ext_log_m(p, tau, sigma):
     """log m_p = log M_p - log M_(p-1) = tau p^sigma B(p) at float p >= 1, 0 at p = 1."""
-    q = np.maximum(p, 2.0)
+    q = np.asarray(np.maximum(p, 2.0))      # an array, which `_quotient_factor` overwrites
     return np.where(p > 1, tau * p ** sigma * _quotient_factor(q, np.log(q), sigma), 0.0)
 
 
@@ -328,23 +330,14 @@ def _counting_sum_scalar(lnk, tau, sigma):
 def counting_sum_grid(lnk_arr, tau, sigma):
     """(T(k), N) for every ln k: the scalar search finds the largest N (and raises where it
     does), then `searchsorted` finds every N in one table of ln log m_p, p = 2 .. N_max.
-
-    The table is `_quotient_factor`'s B, its log, plus sigma ln p, built step for step in
-    four buffers, and log M_N is taken at the counts alone: the peak is four table-sized
-    arrays (128 MiB at the cap)."""
+    The table is built in place, and log M_N taken at the counts alone: the peak is four
+    arrays the table's size, 128 MiB at the cap."""
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     n = _counting_sum_scalar(float(np.max(lnk_arr)) if lnk_arr.size else 0.0, tau, sigma)[1]
     p = np.arange(2, n + 1, dtype=np.float64)
     lp = np.log(p)
-    l = np.divide(-1.0, p)
-    np.log1p(l, out=l)
-    em = np.multiply(l, sigma, out=p)       # p is done with
-    np.expm1(em, out=em)
-    b = em * lp
-    em += 1.0
-    em *= l
-    b += em
-    lnlogm = np.log(np.negative(b, out=b), out=b)
+    lnlogm = _quotient_factor(p, lp, sigma)
+    np.log(lnlogm, out=lnlogm)
     lnlogm += np.multiply(lp, sigma, out=lp)     # ln log m_p - ln tau
     rhs = np.log(lnk_arr, out=np.full_like(lnk_arr, -math.inf), where=lnk_arr > 0.0) - math.log(tau)
     counts = np.searchsorted(lnlogm, rhs, side="right") + (lnk_arr >= 0.0)    # log m_1 = 0

@@ -89,13 +89,6 @@ def _validate_c_lam(C, lam):
         raise DomainError(f"lambda must be finite and >= 1, got {lam}")
 
 
-def _is_array(C, lam):
-    """Whether a counting call takes its array path: a float lambda and C take the scalar
-    one at the cost of two isinstance tests, any other 0-d value after np.ndim."""
-    return (not isinstance(lam, float) and np.ndim(lam) > 0
-            or not isinstance(C, float) and np.ndim(C) > 0)
-
-
 def counting_fn_floor(params: SequenceParams, C, lam):
     """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W.
 
@@ -106,10 +99,11 @@ def counting_fn_floor(params: SequenceParams, C, lam):
 
     C and lambda may be arrays, which broadcast: the counts come back as an int64 array
     with one W call for all of them, each entry equal to the scalar call at its point,
-    and an error is the scalar call's at the first failing point in C order."""
-    if _is_array(C, lam):
-        return _counts_grid(_floor_grid, _floor_scalar, params, C, lam)
-    return _floor_scalar(params.tau, params.sigma, C, lam)
+    and an error is the scalar call's at the first failing point in C order. A float C
+    and lambda take the scalar path in `math` after two isinstance tests."""
+    if isinstance(lam, float) and isinstance(C, float) or np.ndim(C) == np.ndim(lam) == 0:
+        return _floor_scalar(params.tau, params.sigma, C, lam)
+    return _counts_grid(_floor_grid, _floor_scalar, params, C, lam)
 
 
 def _floor_scalar(tau, s, C, lam):
@@ -162,9 +156,9 @@ def counting_fn_direct(params: SequenceParams, C, lam):
 
     C and lambda may be arrays, as for `counting_fn_floor`: one gallop and one
     bisection then run over every point at once."""
-    if _is_array(C, lam):
-        return _counts_grid(_direct_grid, _direct_scalar, params, C, lam)
-    return _direct_scalar(params.tau, params.sigma, C, lam)
+    if isinstance(lam, float) and isinstance(C, float) or np.ndim(C) == np.ndim(lam) == 0:
+        return _direct_scalar(params.tau, params.sigma, C, lam)
+    return _counts_grid(_direct_grid, _direct_scalar, params, C, lam)
 
 
 def _direct_scalar(tau, s, C, lam):
@@ -265,7 +259,7 @@ def _floor_grid(tau, s, lnC, lnlam):
     at_n = (n >= 1.0) & (gap <= rel_val) & ~doubt
     counts = np.floor(np.where(doubt, 0.0, val)).astype(np.int64)
     fits, doubt[at_n] = _fits_at(n[at_n], s1, tau, lnC[at_n], lnlam[at_n])
-    counts[at_n] = n[at_n].astype(np.int64) - ~fits
+    counts[at_n] = np.where(fits, n[at_n], n[at_n] - 1)
     return counts, doubt
 
 
