@@ -308,7 +308,8 @@ def test_counting_array_equals_the_scalar_calls(fn, seed):
     tau, sigma = 10.0 ** rng.uniform(-3.0, 2.0), 1.0 + 10.0 ** rng.uniform(-2.0, 2.0)
     C = np.array([[1.0], [math.e], [10.0 ** rng.uniform(-3.0, 3.0)]])
     lam = np.concatenate([[1.0, 1.0 + 2.0 ** -52], 10.0 ** rng.uniform(0.0, 12.0, 40),
-                          _boundary_lams(rng, tau, sigma, 1.0, 40)])
+                          _boundary_lams(rng, tau, sigma, 1.0, 30),
+                          _boundary_lams(rng, tau, sigma, math.e, 30)])
     _assert_array_equals_scalar(fn, SequenceParams(tau, sigma), C, lam)
 
 
@@ -326,7 +327,7 @@ def test_counting_array_equals_the_scalar_calls_at_the_edges(fn, tau, sigma):
 
 
 def test_counting_array_error_names_the_first_failing_point_in_c_order():
-    # row 0 fails at its second lambda, row 1 at its first: C order reaches row 0's first
+    # row 0 fails at its second lambda, row 1 at its first: C order meets row 0's failure first
     lam = np.array([2.0, 960831131233.0902])
     with pytest.raises(NumericalError, match=r"C=0\.001, lambda=960831131233\.0902$"):
         counting_fn_floor(SequenceParams(1.01, 1.01), np.array([[0.001], [1e-12]]), lam)
