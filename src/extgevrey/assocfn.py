@@ -107,7 +107,8 @@ def counting_fn_floor(params: SequenceParams, C, lam):
 
 
 def _floor_scalar(tau, s, C, lam):
-    _validate_c_lam(C, lam)
+    if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
+        _validate_c_lam(C, lam)
     lnC, lnlam = math.log(C), math.log(lam)
     if lnC > lnlam:     # g(1) = ln C: no p counts, whatever W's resolution
         return 0
@@ -162,7 +163,8 @@ def counting_fn_direct(params: SequenceParams, C, lam):
 
 
 def _direct_scalar(tau, s, C, lam):
-    _validate_c_lam(C, lam)
+    if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
+        _validate_c_lam(C, lam)
     lnC, lnlam, e = math.log(C), math.log(lam), s - 1.0
     if lnC > lnlam:     # g(1) = ln C
         return 0
