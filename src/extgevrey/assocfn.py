@@ -165,13 +165,14 @@ def counting_fn_direct(params: SequenceParams, C, lam):
 def _direct_scalar(tau, s, C, lam):
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
         _validate_c_lam(C, lam)
-    lnC, lnlam, e = math.log(C), math.log(lam), s - 1.0
+    log = math.log
+    lnC, lnlam, e = log(C), log(lam), s - 1.0
     if lnC > lnlam:     # g(1) = ln C
         return 0
     hi = 2
     while True:
         try:
-            if not hi ** e * (lnC + tau * math.log(hi)) <= lnlam:
+            if not hi ** e * (lnC + tau * log(hi)) <= lnlam:
                 break
         except OverflowError:
             if not _fits_past_floats(hi, e, lnC, tau, lnlam):
@@ -184,7 +185,7 @@ def _direct_scalar(tau, s, C, lam):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            fits = mid ** e * (lnC + tau * math.log(mid)) <= lnlam
+            fits = mid ** e * (lnC + tau * log(mid)) <= lnlam
         except OverflowError:
             fits = _fits_past_floats(mid, e, lnC, tau, lnlam)
         if fits:
