@@ -298,6 +298,7 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     Taken as E = exp((s ln ln k - ln W(R))/(s-1)) with ln R from `_ln_x_over_lnk`, W from
     ln R, and ln W(R) = ln R - W(R) where W <= 1 (W underflows with R): no factor of R or
     E is formed, so none leaves the floats. NumericalError where E passes the largest float."""
+    _check_positive("h", h)
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
     E, big = np.zeros_like(k), k > 1.0

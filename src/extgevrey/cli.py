@@ -307,7 +307,7 @@ def cmd_verify(args):
     SequenceParams(args.tau, args.sigma)    # a bad tau, sigma, h, pmax, Q or s exits 2 before any claim runs
     if not (math.isfinite(args.h) and args.h > 0):
         raise DomainError(f"h must be finite and positive, got {args.h}")
-    _check_pmax(args.pmax, 10 if "liminf" in names else 3)
+    _check_pmax(args.pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3)
     if "liminf" in names and args.Q < 2:
         raise UsageError(f"--Q must be an integer >= 2, got {args.Q}")
     if "corollary" in names and not (math.isfinite(args.s) and args.s > 1):

@@ -9,11 +9,12 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._kernels import _assoc_sup_scalar, assoc_sup_grid, w0_scalar
+from .assocfn import _check_positive
 from .conjugate import (_ln_phi_slope, check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
-from .sequences import (LogWeightSequence, SequenceParams, _fit_band, conjugate_generated,
-                        default_p_grid, extended_gevrey, stable_sup)
+from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _fit_band,
+                        conjugate_generated, default_p_grid, extended_gevrey, stable_sup)
 
 __all__ = [
     "EquivalenceReport",
@@ -53,10 +54,15 @@ def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray, phi: np.ndarra
 
 def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0) -> EquivalenceReport:
     """Fit B*phi + B~ <= T_h <= A*phi + A~ on `default_k_grid` and check that the
-    fitted slopes scale like tau^(-1/(sigma-1)) under tau -> 2^(sigma-1) tau."""
+    fitted slopes scale like tau^(-1/(sigma-1)) under tau -> 2^(sigma-1) tau.
+    NumericalError where phi_sigma(ln k) passes the floats on the grid (sigma below about 1.0035)."""
+    _check_positive("h", h)
     k = default_k_grid()
     lnk = np.log(k)
     phi = phi_sigma(params.sigma, np.maximum(lnk, 0.0))    # free of tau: both fits share it
+    if phi[-1] == math.inf:     # phi rises with k: a slope fitted against inf is 0
+        raise NumericalError(f"phi_sigma(ln k) passes the floats on the k grid from "
+                             f"k = {float(k[np.argmax(phi == math.inf)]):.6g}: sigma={params.sigma!r}")
     T, fit = _fit_T_phi(params, h, lnk, phi)
 
     viol_up = float(np.max(T - fit["A"] * phi - fit["A_tilde"]))
@@ -88,7 +94,8 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
     The window t_max doubles from 4000 until t*(p_max/b) <= 0.8 t_max. A window
     that `_window_must_fail` rules out is skipped unevaluated; every window that
     is evaluated runs in full, so (a, b, t_max) and any error are those of the
-    full doubling."""
+    full doubling. NumericalError where b = 0: phi_sigma passes the floats on the
+    window (or T/phi_sigma underflows), so the band has no index H1 = 1/b."""
     t_max = 4000.0
     while True:
         t = np.logspace(0.0, math.log10(t_max), 1200)
@@ -96,6 +103,9 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
             T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
             c = T / phi_sigma(sigma, t)
             b, a = float(np.min(c)), float(np.max(c))
+            if not b > 0.0:
+                raise NumericalError(f"min T(e^t)/phi_sigma(t) on the slope window t <= {t_max:g} is {b!r}, "
+                                     f"so there is no H1 = 1/b: tau={tau!r}, sigma={sigma!r}")
             if not _t_star_past(sigma, p_max / b, 0.8 * t_max):
                 return a, b, t_max
         t_max *= 2.0
@@ -147,9 +157,10 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     With slopes a >= c(t) >= b fitted on a covering window, sets
     H1 = 1/b, H2 = 1/a and verifies that
     sup_p [log M_p - phi*(H1 p)/H1]  and  sup_p [phi*(H2 p)/H2 - log M_p]
-    are finite and stable on [1, p_max].
+    are finite and stable on [1, p_max]; the drift is read on p <= p_max/10, so p_max >= 10.
     """
     params = SequenceParams(tau, sigma)
+    _check_p_max(p_max, 10)
     a, b, t_max, H1, H2 = slope_band(sigma, tau, p_max)
     A_sigma = a * (tau / 2.0 ** (sigma - 1.0)) ** (1.0 / (sigma - 1.0))
     B_sigma = b * tau ** (1.0 / (sigma - 1.0))

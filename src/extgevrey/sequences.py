@@ -239,7 +239,8 @@ def _check_m2_tilde(params, params2, p_max):
 
 def _check_m2_classical(params, params2, p_max):
     # full Komatsu-style stability: M_{2p} <= C H^{2p} M_p^2 needs
-    # (log M_{2p} - 2 log M_p) / (2p) to stay bounded; here it diverges.
+    # (log M_{2p} - 2 log M_p) / (2p) to stay bounded; here it diverges. p = 2 .. p_max/2.
+    _check_p_max(p_max, 4)
     seq = _require_ext(params)
     p = np.arange(2, min(p_max, 100000) // 2 + 1, dtype=np.int64)
     r = (seq.log_M(2 * p) - 2.0 * seq.log_M(p)) / (2.0 * p)

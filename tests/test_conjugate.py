@@ -27,6 +27,8 @@ from extgevrey import (
     young_conjugate,
 )
 
+import _reference
+
 # frozen 40-digit reference values
 PHI_REFERENCE = [
     (2.0, 1.0, 1.7632228343518967102),
@@ -309,34 +311,7 @@ def test_import_leaves_numpy_polynomial_unimported():
     assert res.stdout.strip() == "False"
 
 
-# -- young_conjugate: one phi call per bracket doubling, the same result ------
-
-def _young_conjugate_two_calls(phi, y, *, bracket_hint=None, t_cap=2.0 ** 1000):
-    """`young_conjugate` with both bracket ends evaluated at every doubling. An oracle only."""
-    def f(t):
-        return y * t - phi(t)
-
-    cap = min(t_cap, sys.float_info.max / y) if y > 0 else t_cap
-    b = max(1.0, 2.0 * bracket_hint) if bracket_hint else 1.0
-    while f(b) > f(0.5 * b):
-        b *= 2.0
-        if b > cap:
-            raise DivergenceError(f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
-                                  cap=cap)
-    t_star, val = conjugate._golden_max(f, b)
-    return max(val, 0.0), t_star
-
-
-class _Counted:
-    """phi_sigma(sigma, .) recording every t it is called at."""
-
-    def __init__(self, sigma):
-        self.sigma, self.ts = sigma, []
-
-    def __call__(self, t):
-        self.ts.append(t)
-        return phi_sigma(self.sigma, t)
-
+# -- young_conjugate: its bracket, and its result against the reference ----------
 
 def _young_cases():
     rng = np.random.default_rng(21)
@@ -346,39 +321,82 @@ def _young_cases():
             for hint in (None, float(rng.uniform(0.1, 40.0)))]
 
 
-def test_young_conjugate_matches_the_two_call_bracket():
-    for sigma, y, hint in _young_cases():
-        phi = lambda t: phi_sigma(sigma, t)
-        got = young_conjugate(phi, y, bracket_hint=hint)
-        assert repr(got) == repr(_young_conjugate_two_calls(phi, y, bracket_hint=hint)), (sigma, y, hint)
+def test_young_conjugate_matches_the_reference():
+    # golden section pins t* to about 2**-26 relative, where y t - phi(t) is flat to
+    # rounding: phi* to 1e-12 relative, or to 4 eps y t* where it is that small
+    for sigma, y, hint in _young_cases()[::5]:
+        val, ts = young_conjugate(lambda t: phi_sigma(sigma, t), y, bracket_hint=hint)
+        want, want_t = (float(v) for v in _reference.phi_star(sigma, y))
+        assert val == pytest.approx(want, rel=1e-12, abs=4.0 * sys.float_info.epsilon * y * want_t)
+        assert ts == pytest.approx(want_t, rel=1e-6, abs=1e-9), (sigma, y, hint)
 
 
 def test_young_conjugate_calls_phi_once_per_doubling():
+    # phi at b0 and b0/2, then once at each doubled b until y t - phi(t) stops rising
+    # from b/2 to b; golden section then starts on [0, b] at b - b/phi and b/phi
     for sigma, y, hint in _young_cases()[::7]:
-        new, old = _Counted(sigma), _Counted(sigma)
-        young_conjugate(new, y, bracket_hint=hint)
-        _young_conjugate_two_calls(old, y, bracket_hint=hint)
+        ts = []
+        young_conjugate(lambda t: ts.append(t) or phi_sigma(sigma, t), y, bracket_hint=hint)
         b0 = max(1.0, 2.0 * hint) if hint else 1.0
-        # the bracket: b0, b0/2, then each doubled b once; golden section starts off the powers of 2
         n = 2
-        while n < len(new.ts) and new.ts[n] == b0 * 2.0 ** (n - 1):
+        while n < len(ts) and ts[n] == b0 * 2.0 ** (n - 1):
             n += 1
-        assert new.ts[:n] == [b0, 0.5 * b0] + [b0 * 2.0 ** i for i in range(1, n - 1)]
-        assert len(new.ts) == len(old.ts) - (n - 2)
+        b = [0.5 * b0] + [b0 * 2.0 ** i for i in range(n - 1)]
+        assert ts[:n] == b[1:2] + b[:1] + b[2:]
+        f = [y * t - phi_sigma(sigma, t) for t in b]
+        assert all(hi > lo for lo, hi in zip(f[:-2], f[1:-1])) and not f[-1] > f[-2]
+        assert ts[n:n + 2] == [b[-1] - conjugate._INVPHI * b[-1], conjugate._INVPHI * b[-1]]
 
 
 @pytest.mark.parametrize("y, t_cap", [(2.0, 1e3), (2.0, 1e6), (1e300, 2.0 ** 1000)])
 def test_young_conjugate_divergence_is_unchanged(y, t_cap, monkeypatch):
+    # the cap is min(_T_CAP, max_float / y); the bracket raises at the first doubled b past it,
+    # before it calls phi there
     monkeypatch.setattr(conjugate, "_T_CAP", t_cap)
     ts = []
-    phi = lambda t: ts.append(t) or t
-    with pytest.raises(DivergenceError) as got:
-        young_conjugate(phi, y)
-    with pytest.raises(DivergenceError) as want:
-        _young_conjugate_two_calls(lambda t: t, y, t_cap=t_cap)
-    assert str(got.value) == str(want.value) and got.value.cap == want.value.cap
-    # the cap check comes before the evaluation at the doubled b
-    assert max(ts) <= got.value.cap and len(ts) == len(set(ts))
+    with pytest.raises(DivergenceError) as err:
+        young_conjugate(lambda t: ts.append(t) or t, y)
+    cap = min(t_cap, sys.float_info.max / y)
+    assert err.value.cap == cap
+    assert str(err.value) == f"objective still increasing at t = {cap:g}; phi*({y}) diverges"
+    assert ts == [1.0, 0.5] + [2.0 ** i for i in range(1, math.floor(math.log2(cap)) + 1)]
+
+
+# -- phi_sigma_conjugate against the reference -------------------------------------
+
+def _conjugate_cases():
+    """Seeded y from just above 1 to where y^sigma nears the floats, sigma from 1 + 1e-12 to 100."""
+    rng = np.random.default_rng(11)
+    for sigma in (1.0 + 2.0 ** -40, 1.0001, 1.01, 1.5, 2.0, 6.0, 100.0):
+        top = min(300.0, 300.0 / sigma)
+        yield sigma, np.concatenate([1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 4), 10.0 ** rng.uniform(0.0, top, 10)])
+
+
+def test_phi_sigma_conjugate_matches_the_reference():
+    # an error of a few ulps in the Newton root w grows (1 + w)-fold in t* = w e^w and
+    # (2 + sigma w/(sigma-1))-fold in phi* = w^2 e^(sigma w/(sigma-1)) / ((sigma-1)(1+w));
+    # the worst of 780 seeded points is 28 eps times that
+    eps = sys.float_info.epsilon
+    for sigma, y in _conjugate_cases():
+        val, ts = phi_sigma_conjugate(sigma, y)
+        for yi, v, t in zip(y.tolist(), val.tolist(), ts.tolist()):
+            want, want_t = _reference.phi_star(sigma, yi)
+            w = float(_reference.w0(want_t))
+            assert _reference.rel(v, want) <= 64 * eps * (2.0 + sigma / (sigma - 1.0) * w), (sigma, yi)
+            assert _reference.rel(t, want_t) <= 64 * eps * (1.0 + w), (sigma, yi)
+
+
+def test_phi_sigma_conjugate_stops_after_a_step_below_1e_14(monkeypatch):
+    # Newton's last step, from the last w that g is evaluated at to the w of the result, is
+    # below 1e-14 relative: each point has converged, not merely slowed down. W(t*) gives
+    # that w back to a few ulps, the rounding of t* = w e^w
+    seen, slope = [], conjugate._ln_phi_slope
+    monkeypatch.setattr(conjugate, "_ln_phi_slope", lambda w, *a: seen.append(float(w[0])) or slope(w, *a))
+    for sigma, y in _conjugate_cases():
+        for yi in y.tolist():
+            seen.clear()
+            w = float(_reference.w0(phi_sigma_conjugate(sigma, yi)[1]))
+            assert abs(w - seen[-1]) <= 2e-14 * w, (sigma, yi)
 
 
 # -- phi_sigma_conjugate: an array entry is the scalar call ----------------------

@@ -21,6 +21,7 @@ from extgevrey import (
     check_ocena_norme,
     conjugate_matrix,
     default_k_grid,
+    envelope,
     extended_matrix,
     slope_band,
 )
@@ -134,6 +135,28 @@ def test_corollary_needs_s_above_one():
         check_corollary(1.0)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_h_is_checked_before_any_work(h):
+    P = SequenceParams(1.0, 2.0)
+    for call in (lambda: envelope(P, h, [10.0]), lambda: check_T_phi_equivalence(P, h)):
+        with pytest.raises(DomainError, match=rf"^h must be finite and positive, got {h}$"):
+            call()
+
+
+def test_t_phi_equivalence_where_phi_sigma_leaves_the_floats_raises():
+    # phi_sigma(ln k) = ln k e^(W(ln k)/(sigma-1)) is inf on the whole grid at sigma = 1 + 1e-7
+    with pytest.raises(NumericalError, match=r"^phi_sigma\(ln k\) passes the floats on the k grid "
+                                             r"from k = 2\.71828: sigma=1\.0000001$"):
+        check_T_phi_equivalence(SequenceParams(1.0, 1.0000001))
+
+
+@pytest.mark.parametrize("p_max", [3, 9])
+def test_ocena_norme_needs_p_max_of_10(p_max):
+    # its drift is read on p <= p_max/10
+    with pytest.raises(UsageError, match=rf"^p_max must lie in \[10, 10000000\], got {p_max}$"):
+        check_ocena_norme(2.0, 1.0, p_max)
+
+
 def test_reports_serialize_deterministically():
     a = check_T_phi_equivalence(SequenceParams(1.0, 2.0))._asdict()
     b = check_T_phi_equivalence(SequenceParams(1.0, 2.0))._asdict()
@@ -150,6 +173,9 @@ def _fit_slopes_every_window(sigma, tau, p_max):
         T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
         c = T / phi_sigma(sigma, t)
         b, a = float(np.min(c)), float(np.max(c))
+        if not b > 0.0:
+            raise NumericalError(f"min T(e^t)/phi_sigma(t) on the slope window t <= {t_max:g} is {b!r}, "
+                                 f"so there is no H1 = 1/b: tau={tau!r}, sigma={sigma!r}")
         _, t_star = phi_sigma_conjugate(sigma, p_max / b)
         if t_star <= 0.8 * t_max:
             return a, b, t_max
@@ -164,9 +190,11 @@ def _outcome(fn, *args):
 
 
 # sigma <= 1.2 at small tau raises the 2**53 error in the first window; sigma = 6
-# doubles up to 52 times, and at tau = 1e300 past 700 times, into the conjugate's overflow
+# doubles up to 52 times, and at tau = 1e300 past 700 times, into the conjugate's overflow;
+# at tau = 300, sigma = 1.01 the window doubles past t = 7749, where phi_sigma passes the floats
+# and T/phi_sigma reads 0
 _SLOPE_CASES = [*itertools.product([1.01, 1.05, 1.2, 2.0, 6.0], [0.05, 0.5, 50.0], [300, 1000]),
-                (6.0, 1e300, 1000), (2.0, 0.5, 0), (2.0, 0.5, -1)]
+                (6.0, 1e300, 1000), (1.01, 300.0, 1000), (2.0, 0.5, 0), (2.0, 0.5, -1)]
 
 
 def test_skipping_windows_leaves_the_slope_fit_bit_identical():
@@ -176,6 +204,8 @@ def test_skipping_windows_leaves_the_slope_fit_bit_identical():
     raised = [w for w in want if isinstance(w[0], type)]
     assert {w[0].__name__ for w in raised} == {"NumericalError", "DomainError"}     # p_max < 0: DomainError
     assert any("2**53" in w[1] for w in raised) and any("overflows" in w[1] for w in raised)
+    assert ("min T(e^t)/phi_sigma(t) on the slope window t <= 8000 is 0.0, so there is no H1 = 1/b: "
+            "tau=300.0, sigma=1.01") in [w[1] for w in raised]
 
 
 def test_the_default_pass_evaluates_one_window_per_fit(monkeypatch):

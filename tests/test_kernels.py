@@ -1,4 +1,4 @@
-import decimal
+import functools
 import itertools
 import math
 import subprocess
@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_counting_grid,
                        assoc_fn_sup, assoc_fn_sup_grid, evaluate_w)
@@ -32,7 +32,7 @@ def test_w0_near_zero_is_within_an_ulp():
     grid = _kernels.w0_grid(x)
     for xi, wg in zip(x.tolist(), grid.tolist()):
         assert _kernels.w0_scalar(xi)[0] == wg
-        assert abs(decimal.Decimal(wg) - _reference.w0(xi)) <= decimal.Decimal(math.ulp(wg))
+        assert _reference.ulps(wg, _reference.w0(xi)) <= 1.0
 
 
 def test_w0_paths_agree():
@@ -121,17 +121,6 @@ def test_w0_kernels_on_the_negative_branch():
     assert _kernels.w0_scalar(-1.0 / np.e)[0] == pytest.approx(-1.0, abs=1e-7)
 
 
-def _g_decimal(p, lnk, lnh, tau, sigma):
-    """The objective at integer p to 40 digits: in floats its three terms,
-    up to 1.7e18 at p = 2.9e8, cancel to a rounding error of hundreds."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        P = decimal.Decimal(p)
-        pw = P ** decimal.Decimal(sigma)
-        return (pw * decimal.Decimal(lnh) + P * decimal.Decimal(lnk)
-                - decimal.Decimal(tau) * pw * P.ln())
-
-
 def test_assoc_sup_at_large_h():
     # h^(1/tau) = e^16 and e^20: for ln k <= 0 the maximiser lies near
     # p = e^(ln h - 1/sigma), 5.4e6 and 2.9e8, found with no scan below it
@@ -149,7 +138,9 @@ def test_assoc_sup_at_large_h():
         assert peak < 2 ** 20
         p0 = round(math.exp(lnh / tau - 1.0 / sigma))
         for kk, v, a in zip(k.tolist(), values, argmax):
-            g = {p: _g_decimal(p, math.log(kk), lnh, tau, sigma) for p in range(p0 - 100, p0 + 100)}
+            # in floats the objective's three terms, up to 1.7e18 at p = 2.9e8, cancel to a
+            # rounding error of hundreds
+            g = {p: _reference.g(p, math.log(kk), lnh, tau, sigma) for p in range(p0 - 100, p0 + 100)}
             best = max(g, key=g.get)
             assert v == pytest.approx(float(g[best]), rel=1e-14)
             assert abs(a - best) <= 2
@@ -158,49 +149,20 @@ def test_assoc_sup_at_large_h():
             assert r.value == pytest.approx(v, rel=1e-13)
 
 
-def _counting_sum_brute(lnk, tau, sigma):
-    """T(k) = sum over p of (ln k - log m_p)_+, one quotient at a time."""
-    def log_big_m(p):
-        return tau * p ** sigma * math.log(p) if p > 1 else 0.0
-
-    total, n, p = 0.0, 0, 1
-    while True:
-        logm = log_big_m(float(p)) - log_big_m(float(p - 1))
-        if logm > lnk:
-            return total, n
-        total += lnk - logm
-        n += 1
-        p += 1
+def _assert_counting_sums_match_the_reference(lnk, tau, sigma, T, counts):
+    """N by log m_N <= ln k < log m_(N+1) and T = N ln k - log M_N, both in 50 digits, at every
+    ln k > 0; T is the difference of two terms up to N ln k: within 4 ulps of N ln k."""
+    for L, n, v in zip(lnk.tolist(), counts.tolist(), T.tolist()):
+        if L > 0.0:
+            assert _reference.log_m(n, tau, sigma) <= L < _reference.log_m(n + 1, tau, sigma), (tau, sigma, L)
+            assert abs(v - float(_reference.counting_sum(L, n, tau, sigma))) <= 4.0 * math.ulp(n * L)
 
 
 def test_counting_paths_agree():
     lnk = np.linspace(0.0, 30.0, 200)
-    brute = [_counting_sum_brute(v, 1.0, 2.0) for v in lnk]
-    va = np.array([v for v, _ in brute])
-    ca = np.array([n for _, n in brute])
-    vb, cb = _kernels.counting_sum_grid(lnk, 1.0, 2.0)
-    np.testing.assert_allclose(va, vb, rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(ca, cb)
-
-
-def _counting_sum_cumsum(lnk_arr, tau, sigma):
-    """`counting_sum_grid` as it was: T from the cumulative sum of the quotient table, the
-    table sized by the cancellation-free quotient of the kernels. An oracle only."""
-    lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
-    lnk_max = float(np.max(lnk_arr)) if lnk_arr.size else 0.0
-    n = 64
-    with np.errstate(over="ignore"):       # log m_p is inf at tau = 1e300
-        while _kernels.ext_log_m(np.float64(n), tau, sigma) <= lnk_max:
-            if n >= _kernels._COUNT_P_CAP:
-                raise NumericalError(f"the counting sum needs quotients m_p past p = {_kernels._COUNT_P_CAP}: "
-                                     f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk_max!r})")
-            n *= 2
-    with np.errstate(over="ignore", invalid="ignore"):      # tau = 1e300: it warned there
-        logm = np.diff(_kernels.ext_log_M(np.arange(0, n + 1, dtype=np.float64), tau, sigma))
-    counts = np.searchsorted(logm, lnk_arr, side="right")
-    cum = np.concatenate(([0.0], np.cumsum(logm)))
-    values = np.maximum(lnk_arr, 0.0) * counts - cum[counts]
-    return values, counts.astype(np.int64)
+    T, counts = _kernels.counting_sum_grid(lnk, 1.0, 2.0)
+    assert [_kernels._counting_sum_scalar(v, 1.0, 2.0)[1] for v in lnk.tolist()] == counts.tolist()
+    _assert_counting_sums_match_the_reference(lnk, 1.0, 2.0, T, counts)
 
 
 def _counting_error(fn, lnk, tau, sigma):
@@ -228,31 +190,20 @@ def _counting_cases():
         yield tau, sigma, np.array(lnk), [cap * (1.0 + 1e-12), 2.0 * cap] if cap < math.inf else []
 
 
-def test_counting_sum_scalar_and_grid_match_the_cumulative_sum():
+def test_counting_sum_scalar_and_grid_match_the_reference():
+    cap = _kernels._COUNT_P_CAP
     for tau, sigma, lnk, past in _counting_cases():
-        vo, co = _counting_sum_cumsum(lnk, tau, sigma)
         vg, cg = _kernels.counting_sum_grid(lnk, tau, sigma)
         scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
-        vs, cs = np.array([v for v, _ in scalar]), np.array([n for _, n in scalar])
-        np.testing.assert_array_equal(cg, co)
-        np.testing.assert_array_equal(cs, co)
-        np.testing.assert_allclose(vg, vo, rtol=4e-15, atol=0.0)
-        np.testing.assert_allclose(vs, vo, rtol=4e-15, atol=0.0)
-        assert [n for v, n in zip(lnk, cs) if v <= 0.0] == [0, 0, 1]
-        assert np.all(vs[lnk <= 0.0] == 0.0)
+        assert [n for _, n in scalar] == cg.tolist()
+        np.testing.assert_allclose([v for v, _ in scalar], vg, rtol=4e-15, atol=0.0)
+        assert cg[:3].tolist() == [0, 0, 1] and not vg[:3].any()      # ln k = -0.5, -1e-300, 0
+        _assert_counting_sums_match_the_reference(lnk, tau, sigma, vg, cg)
         for v in past:
-            err = _counting_error(_counting_sum_cumsum, np.array([v]), tau, sigma)
-            assert _counting_error(_kernels.counting_sum_grid, np.array([v]), tau, sigma) == err
-            assert _counting_error(_kernels._counting_sum_scalar, v, tau, sigma) == err
-
-
-def _log_m_decimal(p, tau, sigma):
-    """log m_p = tau p^sigma ln p - tau (p-1)^sigma ln(p-1) to 50 digits, as a Decimal."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
-        t, s = decimal.Decimal(tau), decimal.Decimal(sigma)
-        log_M = lambda q: t * (s * decimal.Decimal(q).ln()).exp() * decimal.Decimal(q).ln()
-        return log_M(p) - log_M(p - 1)
+            err = _counting_error(_kernels.counting_sum_grid, np.array([v]), tau, sigma)
+            assert _counting_error(_kernels._counting_sum_scalar, v, tau, sigma) == err == (
+                NumericalError, f"the counting sum needs quotients m_p past p = {cap}: "
+                                f"tau={tau!r}, sigma={sigma!r}, k up to exp({v!r})")
 
 
 @pytest.mark.parametrize("sigma", [1.001, 1.01, 2.0, 6.0])
@@ -263,7 +214,7 @@ def test_quotients_are_within_a_few_ulps(sigma):
     cap = _kernels._COUNT_P_CAP
     p = sorted({2, 3, 10, 64, 1000, 2 ** 16, cap - 1, cap, *rng.integers(2, cap, 25).tolist()})
     for tau in (1.0, 0.03):
-        want = [_log_m_decimal(q, tau, sigma) for q in p]
+        want = [_reference.log_m(q, tau, sigma) for q in p]
         got = _kernels.ext_log_m(np.array(p, dtype=np.float64), tau, sigma)
         w = np.array([float(v) for v in want])
         assert np.all(np.abs(got - w) <= 8.0 * np.spacing(w)), (tau, sigma)
@@ -291,6 +242,20 @@ def test_scalar_and_grid_counts_agree_up_to_the_cap():
         scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
         assert counts.tolist() == [n for _, n in scalar], (tau, sigma)
         np.testing.assert_allclose(T, [v for v, _ in scalar], rtol=4e-15, atol=0.0)
+
+
+def test_the_grid_counts_a_quotient_equal_to_ln_k():
+    # log m_p <= ln k counts p. At tau = 1 the grid compares its table sigma ln p + ln B(p)
+    # with ln ln k: ln k next to e^(table entry), where the two are equal to the bit
+    sigma = 1.5
+    p = np.arange(2.0, 1001.0)
+    lp = np.log(p)
+    table = np.log(_kernels._quotient_factor(p.copy(), lp, sigma)) + lp * sigma
+    near = np.exp(table)[:, None] * (1.0 + np.arange(-8, 9) * 2.0 ** -53)
+    rows, cols = np.nonzero(np.log(near) == table[:, None])
+    assert set(rows.tolist()) == set(range(p.size))
+    counts = _kernels.counting_sum_grid(near[rows, cols], 1.0, sigma)[1]
+    assert counts.tolist() == (rows + 2).tolist()
 
 
 def test_sup_is_attained_at_the_counting_index():
@@ -360,56 +325,7 @@ def test_w0_scalar_matches_grid(x):
     assert w_residual(x, w) <= 1e-14 * (1.0 + w)
 
 
-# -- the blocked W kernel against a gather/scatter loop, bit for bit ---------
-
-_ORACLE_W_TOL = 4.5e-16
-
-
-def _w0_grid_gather_scatter(x):
-    """`w0_grid` as a gather/scatter loop: every pass gathers the active points
-    and scatters their updates over the whole array. An oracle only."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.zeros_like(x)
-    small = (x != 0.0) & (np.abs(x) < 1e-4)
-    xs = x[small]
-    w[small] = xs - xs * xs * (1.0 - xs * (1.5 - xs * (8.0 / 3.0 - xs * (125.0 / 24.0))))
-    mid = (np.abs(x) >= 1e-4) & (x < math.e)
-    w[mid] = _halley_gather_scatter(x[mid])[0]
-    big = x >= math.e
-    w[big] = _w0_log_grid_gather_scatter(np.log(x[big]))
-    return w
-
-
-def _halley_gather_scatter(xm):
-    """`w0_grid`'s Halley steps on [-1/e, e) as a gather/scatter loop, and the number of
-    steps each point takes. An oracle only."""
-    wm, act, steps = xm.copy(), np.ones(xm.shape, dtype=bool), np.zeros(xm.shape, dtype=int)
-    for _ in range(50):
-        steps += act
-        wa, xa = wm[act], xm[act]
-        ew = np.exp(wa)
-        f = wa * ew - xa
-        wm[act] = np.maximum(wa - f / (ew * (wa + 1.0) - (wa + 2.0) * f / (2.0 * wa + 2.0)), -1.0)
-        act[act] = np.abs(f) > _ORACLE_W_TOL * np.maximum(1.0, xa)
-        if not act.any():
-            break
-    return wm, steps
-
-
-def _w0_log_grid_gather_scatter(lx):
-    """`w0_exp_grid` at lx >= 1 (its log form) as a gather/scatter loop. An oracle only."""
-    w = lx - np.log(lx)
-    act = np.ones(lx.shape, dtype=bool)
-    for _ in range(50):
-        wa, la = w[act], lx[act]
-        g = wa + np.log(wa) - la
-        gp = 1.0 + 1.0 / wa
-        w[act] = wa - 2.0 * g * gp / (2.0 * gp * gp + g / (wa * wa))
-        act[act] = np.abs(g) > 1e-15 * np.maximum(1.0, la)
-        if not act.any():
-            break
-    return w
-
+# -- the blocked W kernel: an entry does not depend on its block ------------------
 
 _B = _kernels._BLOCK
 _BLOCK_SIZES = [_B - 1, _B, _B + 1, 3 * _B + 7]
@@ -419,58 +335,45 @@ _W_X = st.one_of(st.just(0.0),
                  st.floats(-1.0 / math.e, 0.0, exclude_max=True),
                  st.floats(1e-4, math.e, exclude_max=True),
                  st.floats(math.e, 1e300))
-
-
-def _staged_pool(m=4000, seed=0):
-    """Points whose Halley step counts are 2, 3, 4 and 5 in equal shares, and points
-    just above -1/e (6 to 16 steps): a block of them loses active points in stages."""
-    rng = np.random.default_rng(seed)
-    x = np.concatenate([10.0 ** rng.uniform(-4.0, math.log10(math.e), m),
-                        -(10.0 ** rng.uniform(-4.0, -math.log10(math.e), m))])
-    x = x[x < math.e]
-    steps = _halley_gather_scatter(x)[1]
-    near = -1.0 / math.e + 10.0 ** rng.uniform(-15.0, -3.0, 100)
-    return np.concatenate([x[steps == k][:100] for k in (2, 3, 4, 5)] + [near])
-
-
-_STAGED = _staged_pool()
-
-
-def _mixed_x(drawn, n, seed):
-    """n points: the drawn ones and a seeded fill from every branch and from the
-    staged pool, shuffled."""
-    rng = np.random.default_rng(seed)
-    m = n - len(drawn)
-    fill = np.concatenate([np.zeros(m), rng.uniform(-1e-4, 1e-4, m), -rng.random(m) / math.e,
+def _staged_pool(m=200):
+    """x from every branch; x whose Halley steps from the seed w = x number 2, 3, 4 and 5, in
+    bands measured with a margin (the seed lies further from W(x) as |x| grows); and x just
+    above -1/e (6 to 16 steps): a block of them loses active points in stages."""
+    rng = np.random.default_rng(0)
+    stages = [(1e-4, 2.5e-3), (-2.5e-3, -1e-4), (4e-3, 0.15), (-0.12, -4e-3),
+              (0.25, 1.0), (-0.3, -0.16), (1.3, 2.7), (-0.36, -0.335)]
+    return np.concatenate([[0.0], rng.uniform(-1e-4, 1e-4, m), -rng.random(m) / math.e,
                            rng.uniform(1e-4, math.e, m), np.exp(rng.uniform(1.0, 690.0, m)),
-                           rng.choice(_STAGED, 2 * m)])
-    return rng.permutation(np.concatenate([drawn, rng.choice(fill, m)]))
+                           *(rng.uniform(a, b, m // 4) for a, b in stages),
+                           -1.0 / math.e + 10.0 ** rng.uniform(-15.0, -3.0, m // 2)])
+
+
+_POOL = _staged_pool()
+
+
+@functools.cache
+def _one_point(fn, v):
+    return fn(np.array([v]))[0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_W_X, min_size=1, max_size=40), st.sampled_from(_BLOCK_SIZES),
        st.integers(0, 2 ** 32 - 1))
-def test_w0_grid_matches_the_gather_scatter_loop(drawn, n, seed):
-    x = _mixed_x(drawn, n, seed)
-    assert np.array_equal(_kernels.w0_grid(x), _w0_grid_gather_scatter(x))
+@example([0.0, -1.0 / math.e, 1e-4, math.e], 3 * _B + 7, 7)
+def test_w0_grid_result_does_not_depend_on_the_block(drawn, n, seed):
+    # every entry of a shuffled mix equals its one-point call
+    rng = np.random.default_rng(seed)
+    x = rng.permutation(np.concatenate([drawn, rng.choice(_POOL, n - len(drawn))]))
+    assert _kernels.w0_grid(x).tolist() == [_one_point(_kernels.w0_grid, v) for v in x.tolist()]
 
 
 @pytest.mark.parametrize("n", _BLOCK_SIZES)
-def test_w0_log_grid_matches_the_gather_scatter_loop(n):
-    # uniform ln x takes mostly 2 steps; log-uniform ln x takes 2, 3 or 4
+def test_w0_log_grid_result_does_not_depend_on_the_block(n):
+    # the log form in blocks of its own: uniform ln x takes mostly 2 steps, log-uniform 2 to 4
     rng = np.random.default_rng(n)
-    lx = rng.permutation(np.concatenate([rng.uniform(1.0, 700.0, n // 2),
-                                         np.exp(rng.uniform(0.0, math.log(700.0), n - n // 2))]))
-    assert np.array_equal(_kernels.w0_exp_grid(lx), _w0_log_grid_gather_scatter(lx.copy()))
-
-
-def test_w0_grid_result_does_not_depend_on_the_block():
-    x = _mixed_x(np.array([0.0, -1.0 / math.e, 1e-4, math.e]), 3 * _B + 7, 7)
-    w = _kernels.w0_grid(x)
-    edges = [j * _B + d for j in range(1, 4) for d in (-1, 0, 1)]
-    picks = np.random.default_rng(8).choice(x.size, 200, replace=False)
-    for i in [0, 1, 2, 3, x.size - 1, *edges, *picks]:
-        assert w[i] == _kernels.w0_grid(x[i:i + 1])[0]
+    lx = rng.choice(np.concatenate([rng.uniform(1.0, 700.0, 200),
+                                    np.exp(rng.uniform(0.0, math.log(700.0), 200))]), n)
+    assert _kernels.w0_exp_grid(lx).tolist() == [_one_point(_kernels.w0_exp_grid, v) for v in lx.tolist()]
 
 
 @pytest.mark.parametrize("x", [np.float64(2.0), np.array(0.5), np.array([]),
@@ -478,7 +381,7 @@ def test_w0_grid_result_does_not_depend_on_the_block():
 def test_w0_grid_keeps_the_shape(x):
     w = _kernels.w0_grid(x)
     assert w.shape == np.shape(x)
-    assert np.array_equal(w, _w0_grid_gather_scatter(x))
+    assert np.array_equal(w.ravel(), _kernels.w0_grid(np.ravel(x)))
 
 
 # -- the counting sum stops at its table cap before it allocates ---------------
@@ -515,24 +418,20 @@ def test_counting_sum_table_cap_is_the_largest_table(monkeypatch):
     # is answered from a table of that size, one that needs p = 2**13 raises
     tau, sigma, n = 1.0, 1.05, 2 ** 12
     monkeypatch.setattr(_kernels, "_COUNT_P_CAP", n)
-
-    def log_m(p):
-        return tau * p ** sigma * math.log(p) - tau * (p - 1) ** sigma * math.log(p - 1)
-
-    lnk = np.array([log_m(n) - 1e-9, 1.0])
+    top = float(_reference.log_m(n, tau, sigma))
+    lnk = np.array([top - 1e-9, 1.0])
     values, counts = _kernels.counting_sum_grid(lnk, tau, sigma)
-    brute = [_counting_sum_brute(v, tau, sigma) for v in lnk]
-    np.testing.assert_allclose(values, [v for v, _ in brute], rtol=1e-12)
-    np.testing.assert_array_equal(counts, [c for _, c in brute])
+    assert counts.tolist() == [n - 1, 1]
+    _assert_counting_sums_match_the_reference(lnk, tau, sigma, values, counts)
     scalar = [_kernels._counting_sum_scalar(v, tau, sigma) for v in lnk.tolist()]
     np.testing.assert_allclose([v for v, _ in scalar], values, rtol=4e-15)
     assert [c for _, c in scalar] == counts.tolist()
     with pytest.raises(NumericalError, match="past p = 4096"):
-        _kernels.counting_sum_grid(np.array([log_m(n) + 1e-9]), tau, sigma)
+        _kernels.counting_sum_grid(np.array([top + 1e-9]), tau, sigma)
     with pytest.raises(NumericalError, match="past p = 4096"):
-        _kernels._counting_sum_scalar(log_m(n) + 1e-9, tau, sigma)
+        _kernels._counting_sum_scalar(top + 1e-9, tau, sigma)
     with pytest.raises(NumericalError, match="past p = 4096"):
-        assoc_fn_counting(SequenceParams(tau, sigma), math.exp(log_m(n) + 1e-9))
+        assoc_fn_counting(SequenceParams(tau, sigma), math.exp(top + 1e-9))
 
 
 # -- past sigma ~ 170 a power p^sigma leaves the floats ------------------------

@@ -279,6 +279,12 @@ def test_lemma_bounds_reject_an_empty_range():
         lemma_quotient_bounds(SequenceParams(1.0, 2.0), 5, 4)
 
 
+def test_classical_m2_rejects_an_empty_range():
+    # it compares M_2p with M_p for p = 2 .. p_max/2
+    with pytest.raises(UsageError, match=r"^p_max must lie in \[4, 10000000\], got 3$"):
+        check_condition("M.2-classical", SequenceParams(1.0, 2.0), 3)
+
+
 def test_stable_sup_reduces_along_the_last_axis():
     p = default_p_grid(1000)
     rows = np.stack([1.0 / p, np.log(p.astype(float)), np.sin(p), -1.0 / p,
