@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import subprocess
@@ -540,16 +543,24 @@ def _assert_matches_golden(got, want, rtol, atol, path="$"):
         assert got == want, path
 
 
-def test_default_verify_report_matches_the_golden_file(capsys):
-    # one in-process run against both pinned reports: this suite's to rtol 1e-12, since
-    # another numpy may round the last ulp differently, and the benchmark's to its own
-    # tolerance (its strings exactly, the reservoir H of the matrix-equivalence grids among them)
-    code, out, _ = run_cli(["verify"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    _assert_matches_golden(doc, json.loads(_GOLDEN.read_text()), 1e-12, 1e-9)
+@functools.cache
+def _default_report():
+    """One in-process default verify run, shared by the two golden-file tests."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify"]) == 0
+    return json.loads(out.getvalue())
+
+
+def test_default_verify_report_matches_the_golden_file():
+    # this suite's pinned report to rtol 1e-12, since another numpy may round the last ulp differently
+    _assert_matches_golden(_default_report(), json.loads(_GOLDEN.read_text()), 1e-12, 1e-9)
+
+
+def test_default_verify_matches_the_recorded_report():
+    # the benchmark's report to its own tolerance: strings exactly, the reservoir H of its grids among them
     bench = json.loads(_BENCH_GOLDEN.read_text())
-    _assert_matches_golden(doc, bench["report"], bench["tolerance"]["rtol"], bench["tolerance"]["atol"])
+    assert _default_report()["passed"] is True
+    _assert_matches_golden(_default_report(), bench["report"], bench["tolerance"]["rtol"], bench["tolerance"]["atol"])
 
 
 @pytest.mark.parametrize("edit", ["H", "holds", "note"])

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_counting_grid,
                        assoc_fn_sup, assoc_fn_sup_grid, evaluate_w)
@@ -356,15 +356,20 @@ def _one_point(fn, v):
     return fn(np.array([v]))[0]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(_W_X, min_size=1, max_size=40), st.sampled_from(_BLOCK_SIZES),
-       st.integers(0, 2 ** 32 - 1))
-@example([0.0, -1.0 / math.e, 1e-4, math.e], 3 * _B + 7, 7)
-def test_w0_grid_result_does_not_depend_on_the_block(drawn, n, seed):
-    # every entry of a shuffled mix equals its one-point call
+def test_w0_grid_result_does_not_depend_on_the_block(drawn=(0.0, -1.0 / math.e, 1e-4, math.e),
+                                                     n=3 * _B + 7, seed=7):
+    # every entry of a shuffled mix equals its one-point call; by default three full blocks and a short one
     rng = np.random.default_rng(seed)
     x = rng.permutation(np.concatenate([drawn, rng.choice(_POOL, n - len(drawn))]))
     assert _kernels.w0_grid(x).tolist() == [_one_point(_kernels.w0_grid, v) for v in x.tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_W_X, min_size=1, max_size=40), st.sampled_from(_BLOCK_SIZES),
+       st.integers(0, 2 ** 32 - 1))
+def test_w0_grid_matches_the_gather_scatter_loop(drawn, n, seed):
+    # the loop gathers each point into a one-point call and scatters its W back
+    test_w0_grid_result_does_not_depend_on_the_block(drawn, n, seed)
 
 
 @pytest.mark.parametrize("n", _BLOCK_SIZES)
