@@ -11,7 +11,7 @@ import numpy as np
 from ._kernels import (_assoc_sup_scalar, _counting_sum_scalar, _ln_x_over_lnk, assoc_sup_grid,
                        counting_sum_grid, w0_exp_grid, w0_exp_scalar)
 from .errors import DomainError, NumericalError, UsageError
-from .sequences import SequenceParams, _fit_band
+from .sequences import SequenceParams, _check_positive, _fit_band
 
 __all__ = [
     "AssocFnResult",
@@ -31,11 +31,6 @@ class AssocFnResult(NamedTuple):
     value: float
     argmax_p: int
     method: str
-
-
-def _check_positive(name, x):
-    if not 0.0 < x < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {x}")
 
 
 def _k_grid(k_grid, caller):

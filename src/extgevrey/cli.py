@@ -14,7 +14,7 @@ import numpy as np
 
 from . import assocfn, conjugate, equivalence, lambertw, sequences
 from .errors import DivergenceError, DomainError, NumericalError, RangeError, UsageError
-from .sequences import SequenceParams
+from .sequences import SequenceParams, _check_above_one, _check_p_max, _check_positive, _check_Q
 
 FMT = "%.17g"
 GRID_MAX_POINTS = 10 ** 7     # points one grid spec may ask for
@@ -85,13 +85,10 @@ def emit(columns, header, fmt, out_path):
 
 
 def _jsonable(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+    """A numpy scalar in a verify payload as the Python value json writes."""
+    if isinstance(v, np.generic):
+        return v.item()
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _write(text, out_path):
@@ -119,15 +116,9 @@ def _make_seq(args):
     return sequences.extended_gevrey(SequenceParams(args.tau, args.sigma))
 
 
-def _check_pmax(pmax, least):
-    """UsageError naming --pmax unless least <= pmax <= P_MAX_CAP, before any work."""
-    if not least <= pmax <= sequences.P_MAX_CAP:
-        raise UsageError(f"--pmax must lie in [{least}, {sequences.P_MAX_CAP}], got {pmax}")
-
-
 def cmd_sequence(args):
     """`sequence` tabulates log M_p, `quotients` log m_p, on the default p grid."""
-    _check_pmax(args.pmax, 1)
+    _check_p_max(args.pmax, 1, "--pmax")
     seq = _make_seq(args)
     p = sequences.default_p_grid(args.pmax)
     column = "log_M" if args.command == "sequence" else "log_m"
@@ -180,7 +171,7 @@ def _claim_w_identities(a):
     return rep.passed, {"max_identity_err": float(np.max(rep.identity_err))}
 
 def _claim_lemma(a):
-    rep = sequences.lemma_quotient_bounds(SequenceParams(a.tau, a.sigma), 2, a.pmax)
+    rep = sequences.lemma_quotient_bounds(SequenceParams(a.tau, a.sigma), a.pmax)
     return rep.passed, {"max_lower_violation": rep.max_lower_violation,
                         "max_upper_violation": rep.max_upper_violation}
 
@@ -304,14 +295,14 @@ def cmd_verify(args):
             raise UsageError(f"unknown claims: {', '.join(unknown)}")
     else:
         names = list(CLAIMS)
-    SequenceParams(args.tau, args.sigma)    # a bad tau, sigma, h, pmax, Q or s exits 2 before any claim runs
-    if not (math.isfinite(args.h) and args.h > 0):
-        raise DomainError(f"h must be finite and positive, got {args.h}")
-    _check_pmax(args.pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3)
-    if "liminf" in names and args.Q < 2:
-        raise UsageError(f"--Q must be an integer >= 2, got {args.Q}")
-    if "corollary" in names and not (math.isfinite(args.s) and args.s > 1):
-        raise UsageError(f"--s must be finite and > 1, got {args.s}")
+    # a bad tau, sigma, h, pmax, Q or s exits 2 before any claim runs
+    SequenceParams(args.tau, args.sigma)
+    _check_positive("h", args.h)
+    _check_p_max(args.pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3, "--pmax")
+    if "liminf" in names:
+        _check_Q(args.Q, "--Q")
+    if "corollary" in names:
+        _check_above_one("--s", args.s)
     report = {}
     failed, errored = [], []
     for name in names:

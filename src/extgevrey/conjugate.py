@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalError
 from .lambertw import lambert_w0, lambert_w0_grid
-from .sequences import SequenceParams, stable_sup
+from .sequences import SequenceParams, _check_above_one, _check_positive, stable_sup
 
 __all__ = [
     "phi_sigma",
@@ -40,7 +40,7 @@ def phi_sigma(sigma: float, t):
     the value is inf, for a scalar t as for an array.
     """
     if not 1 < sigma < math.inf:
-        raise DomainError(f"sigma must {'be finite' if sigma > 1 else 'exceed 1'}, got {sigma}")
+        _check_above_one("sigma", sigma)
     if isinstance(t, float) or np.isscalar(t):
         if t < 0:
             raise DomainError(f"phi_sigma needs t >= 0, got {t}")
@@ -74,27 +74,23 @@ class WeightFn(NamedTuple):
 
 
 def bmt_log_power(s: float) -> WeightFn:
-    if not s > 1:
-        raise DomainError("bmt_log_power needs s > 1")
+    _check_above_one("s", s)
     return WeightFn(f"log^{s}", lambda a: np.maximum(np.log(np.maximum(a, 1e-300)), 0.0) ** s)
 
 
 def bmt_quotient(s: float) -> WeightFn:
-    if not s > 1:
-        raise DomainError("bmt_quotient needs s > 1")
+    _check_above_one("s", s)
     return WeightFn(f"t/log^{s - 1}", lambda a: a / np.log(math.e + a) ** (s - 1.0))
 
 
 def power_weight(s: float) -> WeightFn:
-    if not s > 0:
-        raise DomainError("power_weight needs s > 0")
+    _check_positive("s", s)
     return WeightFn(f"|t|^{s}", lambda a: a ** s)
 
 
 def corollary_weight(s: float) -> WeightFn:
     """ln_+^s|t| / ln^(s-1)(ln(e+|t|)); zero on |t| <= 1."""
-    if not s > 1:
-        raise DomainError("corollary_weight needs s > 1")
+    _check_above_one("s", s)
 
     def fn(a):
         num = np.maximum(np.log(np.maximum(a, 1e-300)), 0.0) ** s
@@ -384,8 +380,7 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid) -> Inte
     c = C^((s-1)/tau)(s-1)/tau; quadrature runs in u = ln l, the closed
     form comes from the W-substitution plus integration by parts.
     """
-    if not 0.0 < C < math.inf:
-        raise DomainError(f"C must be finite and positive, got {C}")
+    _check_positive("C", C)
     tau, s = params.tau, params.sigma
     k = np.asarray(k_grid, dtype=np.float64)
     ok = (k > 1) & (k < math.inf)

@@ -9,11 +9,10 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ._kernels import _assoc_sup_scalar, assoc_sup_grid, w0_scalar
-from .assocfn import _check_positive
 from .conjugate import (_ln_phi_slope, check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
-from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _fit_band,
+from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _check_positive, _fit_band,
                         conjugate_generated, default_p_grid, extended_gevrey, stable_sup)
 
 __all__ = [
@@ -147,6 +146,7 @@ def slope_band(sigma: float, tau: float, p_max: int = 1000) -> SlopeBand:
     """The slope band of `check_ocena_norme` and its conjugate indices H1, H2,
     without the p-side checks."""
     SequenceParams(tau, sigma)
+    _check_p_max(p_max, 1)
     a, b, t_max = _fit_slopes_extended(sigma, tau, p_max)
     return SlopeBand(a, b, t_max, 1.0 / b, 1.0 / a)
 
@@ -285,10 +285,8 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
 def check_corollary(s: float) -> EquivalenceReport:
     """Ratio band of the corollary weight against phi_s(ln_+ t) on 600 log-spaced
     t in [1e3, 1e12], plus the axiom classification of the corollary weight itself."""
-    if not s > 1:
-        raise UsageError("corollary check needs s > 1")
+    w = corollary_weight(s)     # checks s before any work
     t = np.logspace(3, 12, 600)
-    w = corollary_weight(s)
     num = w(t)
     den = phi_sigma(s, np.maximum(np.log(t), 0.0))
     pos = den > 0

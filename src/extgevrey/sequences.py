@@ -34,6 +34,34 @@ _P_LIMIT = 10 ** 9
 P_MAX_CAP = 10 ** 7
 
 
+# ---------------------------------------------------------------------------
+# parameter guards: one per kind of parameter, shared by the library and the CLI
+# ---------------------------------------------------------------------------
+
+def _check_positive(name, x):
+    """DomainError unless 0 < x < inf."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {x}")
+
+
+def _check_above_one(name, x):
+    """DomainError unless 1 < x < inf, naming the bound that x misses."""
+    if not 1 < x < math.inf:
+        raise DomainError(f"{name} must {'be finite' if x > 1 else 'exceed 1'}, got {x}")
+
+
+def _check_Q(Q, name="Q"):
+    """UsageError unless Q is an integer >= 2."""
+    if not (Q >= 2 and Q % 1 == 0):
+        raise UsageError(f"{name} must be an integer >= 2, got {Q}")
+
+
+def _check_p_max(p_max, least, name="p_max"):
+    """UsageError unless least <= p_max <= P_MAX_CAP, before any array is built."""
+    if not least <= p_max <= P_MAX_CAP:
+        raise UsageError(f"{name} must lie in [{least}, {P_MAX_CAP}], got {p_max}")
+
+
 class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", float)])):
     """Parameter pair (tau, sigma) of one extended Gevrey sequence."""
 
@@ -42,8 +70,7 @@ class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", flo
     def __new__(cls, tau, sigma):
         if not 0 < tau < math.inf:
             raise DomainError(f"tau must be {'finite' if tau > 0 else 'positive'}, got {tau}")
-        if not 1 < sigma < math.inf:
-            raise DomainError(f"sigma must {'be finite' if sigma > 1 else 'exceed 1'}, got {sigma}")
+        _check_above_one("sigma", sigma)
         return super().__new__(cls, tau, sigma)
 
     @classmethod
@@ -73,11 +100,10 @@ class LogWeightSequence(NamedTuple):
         NumericalError where a value leaves the floats."""
         scalar = np.isscalar(p)
         arr = np.asarray(p)
-        if not np.issubdtype(arr.dtype, np.integer) and not np.all(arr == np.floor(arr)):
-            raise RangeError("sequence index p must be an integer")
+        whole = np.issubdtype(arr.dtype, np.integer) or np.all(arr == np.floor(arr))
         arr = arr.astype(np.float64)
-        if arr.size and not least <= arr.min() <= arr.max() <= _P_LIMIT:
-            raise RangeError(f"p must lie in [{least}, {_P_LIMIT}]")
+        if not whole or arr.size and not least <= arr.min() <= arr.max() <= _P_LIMIT:
+            raise RangeError(f"sequence index p must be an integer in [{least}, {_P_LIMIT}]")
         with np.errstate(over="ignore", invalid="ignore"):
             out = fn(arr)
         if not np.isfinite(out).all():
@@ -99,15 +125,13 @@ _lgamma = np.vectorize(math.lgamma, otypes=[np.float64])
 
 def gevrey(t: float) -> LogWeightSequence:
     """Classical Gevrey sequence p!^t; admitted for t > 1."""
-    if not 1 < t < math.inf:
-        raise DomainError(f"gevrey index must {'be finite' if t > 1 else 'exceed 1'}, got {t}")
+    _check_above_one("gevrey index", t)
     return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0), {"t": t})
 
 
 def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) -> LogWeightSequence:
     """log M_p = phi*(H p) / H for a Young conjugate phi*."""
-    if not H > 0:
-        raise DomainError(f"H must be positive, got {H}")
+    _check_positive("H", H)
     return LogWeightSequence("conjugate_generated", lambda p: np.asarray(phi_star(H * p)) / H,
                              {"H": H})
 
@@ -178,12 +202,6 @@ class ConditionReport(NamedTuple):
     holds: bool
     fitted_constant: Optional[float] = None
     witness: Optional[int] = None
-
-
-def _check_p_max(p_max, least):
-    """UsageError unless least <= p_max <= P_MAX_CAP, before any array is built."""
-    if not least <= p_max <= P_MAX_CAP:
-        raise UsageError(f"p_max must lie in [{least}, {P_MAX_CAP}], got {p_max}")
 
 
 def _require_ext(params):
@@ -328,8 +346,7 @@ def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000,
 
 def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) -> ConditionReport:
     """Tail positivity of log m_{Qp} - log m_p (quotient-ratio condition)."""
-    if Q < 2:
-        raise UsageError("Q must be at least 2")
+    _check_Q(Q)
     _check_p_max(p_max, 10)
     p = default_p_grid(p_max)
     p = p[p >= 2]
@@ -351,17 +368,15 @@ class LemmaBoundsReport(NamedTuple):
     witness: Optional[int] = None
 
 
-def lemma_quotient_bounds(params: SequenceParams, p_min: int = 2, p_max: int = 10_000) -> LemmaBoundsReport:
-    """Two-sided mean-value bounds on log m_p for the extended sequence:
+def lemma_quotient_bounds(params: SequenceParams, p_max: int = 10_000) -> LemmaBoundsReport:
+    """Two-sided mean-value bounds on log m_p for the extended sequence at p = 2 .. p_max:
 
         (tau p^(s-1) / 2^(s-1)) ln(e p^s / 2^s) <= log m_p <= tau p^(s-1) ln(e p^s)
     """
-    if p_min < 2:
-        raise RangeError("the quotient bounds need p >= 2")
-    _check_p_max(p_max, p_min)
+    _check_p_max(p_max, 2)
     tau, s = params.tau, params.sigma
     seq = extended_gevrey(params)
-    p = np.arange(p_min, p_max + 1, dtype=np.int64)
+    p = np.arange(2, p_max + 1, dtype=np.int64)
     pf = p.astype(np.float64)
     logm = seq.log_m(p)
     lower = tau * pf ** (s - 1.0) / 2.0 ** (s - 1.0) * (1.0 + s * np.log(pf) - s * math.log(2.0))
@@ -371,5 +386,5 @@ def lemma_quotient_bounds(params: SequenceParams, p_min: int = 2, p_max: int = 1
     up_viol = logm - upper
     bad = (lo_viol > slack) | (up_viol > slack)
     witness = int(p[bad][0]) if bad.any() else None
-    return LemmaBoundsReport(params, (p_min, p_max), not bad.any(),
+    return LemmaBoundsReport(params, (2, p_max), not bad.any(),
                              float(np.max(lo_viol)), float(np.max(up_viol)), witness)

@@ -416,6 +416,9 @@ def test_sandwich_bounds():
 def test_sandwich_needs_wide_grid():
     with pytest.raises(UsageError):
         sandwich_bounds_check(SequenceParams(1.0, 2.0), 1.0, np.logspace(0, 2, 50))
+    # six decades, all at k <= 1, where the envelope is 0
+    with pytest.raises(UsageError, match="^degenerate grid: envelope vanishes everywhere$"):
+        sandwich_bounds_check(SequenceParams(1.0, 2.0), 1.0, np.logspace(-6, 0, 8))
 
 
 # -- AssocFnResult is a named tuple ------------------------------------------------

@@ -39,6 +39,11 @@ def test_grid_parse_errors(spec):
         cli.parse_grid(spec)
 
 
+def test_linear_grid_needs_two_points():
+    with pytest.raises(cli.UsageError, match="^linear grids need at least 2 points$"):
+        cli.parse_grid("0:1:1", linear=True)
+
+
 @pytest.mark.parametrize("spec, linear", [("1:1e300:1e13", False), ("0:1:1e15", True),
                                           ("0:1:inf", True), ("1:10:nan", False),
                                           ("1:inf:8", False)])
@@ -187,6 +192,44 @@ def test_verify_is_deterministic(capsys):
     _, out1, _ = run_cli(args, capsys)
     _, out2, _ = run_cli(args, capsys)
     assert out1 == out2
+
+
+def test_two_processes_write_byte_identical_verify_json():
+    outs = []
+    for _ in range(2):
+        res = subprocess.run([sys.executable, "-m", "extgevrey.cli", "verify",
+                              "--only", "w3,lemma-quotient-bounds,counting-floor,ocena-norme"],
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        outs.append(res.stdout)
+    assert outs[0] == outs[1] and json.loads(outs[0])["passed"] is True
+
+
+def test_verify_writes_numpy_scalars_as_plain_json(capsys, monkeypatch):
+    payload = {"flag": np.bool_(False), "n": np.int64(3), "x": np.float64(0.5)}
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: (np.bool_(True), payload))
+    code, out, _ = run_cli(["verify", "--only", "w3"], capsys)
+    assert code == 0
+    details = json.loads(out)["claims"]["w3"]["details"]
+    assert details == {"flag": False, "n": 3, "x": 0.5}
+    assert [type(v) for v in details.values()] == [bool, int, float]
+    with pytest.raises(TypeError):
+        cli._jsonable(object())
+
+
+def test_verify_counting_floor_names_the_first_point_that_differs(capsys, monkeypatch):
+    direct = assocfn.counting_fn_direct
+
+    def off_by_one(params, C, lam):
+        counts = direct(params, C, lam)
+        counts[1, 5] += 1
+        return counts
+
+    monkeypatch.setattr(assocfn, "counting_fn_direct", off_by_one)
+    code, out, _ = run_cli(["verify", "--only", "counting-floor"], capsys)
+    assert code == 1
+    assert json.loads(out)["claims"]["counting-floor"] == {
+        "holds": False, "details": {"C": math.e, "lambda": float(np.logspace(0, 8, 120)[5])}}
 
 
 def test_verify_m2_classical_optin_fails(capsys):
@@ -381,10 +424,10 @@ def test_verify_checks_its_parameters_before_any_claim(argv, capsys, monkeypatch
 
 @pytest.mark.parametrize("argv, message", [(["--Q", "1"], "--Q must be an integer >= 2, got 1"),
                                            (["--Q", "-4"], "--Q must be an integer >= 2, got -4"),
-                                           (["--s", "0.5"], "--s must be finite and > 1, got 0.5"),
-                                           (["--s", "1"], "--s must be finite and > 1, got 1.0"),
-                                           (["--s", "nan"], "--s must be finite and > 1, got nan"),
-                                           (["--s", "inf"], "--s must be finite and > 1, got inf")])
+                                           (["--s", "0.5"], "--s must exceed 1, got 0.5"),
+                                           (["--s", "1"], "--s must exceed 1, got 1.0"),
+                                           (["--s", "nan"], "--s must exceed 1, got nan"),
+                                           (["--s", "inf"], "--s must be finite, got inf")])
 def test_verify_checks_q_and_s_before_any_claim(argv, message, capsys, monkeypatch):
     ran = []
     for name in cli.CLAIMS:

@@ -234,6 +234,17 @@ def test_fenchel_young_inequality(sigma):
     assert np.all(lhs <= rhs + 1e-8)
 
 
+@pytest.mark.parametrize("factory, s, message", [
+    *[(f, s, m) for f in (bmt_log_power, bmt_quotient, corollary_weight)
+      for s, m in ((1.0, "s must exceed 1, got 1.0"), (math.nan, "s must exceed 1, got nan"),
+                   (math.inf, "s must be finite, got inf"))],
+    *[(power_weight, s, f"s must be finite and positive, got {s}") for s in (0.0, -1.0, math.inf)]])
+def test_weight_factories_check_s(factory, s, message):
+    with pytest.raises(DomainError) as err:
+        factory(s)
+    assert str(err.value) == message
+
+
 def test_weights_are_even_and_zero_at_origin():
     for w in (bmt_log_power(2.0), bmt_quotient(2.0), power_weight(0.5),
               corollary_weight(2.0), lambert_weight()):
@@ -426,7 +437,8 @@ def test_phi_sigma_conjugate_array_entries_equal_scalar_calls_at_any_sigma(sigma
     (math.nan, "lambert_w0 requires finite x, got nan"),
     (math.inf, "lambert_w0 requires finite x, got inf"),
     (-math.inf, "phi_sigma needs t >= 0, got -inf"),
-    (-1.0, "phi_sigma needs t >= 0, got -1.0")])
+    (-1.0, "phi_sigma needs t >= 0, got -1.0"),
+    (np.array([1.0, -1.0]), "phi_sigma needs t >= 0")])
 def test_phi_sigma_domain_errors(t, message):
     with pytest.raises(DomainError) as err:
         phi_sigma(2.0, t)

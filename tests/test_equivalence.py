@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from extgevrey import (
     RangeError,
     SequenceParams,
     UsageError,
+    assoc_fn_sup_grid,
     check_T_phi_equivalence,
     check_corollary,
     check_matrix_equivalence,
@@ -56,12 +58,24 @@ def test_t_phi_equivalence_holds():
     assert rep.max_violation <= 1e-8
 
 
+def _top_slope(tau):
+    """max T/phi_2 over the top half of ln k on 640 log-spaced k in [e, 1e12], at sigma = 2."""
+    k = np.logspace(math.log10(math.e), 12, 640)
+    lnk = np.log(k)
+    T, _ = assoc_fn_sup_grid(SequenceParams(tau, 2.0), 1.0, k)
+    phi = phi_sigma(2.0, lnk)
+    top = lnk >= 0.5 * lnk.max()
+    return float(np.max(T[top] / phi[top]))
+
+
 def test_t_phi_tau_scaling_band():
     rep = check_T_phi_equivalence(SequenceParams(1.0, 2.0))
     fc = rep.fitted_constants
     assert fc["scaling_expected"] == pytest.approx(2.0)
     assert 1.0 <= fc["scaling_ratio_A"] <= 4.0
     assert 1.0 <= fc["scaling_ratio_B"] <= 4.0
+    # the slope falls like tau^(-1/(sigma-1)): by 4 from tau = 1 to tau = 4, within a factor 2
+    assert 2.0 <= _top_slope(1.0) / _top_slope(4.0) <= 8.0
 
 
 def test_t_phi_h_robustness():
@@ -131,8 +145,13 @@ def test_corollary_band(s):
 
 
 def test_corollary_needs_s_above_one():
-    with pytest.raises(UsageError):
-        check_corollary(1.0)
+    # s is checked before any work, so s = inf gives no RuntimeWarning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, message in ((1.0, "s must exceed 1, got 1.0"), (math.inf, "s must be finite, got inf")):
+            with pytest.raises(DomainError) as err:
+                check_corollary(s)
+            assert str(err.value) == message
 
 
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
@@ -155,6 +174,12 @@ def test_ocena_norme_needs_p_max_of_10(p_max):
     # its drift is read on p <= p_max/10
     with pytest.raises(UsageError, match=rf"^p_max must lie in \[10, 10000000\], got {p_max}$"):
         check_ocena_norme(2.0, 1.0, p_max)
+
+
+@pytest.mark.parametrize("p_max", [0, -1])
+def test_slope_band_needs_p_max_of_1(p_max):
+    with pytest.raises(UsageError, match=rf"^p_max must lie in \[1, 10000000\], got {p_max}$"):
+        slope_band(2.0, 0.5, p_max)
 
 
 def test_reports_serialize_deterministically():

@@ -92,6 +92,11 @@ def test_w3_bracket_rejects_small_x():
         check_w3_bounds(np.array([1.0, 5.0]))
 
 
+def test_identities_reject_x_at_most_1():
+    with pytest.raises(DomainError, match="^identity checks need x > 1$"):
+        check_w_identities(np.array([1.0, 5.0]))
+
+
 def test_identities():
     rep = check_w_identities(np.logspace(0.5, 10, 100))
     assert rep.passed

@@ -27,7 +27,7 @@ RECORDS = [
      {"fitted_constant": None, "witness": None}, lambda: check_condition("M.0", _P, 10_000)),
     ("LemmaBoundsReport", ("params", "p_range", "passed", "max_lower_violation",
                            "max_upper_violation", "witness"),
-     {"witness": None}, lambda: lemma_quotient_bounds(_P, 2, 10_000)),
+     {"witness": None}, lambda: lemma_quotient_bounds(_P, 10_000)),
     ("BracketReport", ("x", "w", "lower", "upper", "ok", "passed"), {},
      lambda: check_w3_bounds(np.logspace(math.log10(math.e), 15, 200))),
     ("IdentityReport", ("x", "identity_err", "ratio", "eps_band", "ok", "passed"), {},

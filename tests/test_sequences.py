@@ -221,6 +221,8 @@ def test_condition_usage_errors():
         check_condition("~M.4", params)      # missing comparison params
     with pytest.raises(UsageError):
         check_condition("~M.5", params, params2=SequenceParams(1.0, 1.5))
+    with pytest.raises(UsageError, match="^this condition needs extended Gevrey parameters$"):
+        check_condition("M.1", None)
 
 
 @pytest.mark.parametrize("tau,sigma", PARAM_SET)
@@ -229,6 +231,17 @@ def test_liminf_condition(tau, sigma):
     rep = check_liminf_condition(seq, 3, 10_000)
     assert rep.holds
     assert rep.fitted_constant > 0
+    # every log m_3p - log m_p is positive, and the tail increases
+    p = default_p_grid(10_000)
+    p = p[p >= 2]
+    r = seq.log_m(3 * p) - seq.log_m(p)
+    assert np.all(r > 0) and np.all(np.diff(r[p > p.max() / 10]) > 0)
+
+
+@pytest.mark.parametrize("Q", [1, 0, -4, 2.5, math.nan, math.inf])
+def test_liminf_needs_an_integer_q_of_2(Q):
+    with pytest.raises(UsageError, match=rf"^Q must be an integer >= 2, got {Q}$"):
+        check_liminf_condition(extended_gevrey(SequenceParams(1.0, 2.0)), Q)
 
 
 def test_liminf_fails_for_constant_quotients():
@@ -240,14 +253,9 @@ def test_liminf_fails_for_constant_quotients():
 
 @pytest.mark.parametrize("tau,sigma", PARAM_SET)
 def test_lemma_quotient_bounds(tau, sigma):
-    rep = lemma_quotient_bounds(SequenceParams(tau, sigma), 2, 10_000)
+    rep = lemma_quotient_bounds(SequenceParams(tau, sigma), 10_000)
     assert rep.passed
-    assert rep.witness is None
-
-
-def test_lemma_bounds_reject_p1():
-    with pytest.raises(RangeError):
-        lemma_quotient_bounds(SequenceParams(1.0, 2.0), 1, 100)
+    assert rep.witness is None and rep.p_range == (2, 10_000)
 
 
 def _peak_of(fn):
@@ -266,7 +274,7 @@ def _peak_of(fn):
     lambda p_max: check_condition("M.1", SequenceParams(1.0, 2.0), p_max),
     lambda p_max: check_condition("M.3'", SequenceParams(1.0, 2.0), p_max),
     lambda p_max: check_liminf_condition(extended_gevrey(SequenceParams(1.0, 2.0)), 3, p_max),
-    lambda p_max: lemma_quotient_bounds(SequenceParams(1.0, 2.0), 2, p_max),
+    lambda p_max: lemma_quotient_bounds(SequenceParams(1.0, 2.0), p_max),
 ])
 def test_p_max_past_its_cap_is_refused_before_allocating(call):
     # one past the cap and far past it: the dense arrays over [1, p_max] are never built
@@ -275,8 +283,8 @@ def test_p_max_past_its_cap_is_refused_before_allocating(call):
 
 
 def test_lemma_bounds_reject_an_empty_range():
-    with pytest.raises(UsageError, match=r"p_max must lie in \[5,"):
-        lemma_quotient_bounds(SequenceParams(1.0, 2.0), 5, 4)
+    with pytest.raises(UsageError, match=r"^p_max must lie in \[2, 10000000\], got 1$"):
+        lemma_quotient_bounds(SequenceParams(1.0, 2.0), 1)
 
 
 def test_classical_m2_rejects_an_empty_range():
@@ -333,6 +341,12 @@ def test_values_past_the_float_range_raise():
     # one built without parameters names its kind alone
     with pytest.raises(NumericalError, match=r"^log M_p of the bare sequence leaves the floats at p = 2$"):
         LogWeightSequence("bare", lambda p: np.where(p > 1, np.inf, 0.0)).log_M([1, 2])
+
+
+@pytest.mark.parametrize("H", [0.0, -1.0, math.nan, math.inf])
+def test_conjugate_generated_needs_a_finite_positive_h(H):
+    with pytest.raises(DomainError, match=rf"^H must be finite and positive, got {H}$"):
+        conjugate_generated(np.exp, H)
 
 
 def test_m1_catches_a_dip_below_the_old_second_difference_slack(monkeypatch):
