@@ -2,8 +2,9 @@
 
 Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar` takes
 a seed and two Fritsch-Shafer-Crowley steps, a fixed count with no convergence test.
-`w0_grid` takes Halley steps in numpy over cache-sized blocks, each pass on the block's
-still-active points only: a point takes its own steps, and its w is bit-identical
+`w0_grid` takes Halley steps in numpy over cache-sized blocks of each branch's points,
+gathered by index into buffers made once per call and stepped in place, each pass on the
+block's still-active points only: a point takes its own steps, and its w is bit-identical
 whichever block and other points it comes with. The grid keeps its Halley bits because
 the default verify report prints values built on them (the matrix-equivalence reservoir
 H = 1/min(T/phi_sigma)). The scalar W is within 2 ulp of W for x >= -0.3, the grid for
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import NumericalError
 
 _W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
-_BLOCK = 8192        # W points per Halley block: its temporaries stay in L2
+_BLOCK = 8192        # W points per Halley block: its seven buffers (448 KiB), reused by every block, stay in L2
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 _LN_POW_MAX = 709.0      # sigma ln p below this, p^sigma is a float (ln of the largest is 709.78)
@@ -94,11 +95,12 @@ def _w0_log_scalar(lx):
 def w0_grid(x):
     """Elementwise W: the series below 1e-4, else Halley steps, point by point."""
     x = np.asarray(x, dtype=np.float64)
-    w, ax = np.zeros_like(x), np.abs(x)
-    small, mid, big = (x != 0.0) & (ax < 1e-4), (ax >= 1e-4) & (x < math.e), x >= math.e
-    w[small] = _w0_series(x[small])
-    w[mid] = _halley_blocks(x[mid], log_form=False)
-    w[big] = _halley_blocks(np.log(x[big]), log_form=True)
+    w, xf = np.zeros(x.shape), x.ravel()
+    wf, ax = w.reshape(-1), np.abs(xf)
+    small = ((xf != 0.0) & (ax < 1e-4)).nonzero()[0]
+    wf[small] = _w0_series(xf[small])
+    _halley(wf, xf, ((ax >= 1e-4) & (xf < math.e)).nonzero()[0], log_form=False)
+    _halley(wf, xf, (xf >= math.e).nonzero()[0], log_form=True, ln=True)
     return w
 
 
@@ -110,45 +112,61 @@ def w0_exp_scalar(lx, sign=1.0):
 
 def w0_exp_grid(lx, sign=1.0):
     """Elementwise `w0_exp_scalar`'s w; `sign` is a scalar or an array shaped like lx."""
-    w, big = np.empty_like(lx), lx >= 1.0
-    w[big] = _halley_blocks(lx[big], log_form=True)
-    w[~big] = w0_grid(np.copysign(np.exp(lx[~big]), np.broadcast_to(sign, lx.shape)[~big]))
+    w, lf = np.empty(lx.shape), lx.ravel()
+    wf, big = w.reshape(-1), lf >= 1.0
+    with np.errstate(over="ignore"):    # w^2 = inf past ln x ~ 1.3e154: r/w^2 = 0 is right
+        _halley(wf, lf, big.nonzero()[0], log_form=True)
+    rest = (~big).nonzero()[0]
+    wf[rest] = w0_grid(np.copysign(np.exp(lf[rest]), np.broadcast_to(sign, lx.shape).ravel()[rest]))
     return w
 
 
-def _halley_blocks(v, log_form):
-    """W(e^v) (log_form) or W(v) by Halley steps from v - ln v or v, _BLOCK points at a time;
-    after a pass that freezes a point, only the block's active points go on."""
-    w = np.empty_like(v)
-    for i in range(0, w.size, _BLOCK):
-        wa, va = w[i:i + _BLOCK], v[i:i + _BLOCK]
-        wa[...] = va - np.log(va) if log_form else va      # the seeds
-        lim = (1e-15 if log_form else _W_TOL) * np.maximum(1.0, va)
-        idx = None      # indices in w of the active points; None while all are
+def _halley(w, v, idx, log_form, ln=False):
+    """W at the flat indices idx of v, written into w at the same indices: W(v) by Halley
+    steps from v, or in log form W(e^v) from v - ln v, v the ln of the gathered value where
+    `ln`. Each block of up to _BLOCK points is gathered by index into buffers made once per
+    call and stepped in place; after a pass that freezes a point, only its active points go on."""
+    if not idx.size:
+        return
+    wb, vb, lb, rb, ub, tb, db = np.empty((7, min(idx.size, _BLOCK)))
+    for i in range(0, idx.size, _BLOCK):
+        ib = idx[i:i + _BLOCK]      # in range: take's mode="clip" skips only a copy of the block
+        wa, va, lim = wb[:ib.size], v.take(ib, out=vb[:ib.size], mode="clip"), lb[:ib.size]
+        r, u, t, d = rb[:ib.size], ub[:ib.size], tb[:ib.size], db[:ib.size]     # scratch
+        if ln:
+            np.log(va, out=va)
+        if log_form:    # the seeds
+            np.subtract(va, np.log(va, out=wa), out=wa)
+        else:
+            np.copyto(wa, va)
+        np.multiply(np.maximum(va, 1.0, out=lim), 1e-15 if log_form else _W_TOL, out=lim)
+        pos = None      # the active points' positions in wb; None while all are
         for _ in range(50):
             if log_form:    # Halley on g(w) = w + ln w - v, with g'' = -1/w^2
-                r = np.log(wa)
-                r += wa
-                r -= va
-                gp = np.divide(1.0, wa)
-                gp += 1.0
-                with np.errstate(over="ignore"):    # w^2 = inf past v ~ 1.3e154: r/w^2 = 0 is right
-                    wa -= 2.0 * r * gp / (2.0 * gp * gp + r / (wa * wa))
-            else:
-                ew = np.exp(wa)
-                r = wa * ew - va
-                np.maximum(wa - r / (ew * (wa + 1.0) - (wa + 2.0) * r / (2.0 * wa + 2.0)), -1.0, out=wa)
-            if idx is not None:
-                w[idx] = wa
+                np.subtract(np.add(np.log(wa, out=r), wa, out=r), va, out=r)
+                np.add(np.divide(1.0, wa, out=u), 1.0, out=u)           # g'
+                np.multiply(np.multiply(r, 2.0, out=t), u, out=t)
+                np.multiply(np.multiply(u, 2.0, out=d), u, out=d)
+                d += np.divide(r, np.multiply(wa, wa, out=u), out=u)
+                wa -= np.divide(t, d, out=t)
+            else:           # Halley on w e^w - v
+                np.subtract(np.multiply(wa, np.exp(wa, out=u), out=r), va, out=r)   # u = e^w
+                np.multiply(np.add(wa, 1.0, out=d), u, out=d)
+                np.multiply(np.add(wa, 2.0, out=t), r, out=t)
+                d -= np.divide(t, np.add(np.multiply(wa, 2.0, out=u), 2.0, out=u), out=t)
+                wa -= np.divide(r, d, out=t)
+                np.maximum(wa, -1.0, out=wa)
+            if pos is not None:
+                wb[pos] = wa
             keep = np.abs(r, out=r) > lim
             if (n := np.count_nonzero(keep)) == wa.size:
                 continue
             if n == 0:
                 break
             j = keep.nonzero()[0]
-            idx = i + j if idx is None else idx[j]
-            wa, va, lim = wa[j], va[j], lim[j]
-    return w
+            pos = j if pos is None else pos[j]
+            wa, va, lim, r, u, t, d = wa[j], va[j], lim[j], r[:n], u[:n], t[:n], d[:n]
+        w[ib] = wb[:ib.size]
 
 
 # ---------------------------------------------------------------------------

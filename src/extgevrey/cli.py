@@ -300,7 +300,7 @@ def cmd_verify(args):
     _check_positive("h", args.h)
     _check_p_max(args.pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3, "--pmax")
     if "liminf" in names:
-        _check_Q(args.Q, "--Q")
+        _check_Q(args.Q, args.pmax, "--Q", "--pmax")
     if "corollary" in names:
         _check_above_one("--s", args.s)
     report = {}

@@ -52,9 +52,10 @@ def phi_sigma(sigma: float, t):
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise DomainError("phi_sigma needs t >= 0")
-    e = lambert_w0_grid(t) / (sigma - 1.0)
+    e = lambert_w0_grid(t)      # then e^(W/(s-1)) t in place on W's array, a float64 scalar at a 0-d t
+    e /= sigma - 1.0
     with np.errstate(over="ignore"):    # inf past the floats, as the scalar path returns
-        return t * np.exp(e)
+        return np.multiply(np.exp(e, out=e), t, out=e)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,14 @@ def _check_above_one(name, x):
         raise DomainError(f"{name} must {'be finite' if x > 1 else 'exceed 1'}, got {x}")
 
 
-def _check_Q(Q, name="Q"):
-    """UsageError unless Q is an integer >= 2."""
+def _check_Q(Q, p_max, name="Q", p_name="p_max"):
+    """UsageError unless Q is an integer >= 2 and the quotient-ratio check's largest index
+    Q p_max is at most _P_LIMIT, before any array is built."""
     if not (Q >= 2 and Q % 1 == 0):
         raise UsageError(f"{name} must be an integer >= 2, got {Q}")
+    if Q * p_max > _P_LIMIT:
+        raise UsageError(f"{name} * {p_name} must be at most {_P_LIMIT}, the largest sequence index, "
+                         f"got {name}={Q}, {p_name}={p_max}")
 
 
 def _check_p_max(p_max, least, name="p_max"):
@@ -346,8 +350,8 @@ def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000,
 
 def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) -> ConditionReport:
     """Tail positivity of log m_{Qp} - log m_p (quotient-ratio condition)."""
-    _check_Q(Q)
     _check_p_max(p_max, 10)
+    _check_Q(Q, p_max)
     p = default_p_grid(p_max)
     p = p[p >= 2]
     r = seq.log_m(Q * p) - seq.log_m(p)

@@ -427,7 +427,9 @@ def test_verify_checks_its_parameters_before_any_claim(argv, capsys, monkeypatch
                                            (["--s", "0.5"], "--s must exceed 1, got 0.5"),
                                            (["--s", "1"], "--s must exceed 1, got 1.0"),
                                            (["--s", "nan"], "--s must exceed 1, got nan"),
-                                           (["--s", "inf"], "--s must be finite, got inf")])
+                                           (["--s", "inf"], "--s must be finite, got inf"),
+                                           (["--Q", "1000000"], "--Q * --pmax must be at most 1000000000, "
+                                            "the largest sequence index, got --Q=1000000, --pmax=10000")])
 def test_verify_checks_q_and_s_before_any_claim(argv, message, capsys, monkeypatch):
     ran = []
     for name in cli.CLAIMS:

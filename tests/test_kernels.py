@@ -352,8 +352,14 @@ _POOL = _staged_pool()
 
 
 @functools.cache
-def _one_point(fn, v):
-    return fn(np.array([v]))[0]
+def _one_point(fn, *v):
+    return fn(*(np.array([a]) for a in v))[0]
+
+
+def _log_abs_and_sign(x):
+    """(ln |x|, sign x), ln 0 = -inf: `w0_exp_grid`'s arguments for W(x)."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(x)), np.sign(x)
 
 
 def test_w0_grid_result_does_not_depend_on_the_block(drawn=(0.0, -1.0 / math.e, 1e-4, math.e),
@@ -379,6 +385,29 @@ def test_w0_log_grid_result_does_not_depend_on_the_block(n):
     lx = rng.choice(np.concatenate([rng.uniform(1.0, 700.0, 200),
                                     np.exp(rng.uniform(0.0, math.log(700.0), 200))]), n)
     assert _kernels.w0_exp_grid(lx).tolist() == [_one_point(_kernels.w0_exp_grid, v) for v in lx.tolist()]
+
+
+def test_w0_exp_grid_mixes_both_forms_and_signs_point_by_point(n=3 * _B + 7):
+    # a shuffled mix of ln x >= 1 (the log form) and ln x < 1 (W of +-e^(ln x), every branch
+    # of w0_grid) with a per-point sign, three full blocks and a short one
+    rng = np.random.default_rng(n)
+    lx, sign = _log_abs_and_sign(rng.choice(np.concatenate([_POOL, np.exp(rng.uniform(1.0, 700.0, 400))]), n))
+    assert np.count_nonzero(lx >= 1.0) > _B and np.count_nonzero(lx < 1.0) > _B and (sign < 0).any()
+    assert _kernels.w0_exp_grid(lx, sign).tolist() == [_one_point(_kernels.w0_exp_grid, v, s)
+                                                       for v, s in zip(lx.tolist(), sign.tolist())]
+
+
+@pytest.mark.parametrize("view", [lambda a: a.reshape(3, -1), lambda a: a.reshape(-1, 3).T, lambda a: a[::3]],
+                         ids=["2-D", "transposed", "strided"])
+def test_w_grids_give_every_entry_of_any_layout_its_one_point_w(view):
+    # both kernels gather by flat index; each input holds _B + 5 points, so two blocks
+    x = np.random.default_rng(4).choice(_POOL, 3 * (_B + 5))
+    lx, sign = _log_abs_and_sign(x)
+    w, we = _kernels.w0_grid(view(x)), _kernels.w0_exp_grid(view(lx), view(sign))
+    assert w.shape == we.shape == view(x).shape
+    assert w.ravel().tolist() == [_one_point(_kernels.w0_grid, v) for v in view(x).ravel().tolist()]
+    assert we.ravel().tolist() == [_one_point(_kernels.w0_exp_grid, v, s)
+                                   for v, s in zip(view(lx).ravel().tolist(), view(sign).ravel().tolist())]
 
 
 @pytest.mark.parametrize("x", [np.float64(2.0), np.array(0.5), np.array([]),

@@ -244,6 +244,17 @@ def test_liminf_needs_an_integer_q_of_2(Q):
         check_liminf_condition(extended_gevrey(SequenceParams(1.0, 2.0)), Q)
 
 
+def test_liminf_bounds_q_times_p_max_before_it_evaluates():
+    # log m_(Q p) is taken up to p = Q p_max, which must not pass the sequence index limit
+    seen = []
+    seq = LogWeightSequence("recording", lambda p: seen.append(p) or np.zeros_like(p))
+    with pytest.raises(UsageError, match=r"^Q \* p_max must be at most 1000000000, the largest "
+                                         r"sequence index, got Q=100001, p_max=10000$"):
+        check_liminf_condition(seq, 100_001, 10_000)
+    assert seen == []
+    assert check_liminf_condition(extended_gevrey(SequenceParams(1.0, 2.0)), 100_000, 10_000).holds
+
+
 def test_liminf_fails_for_constant_quotients():
     # M_p = 1: every quotient is 1, so log m_Qp - log m_p is 0, never positive
     constant = LogWeightSequence("constant_quotient", lambda p: np.zeros_like(p))
