@@ -14,7 +14,7 @@ import numpy as np
 
 from . import assocfn, conjugate, equivalence, lambertw, sequences
 from .errors import DivergenceError, DomainError, NumericalError, RangeError, UsageError
-from .sequences import SequenceParams, _check_above_one, _check_p_max, _check_positive, _check_Q
+from .sequences import SequenceParams, _check_above_one, _check_p_max, _check_positive, _check_Q, _read_only
 
 FMT = "%.17g"
 GRID_MAX_POINTS = 10 ** 7     # points one grid spec may ask for
@@ -162,12 +162,21 @@ def cmd_conjugate(args):
 # verification suite
 # ---------------------------------------------------------------------------
 
+# the fixed input grids of the claims, built once and shared: read-only
+_W3_X = _read_only(np.logspace(math.log10(math.e), 15, 200))
+_IDENTITY_X = _read_only(np.logspace(0.5, 10, 100))
+_FLOOR_C = _read_only(np.array([[1.0], [math.e], [math.e ** 2]]))
+_FLOOR_LAMBDA = _read_only(np.logspace(0, 8, 120))
+_SUP_COUNTING_K = _read_only(np.logspace(0, 10, 500))
+_INTEGRAL_K = _read_only(np.logspace(0.5, 8, 25))
+
+
 def _claim_w3(a):
-    rep = lambertw.check_w3_bounds(np.logspace(math.log10(math.e), 15, 200))
+    rep = lambertw.check_w3_bounds(_W3_X)
     return rep.passed, {"points": int(rep.x.size)}
 
 def _claim_w_identities(a):
-    rep = lambertw.check_w_identities(np.logspace(0.5, 10, 100))
+    rep = lambertw.check_w_identities(_IDENTITY_X)
     return rep.passed, {"max_identity_err": float(np.max(rep.identity_err))}
 
 def _claim_lemma(a):
@@ -195,7 +204,7 @@ def _claim_counting_floor(a):
     # one call per route over the (C, lambda) table; a route's error names its first
     # failing point, the closed form's before the direct one's
     params = SequenceParams(a.tau, a.sigma)
-    C, lams = np.array([[1.0], [math.e], [math.e ** 2]]), np.logspace(0, 8, 120)
+    C, lams = _FLOOR_C, _FLOOR_LAMBDA
     differ = np.argwhere(assocfn.counting_fn_floor(params, C, lams)
                          != assocfn.counting_fn_direct(params, C, lams))
     if differ.size:
@@ -205,7 +214,7 @@ def _claim_counting_floor(a):
 
 def _claim_sup_vs_counting(a):
     params = SequenceParams(a.tau, a.sigma)
-    k = np.logspace(0, 10, 500)
+    k = _SUP_COUNTING_K
     T, _ = assocfn.assoc_fn_sup_grid(params, 1.0, k)
     Tc, _ = assocfn.assoc_fn_counting_grid(params, k)
     err = float(np.max(np.abs(T - Tc) / np.maximum(np.maximum(T, Tc), 1.0)))
@@ -218,7 +227,7 @@ def _claim_sandwich(a):
 
 def _claim_integral(a):
     rep = conjugate.integral_closed_form_check(
-        SequenceParams(a.tau, a.sigma), 1.0, np.logspace(0.5, 8, 25))
+        SequenceParams(a.tau, a.sigma), 1.0, _INTEGRAL_K)
     return rep.passed, {"max_rel_err": float(np.max(rep.rel_err))}
 
 def _claim_weight_axioms(a):
@@ -316,13 +325,17 @@ def cmd_verify(args):
             errored.append(name)
         if not holds:
             failed.append(name)
+    # only --s is unchecked where no claim reads it: a nan or inf there goes out as its repr
+    s = args.s if math.isfinite(args.s) else repr(args.s)
     doc = {"parameters": {"tau": args.tau, "sigma": args.sigma, "h": args.h,
-                          "Q": args.Q, "s": args.s, "pmax": args.pmax},
+                          "Q": args.Q, "s": s, "pmax": args.pmax},
            "claims": report,
            "passed": not failed,
            "failed_claims": failed}
     if args.format == "json":
-        _write(json.dumps(doc, sort_keys=True, indent=2, default=_jsonable) + "\n", args.output)
+        # strict JSON (RFC 8259): a NaN or inf in a report is a fault, so it raises here
+        _write(json.dumps(doc, sort_keys=True, indent=2, default=_jsonable, allow_nan=False) + "\n",
+               args.output)
     else:
         lines = []
         for name in names:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, NumericalError
 from .lambertw import lambert_w0, lambert_w0_grid
-from .sequences import SequenceParams, _check_above_one, _check_positive, stable_sup
+from .sequences import SequenceParams, _check_above_one, _check_positive, _read_only, stable_sup
 
 __all__ = [
     "phi_sigma",
@@ -276,6 +276,14 @@ class AxiomReport(NamedTuple):
         return self.alpha and self.beta and self.gamma and self.delta
 
 
+# the axiom grids: t in [1e2, 1e14], its top half, and e^u for 1200 u spaced evenly over ln t
+_AXIOM_T = _read_only(np.logspace(2, 14, 64 * 12))
+_AXIOM_TOP = _read_only(_AXIOM_T >= math.sqrt(_AXIOM_T.min() * _AXIOM_T.max()))
+_AXIOM_EXP_U = _read_only(np.exp(np.linspace(math.log(_AXIOM_T.min()), math.log(_AXIOM_T.max()), 1200)))
+# every point omega is evaluated at, for one call: t, then 2 t on the top half, then e^u
+_AXIOM_POINTS = _read_only(np.concatenate((_AXIOM_T, 2.0 * _AXIOM_T[_AXIOM_TOP], _AXIOM_EXP_U)))
+
+
 def check_weight_axioms(w: WeightFn) -> AxiomReport:
     """Classify omega against the four weight-function axioms.
 
@@ -284,13 +292,19 @@ def check_weight_axioms(w: WeightFn) -> AxiomReport:
     axiom (gamma) requires the top-decade max of ln t / omega(t) to drop below
     half of the first-half max (a slowly decaying ratio needs the grid's 12
     decades); convexity (delta) checks second divided differences of omega(e^t).
+    omega is elementwise, so its one call over all three grids gives each grid's values.
+    NumericalError where omega is not finite on them: no axiom is read from an inf.
     """
-    t = np.logspace(2, 14, 64 * 12)
-    wt = w(t)
-    top = t >= math.sqrt(t.min() * t.max())
+    t, top = _AXIOM_T, _AXIOM_TOP
+    with np.errstate(over="ignore", invalid="ignore"):     # checked below
+        values = w(_AXIOM_POINTS)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericalError(f"weight {w.name} is not finite at t = {_AXIOM_POINTS[~finite][0]:.6g}")
+    wt, w2t, ph = np.split(values, (t.size, t.size + np.count_nonzero(top)))
     tt, wt_top = t[top], wt[top]
 
-    ratio_a = w(2.0 * tt) / wt_top
+    ratio_a = w2t / wt_top
     sup_a, _, stable_a = stable_sup(tt, ratio_a)
 
     ratio_b = wt_top / tt
@@ -301,8 +315,6 @@ def check_weight_axioms(w: WeightFn) -> AxiomReport:
     top_dec = t >= t.max() / 10.0
     gamma_ok = bool(np.max(g[top_dec]) < 0.5 * np.max(g[first_half]))
 
-    u = np.linspace(math.log(t.min()), math.log(t.max()), 1200)
-    ph = w(np.exp(u))
     d2 = ph[2:] - 2.0 * ph[1:-1] + ph[:-2]
     tol = 1e-8 * np.maximum(1.0, np.abs(ph[1:-1]))
     delta_ok = bool(np.all(d2 >= -tol))
@@ -365,9 +377,12 @@ def _panel_quadrature(f, upper, h0):
     lo = np.concatenate((edges[:-1], edges[j]))
     hi = np.concatenate((edges[1:], upper))
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    # f is elementwise: one call over both rules' nodes, each rule's values a contiguous block
+    nodes = [mid[:, None] + half[:, None] * x for x, _ in (_GL20, _GL10)]
+    values = np.split(f(np.concatenate([u.ravel() for u in nodes])), (nodes[0].size,))
     sums = []
-    for x, wts in (_GL20, _GL10):
-        panel = half * (f(mid[:, None] + half[:, None] * x) @ wts)
+    for fx, u, (_, wts) in zip(values, nodes, (_GL20, _GL10)):
+        panel = half * (fx.reshape(u.shape) @ wts)
         full = np.concatenate(([0.0], np.cumsum(panel[:edges.size - 1])))
         sums.append(full[j] + panel[edges.size - 1:])
     return sums[0], np.abs(sums[0] - sums[1])
@@ -394,20 +409,30 @@ def integral_closed_form_check(params: SequenceParams, C: float, k_grid) -> Inte
     if not all(sys.float_info.min <= v < math.inf for v in powers):
         raise NumericalError(f"a power of C leaves the normal floats: tau={tau!r}, sigma={s!r}, C={C!r}")
     c_ts, pref, post = powers
+    # the panel edges reach below 2 max(ln k) + 1/(e c): W's argument there, and 2^j, stay floats
+    if not 2.0 * math.e * c_ts * math.log(float(k.max(initial=math.e))) < math.inf:
+        raise NumericalError(f"c ln k passes the floats on the quadrature panels, c = {c_ts:g}: "
+                             f"tau={tau!r}, sigma={s!r}, C={C!r}")
 
-    val, err = _panel_quadrature(lambda u: np.exp(lambert_w0_grid(c_ts * u) / (s - 1.0)),
-                                 np.log(k), 1.0 / (math.e * c_ts))
-    bad = err > 1e-6 * np.maximum(1.0, np.abs(val))
+    with np.errstate(over="ignore", invalid="ignore"):     # a value past the floats fails below
+        val, err = _panel_quadrature(lambda u: np.exp(lambert_w0_grid(c_ts * u) / (s - 1.0)),
+                                     np.log(k), 1.0 / (math.e * c_ts))
+    bad = ~(err <= 1e-6 * np.maximum(1.0, np.abs(val)))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise NumericalError(
             f"quadrature failed at k={k[i]:g}: value {val[i]:g}, error estimate {err[i]:g}")
-    quads = pref * val
 
     # with w = W(c ln k) the antiderivative (s-1)/s e^{sw/(s-1)} (w + 1/s) rises
     # from w = 0 by (s-1)/s [expm1(sw/(s-1)) (w + 1/s) + w], free of cancellation
     w = lambert_w0_grid(c_ts * np.log(k))
-    closed = post * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
+    with np.errstate(over="ignore"):
+        quads = pref * val
+        closed = post * tau / s * (np.expm1(s * w / (s - 1.0)) * (w + 1.0 / s) + w)
+    finite = np.isfinite(quads) & np.isfinite(closed)
+    if not finite.all():
+        raise NumericalError(f"the integral passes the floats at k={k[~finite][0]:g}: "
+                             f"tau={tau!r}, sigma={s!r}, C={C!r}")
 
     rel = np.abs(quads - closed) / np.maximum(np.abs(closed), 1e-12)
     return IntegralCheckReport(params, C, k, quads, closed, rel, bool(np.all(rel <= 1e-6)))

@@ -3,6 +3,7 @@ function versus phi_sigma, the two-sided conjugate bound on log M_p, the
 weight-matrix equivalence, and the closing corollary weight.
 """
 
+import functools
 import math
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -12,8 +13,9 @@ from ._kernels import _assoc_sup_scalar, assoc_sup_grid, w0_scalar
 from .conjugate import (_ln_phi_slope, check_weight_axioms, corollary_weight, phi_sigma,
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
-from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _check_positive, _fit_band,
-                        conjugate_generated, default_p_grid, extended_gevrey, stable_sup)
+from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _check_positive, _doubled_tau,
+                        _fit_band, _read_only, conjugate_generated, default_p_grid, extended_gevrey,
+                        stable_sup)
 
 __all__ = [
     "EquivalenceReport",
@@ -39,22 +41,32 @@ class EquivalenceReport(NamedTuple):
     notes: str = ""
 
 
+_K_GRID = _read_only(np.logspace(math.log10(math.e), 12.0, int(64 * math.log10(1e12 / math.e))))
+
+
 def default_k_grid() -> np.ndarray:
-    """64 log-spaced points a decade on [e, 1e12]."""
-    return np.logspace(math.log10(math.e), 12.0, int(64 * math.log10(1e12 / math.e)))
+    """64 log-spaced points a decade on [e, 1e12]: one array, shared and read-only."""
+    return _K_GRID
 
 
 def _fit_T_phi(params: SequenceParams, h: float, lnk: np.ndarray, phi: np.ndarray):
+    """T_h on the grid and its band against phi; NumericalError where the lower slope B is 0
+    (T_h is 0 on the top of the grid), as no band then bounds T_h from below."""
     T, _ = assoc_sup_grid(lnk, math.log(h), params.tau, params.sigma)
     pos = phi > 0
     x = phi[pos]
-    return T, _fit_band(x, T[pos], x >= 0.5 * x.max())
+    fit = _fit_band(x, T[pos], x >= 0.5 * x.max())
+    if not fit["B"] > 0:
+        raise NumericalError(f"T_h(k) is 0 on the top of the k grid, so no band against phi_sigma has "
+                             f"a positive slope: tau={params.tau!r}, sigma={params.sigma!r}, h={h!r}")
+    return T, fit
 
 
 def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0) -> EquivalenceReport:
     """Fit B*phi + B~ <= T_h <= A*phi + A~ on `default_k_grid` and check that the
     fitted slopes scale like tau^(-1/(sigma-1)) under tau -> 2^(sigma-1) tau.
-    NumericalError where phi_sigma(ln k) passes the floats on the grid (sigma below about 1.0035)."""
+    NumericalError where phi_sigma(ln k) passes the floats on the grid (sigma below about 1.0035),
+    and where T_h is 0 on the top of the grid (h below about 1e-12)."""
     _check_positive("h", h)
     k = default_k_grid()
     lnk = np.log(k)
@@ -67,10 +79,10 @@ def check_T_phi_equivalence(params: SequenceParams, h: float = 1.0) -> Equivalen
     viol_up = float(np.max(T - fit["A"] * phi - fit["A_tilde"]))
     viol_lo = float(np.max(fit["B"] * phi + fit["B_tilde"] - T))
     max_violation = max(viol_up, viol_lo)
-    holds = fit["B"] > 0 and max_violation <= 1e-8
+    holds = max_violation <= 1e-8
 
-    factor = 2.0 ** (params.sigma - 1.0)
-    params2 = SequenceParams(params.tau * factor, params.sigma)
+    factor = _doubled_tau(params.sigma)
+    params2 = SequenceParams(_doubled_tau(params.sigma, params.tau), params.sigma)
     _, fit2 = _fit_T_phi(params2, h, lnk, phi)
     expected = factor ** (1.0 / (params.sigma - 1.0))      # = 2
     ratio_A = fit["A"] / fit2["A"]
@@ -97,7 +109,7 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
     window (or T/phi_sigma underflows), so the band has no index H1 = 1/b."""
     t_max = 4000.0
     while True:
-        t = np.logspace(0.0, math.log10(t_max), 1200)
+        t = _slope_window(t_max)
         if not _window_must_fail(sigma, tau, p_max, float(t[-1]), t_max):
             T, _ = assoc_sup_grid(t, 0.0, tau, sigma)
             c = T / phi_sigma(sigma, t)
@@ -108,6 +120,12 @@ def _fit_slopes_extended(sigma: float, tau: float, p_max: int) -> Tuple[float, f
             if not _t_star_past(sigma, p_max / b, 0.8 * t_max):
                 return a, b, t_max
         t_max *= 2.0
+
+
+@functools.lru_cache(maxsize=32)
+def _slope_window(t_max):
+    """1200 log-spaced t on [1, t_max], built once per window and shared: read-only."""
+    return _read_only(np.logspace(0.0, math.log10(t_max), 1200))
 
 
 def _t_star_past(sigma, y, t0):
@@ -162,7 +180,7 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     params = SequenceParams(tau, sigma)
     _check_p_max(p_max, 10)
     a, b, t_max, H1, H2 = slope_band(sigma, tau, p_max)
-    A_sigma = a * (tau / 2.0 ** (sigma - 1.0)) ** (1.0 / (sigma - 1.0))
+    A_sigma = a * (tau / _doubled_tau(sigma)) ** (1.0 / (sigma - 1.0))
     B_sigma = b * tau ** (1.0 / (sigma - 1.0))
 
     seq = extended_gevrey(params)
@@ -282,13 +300,23 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
         fitted, holds, worst if math.isfinite(worst) else 0.0, "; ".join(notes))
 
 
+_COROLLARY_T = _read_only(np.logspace(3, 12, 600))
+
+
 def check_corollary(s: float) -> EquivalenceReport:
     """Ratio band of the corollary weight against phi_s(ln_+ t) on 600 log-spaced
-    t in [1e3, 1e12], plus the axiom classification of the corollary weight itself."""
+    t in [1e3, 1e12], plus the axiom classification of the corollary weight itself.
+    NumericalError where either passes the floats on the grid (s near 1, or large),
+    as the band then has a slope 0 or inf."""
     w = corollary_weight(s)     # checks s before any work
-    t = np.logspace(3, 12, 600)
-    num = w(t)
+    t = _COROLLARY_T
+    with np.errstate(over="ignore", invalid="ignore"):  # ln^s t past the floats: the check below names s
+        num = w(t)
     den = phi_sigma(s, np.maximum(np.log(t), 0.0))
+    finite = np.isfinite(num) & np.isfinite(den)
+    if not finite.all():
+        raise NumericalError(f"the corollary weight or phi_s(ln t) passes the floats on the t grid "
+                             f"from t = {t[~finite][0]:.6g}: s={s!r}")
     pos = den > 0
     tp = t[pos]
     band = _fit_band(den[pos], num[pos], tp >= math.sqrt(tp.min() * tp.max()))

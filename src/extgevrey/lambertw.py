@@ -119,10 +119,12 @@ def check_w_identities(x_grid):
     if np.any(x <= 1.0):
         raise DomainError("identity checks need x > 1")
     lx = np.log(x)
-    identity_err = np.abs(lambert_w0_grid(x * lx) - lx)
+    # one W call: each entry of the grid W depends on its own x only
+    w_xlx, w_10x, w_x = lambert_w0_grid(np.stack((x * lx, 10.0 * x, x)))
+    identity_err = np.abs(w_xlx - lx)
     id_ok = identity_err <= 1e-12 * np.maximum(lx, 1.0)
 
-    ratio = lambert_w0_grid(10.0 * x) / lambert_w0_grid(x)
+    ratio = w_10x / w_x
     eps = 3.0 * math.log(10.0) / lx
     ratio_ok = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
 

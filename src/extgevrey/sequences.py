@@ -5,6 +5,7 @@ M_p itself is never materialized: p^(tau p^sigma) leaves double range
 already around p = 15, so every quantity here is a log value.
 """
 
+import functools
 import math
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -64,6 +65,25 @@ def _check_p_max(p_max, least, name="p_max"):
     """UsageError unless least <= p_max <= P_MAX_CAP, before any array is built."""
     if not least <= p_max <= P_MAX_CAP:
         raise UsageError(f"{name} must lie in [{least}, {P_MAX_CAP}], got {p_max}")
+
+
+def _doubled_tau(sigma, tau=1.0):
+    """2^(sigma-1) tau, the tau whose p^sigma term matches (2p)^sigma / 2 at tau;
+    NumericalError naming sigma (and a tau other than 1) where it passes the floats."""
+    try:
+        v = 2.0 ** (sigma - 1.0) * tau
+    except OverflowError:
+        v = math.inf
+    if v == math.inf:
+        at = f"tau={tau!r}, " if tau != 1.0 else ""
+        raise NumericalError(f"2^(sigma-1) tau passes the floats: {at}sigma={sigma!r}")
+    return v
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a grid built once and shared between calls."""
+    a.flags.writeable = False
+    return a
 
 
 class SequenceParams(NamedTuple("SequenceParams", [("tau", float), ("sigma", float)])):
@@ -147,16 +167,18 @@ def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) 
 _DENSE_TO = 128
 
 
+@functools.lru_cache(maxsize=16)
 def default_p_grid(p_max: int, per_decade: int = 100) -> np.ndarray:
-    """Every integer up to 128, then ~per_decade log-spaced integers."""
+    """Every integer up to 128, then ~per_decade log-spaced integers. Built once per
+    (p_max, per_decade) and shared between calls: read-only."""
     if p_max <= _DENSE_TO:
-        return np.arange(1, p_max + 1, dtype=np.int64)
+        return _read_only(np.arange(1, p_max + 1, dtype=np.int64))
     n = max(2, int(per_decade * math.log10(p_max / _DENSE_TO)))
     sparse = np.round(np.logspace(math.log10(_DENSE_TO), math.log10(p_max), n)).astype(np.int64)
     # both parts are sorted: drop repeats by adjacent compare (np.unique
     # would import numpy.ma on its first call)
     p = np.concatenate([np.arange(1, _DENSE_TO + 1, dtype=np.int64), sparse])
-    return p[np.r_[True, p[1:] != p[:-1]]]
+    return _read_only(p[np.r_[True, p[1:] != p[:-1]]])
 
 
 def stable_sup(p: np.ndarray, values: np.ndarray):
@@ -247,7 +269,7 @@ def _check_m2_prime(params, params2, p_max):
 
 def _check_m2_tilde(params, params2, p_max):
     seq = _require_ext(params)
-    big = extended_gevrey(SequenceParams(2.0 ** (params.sigma - 1.0) * params.tau, params.sigma))
+    big = extended_gevrey(SequenceParams(_doubled_tau(params.sigma, params.tau), params.sigma))
     p = default_p_grid(p_max, per_decade=30)
     # each unordered pair p <= q once: the objective is symmetric but for the order of its
     # two subtractions, so the pair takes the larger of its two orders, the sup over both
@@ -383,7 +405,7 @@ def lemma_quotient_bounds(params: SequenceParams, p_max: int = 10_000) -> LemmaB
     p = np.arange(2, p_max + 1, dtype=np.int64)
     pf = p.astype(np.float64)
     logm = seq.log_m(p)
-    lower = tau * pf ** (s - 1.0) / 2.0 ** (s - 1.0) * (1.0 + s * np.log(pf) - s * math.log(2.0))
+    lower = tau * pf ** (s - 1.0) / _doubled_tau(s) * (1.0 + s * np.log(pf) - s * math.log(2.0))
     upper = tau * pf ** (s - 1.0) * (1.0 + s * np.log(pf))
     slack = 1e-11 * np.maximum(1.0, np.abs(logm))
     lo_viol = lower - logm

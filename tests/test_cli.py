@@ -7,12 +7,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extgevrey import assocfn, cli, conjugate, lambertw, sequences
+from extgevrey import assocfn, cli, conjugate, equivalence, lambertw, sequences
 from extgevrey.sequences import SequenceParams
 
 
@@ -404,6 +405,67 @@ def test_verify_records_a_claim_that_raises_and_runs_the_rest(capsys):
         assert claim["holds"] is False and "details" not in claim and "2**53" in claim["error"]
         assert name in doc["failed_claims"]
     assert doc["passed"] is False and "numerical failure in sandwich" in err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+# each once ended in a traceback or a report holding a NaN; now the claim named errs, naming the parameter
+@pytest.mark.parametrize("argv, claim, names", [
+    (["--tau", "7.5", "--sigma", "2", "--h", "1e-300"], "t-phi-equivalence", "h=1e-300"),  # T_h = 0 on the k grid
+    (["--tau", "1e6", "--sigma", "1.01", "--h", "2", "--s", "1.0000001"], "corollary", "s=1.0000001"),  # phi_s(ln t) = inf
+    (["--tau", "2", "--sigma", "1e4", "--h", "50"], "m2tilde", "sigma=10000.0"),    # 2^(sigma-1) = inf
+    (["--tau", "1e-300", "--sigma", "2", "--h", "300", "--pmax", "300", "--Q", "100"],
+     "integral-closed-form", "tau=1e-300"),     # expm1 of the closed form = inf
+])
+def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, names, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["verify"] + argv, capsys)
+    assert code in (1, 3) and "Traceback" not in err
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert set(doc["claims"]) == set(cli.CLAIMS)
+    assert names in doc["claims"][claim]["error"]
+
+
+def test_verify_writes_a_nan_in_a_report_as_an_error_not_as_json(capsys, monkeypatch):
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: (False, {"value": math.nan}))
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.main(["verify", "--only", "w3"])
+
+
+def test_the_verify_grids_are_built_once_read_only_and_equal_a_fresh_build():
+    t = np.logspace(2, 14, 768)
+    top = t >= math.sqrt(t.min() * t.max())
+    exp_u = np.exp(np.linspace(math.log(1e2), math.log(1e14), 1200))
+    fresh = {
+        "k": (equivalence.default_k_grid(), np.logspace(math.log10(math.e), 12.0, 740)),
+        "corollary t": (equivalence._COROLLARY_T, np.logspace(3, 12, 600)),
+        "axiom t": (conjugate._AXIOM_T, t),
+        "axiom top": (conjugate._AXIOM_TOP, top),
+        "axiom e^u": (conjugate._AXIOM_EXP_U, exp_u),
+        "axiom points": (conjugate._AXIOM_POINTS, np.concatenate((t, 2.0 * t[top], exp_u))),
+        "w3": (cli._W3_X, np.logspace(math.log10(math.e), 15, 200)),
+        "w identities": (cli._IDENTITY_X, np.logspace(0.5, 10, 100)),
+        "floor C": (cli._FLOOR_C, np.array([[1.0], [math.e], [math.e ** 2]])),
+        "floor lambda": (cli._FLOOR_LAMBDA, np.logspace(0, 8, 120)),
+        "sup vs counting": (cli._SUP_COUNTING_K, np.logspace(0, 10, 500)),
+        "integral": (cli._INTEGRAL_K, np.logspace(0.5, 8, 25)),
+    }
+    for args in ((10_000,), (1000,), (300,), (100,), (10_000, 30)):
+        fresh[f"p {args}"] = (sequences.default_p_grid(*args), sequences.default_p_grid.__wrapped__(*args))
+    for t_max in (4000.0, 8000.0, 4000.0 * 2 ** 20):
+        fresh[f"window {t_max:g}"] = (equivalence._slope_window(t_max),
+                                      np.logspace(0.0, math.log10(t_max), 1200))
+    for name, (got, want) in fresh.items():
+        assert not got.flags.writeable, name
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0
+    # the caches hand out one array per argument
+    assert sequences.default_p_grid(1000) is sequences.default_p_grid(1000)
+    assert equivalence._slope_window(4000.0) is equivalence._slope_window(4000.0)
 
 
 def test_verify_text_marks_a_claim_that_raises(capsys):

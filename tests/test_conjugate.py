@@ -263,6 +263,23 @@ def test_axiom_classification():
     assert not rep.beta and not rep.passed
 
 
+def test_one_weight_call_over_the_axiom_grids_equals_a_call_per_grid():
+    # check_weight_axioms makes one call over t, 2 t on its top half, and e^u: bit for bit the three calls
+    t, top, exp_u = conjugate._AXIOM_T, conjugate._AXIOM_TOP, conjugate._AXIOM_EXP_U
+    for w in (bmt_log_power(2.0), bmt_quotient(2.0), lambert_weight(), power_weight(0.5),
+              power_weight(1.0), power_weight(1.5), corollary_weight(2.0)):
+        one = w(conjugate._AXIOM_POINTS)
+        each = np.concatenate((w(t), w(2.0 * t[top]), w(exp_u)))
+        assert one.tobytes() == each.tobytes(), w.name
+
+
+def test_axioms_of_a_weight_past_the_floats_are_a_numerical_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=r"^weight \|t\|\^30.0 is not finite at t = "):
+            check_weight_axioms(power_weight(30.0))
+
+
 @pytest.mark.parametrize("tau,sigma", [(1.0, 2.0), (2.0, 3.0), (0.5, 1.5)])
 def test_integral_closed_form(tau, sigma):
     params = SequenceParams(tau, sigma)
