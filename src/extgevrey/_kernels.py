@@ -198,6 +198,8 @@ def _p_concave_from(lnh, tau):
 
 
 _PAST_2_53 = "T_h(k) peaks near p = exp({:.6g}) > 2**53, past exact integer floats"
+# c = (tau - sigma ln h)/(tau sigma) past the floats where |ln h|/tau is: no W argument x is formed
+_X_PAST_FLOATS = "ln x = {:.6g} of the root p* leaves the floats, c = {:.6g}"
 # p^sigma > _MAX: g(p) = p^sigma (ln h - tau ln p) + p ln k < 0 if tau ln p - ln h > p ln_+ k / _MAX
 _UNRESOLVED = "p^sigma overflows a float at the candidate p = {:.17g}, where g's sign is unresolved"
 
@@ -224,6 +226,8 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     lx = math.log(abs(lnk)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c) if lnk else -math.inf
     near = ()
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
+        if not lx < math.inf:       # NaN too
+            raise _sup_error(_X_PAST_FLOATS.format(lx, c), lnk, lnh, tau, sigma)
         w, _ = w0_exp_scalar(lx, lnk)
         lnp = w / (sigma - 1.0) - c
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
@@ -251,10 +255,14 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     values = np.maximum(values, 0.0)
     # the integers next to p*, where x >= -1/e
     c = (tau - sigma * lnh) / (tau * sigma)
-    with np.errstate(divide="ignore"):        # ln |x| = -inf at ln k = 0
+    # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
+    with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
     t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
     L = lnk_arr[t]
+    if not (lx[t] < math.inf).all():        # NaN too
+        i = t[np.argmin(lx[t] < math.inf)]
+        raise _sup_error(_X_PAST_FLOATS.format(lx[i], c), lnk_arr[i], lnh, tau, sigma)
     lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
         raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)

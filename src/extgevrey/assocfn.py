@@ -292,19 +292,23 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
 
     Taken as E = exp((s ln ln k - ln W(R))/(s-1)) with ln R from `_ln_x_over_lnk`, W from
     ln R, and ln W(R) = ln R - W(R) where W <= 1 (W underflows with R): no factor of R or
-    E is formed, so none leaves the floats. NumericalError where E passes the largest float."""
+    E is formed, so none leaves the floats. NumericalError where E passes the largest float,
+    and where ln R does (c past the floats, where |ln h|/tau is)."""
     _check_positive("h", h)
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
     E, big = np.zeros_like(k), k > 1.0
     kb, c = k[big], (tau - s * math.log(h)) / (tau * s)
     ln_r = np.log(np.log(math.e + kb)) + _ln_x_over_lnk(s - 1.0, tau, s, c)
+    if not (ln_r < math.inf).all():     # NaN too
+        raise NumericalError(f"envelope's ln R leaves the floats, c = {c:.6g}: tau={tau!r}, "
+                             f"sigma={s!r}, h={h!r}")
     w = w0_exp_grid(ln_r)
     ln_w = np.log(w, out=ln_r - w, where=w > 1.0)     # ln R - W cancels where W is large
-    ln_e = (s * np.log(np.log(kb)) - ln_w) / (s - 1.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):     # s ln ln k past the floats: named below
+        ln_e = (s * np.log(np.log(kb)) - ln_w) / (s - 1.0)
         E[big] = np.exp(ln_e)
-    if (E == math.inf).any():
+    if not (E < math.inf).all():    # NaN too, where s ln ln k and ln W(R) are infinite
         i = np.argmax(ln_e)
         raise NumericalError(f"envelope E = exp({ln_e[i]:.6g}) overflows a float: tau={tau!r}, "
                              f"sigma={s!r}, h={h!r}, k={float(kb[i])!r}")
@@ -340,7 +344,10 @@ def sandwich_bounds_check(params: SequenceParams, h: float, k_grid) -> SandwichR
     E = envelope(params, h, k)
     pos = E > 0
     if not pos.any():
-        raise UsageError("degenerate grid: envelope vanishes everywhere")
+        if not (k > 1.0).any():
+            raise UsageError("degenerate grid: envelope vanishes everywhere")
+        raise NumericalError(f"the envelope E underflows to 0 at every k > 1 of the grid: "
+                             f"tau={params.tau!r}, sigma={params.sigma!r}, h={h!r}")
     kp, Tp, Ep = k[pos], T[pos], E[pos]
     fit = _fit_band(Ep, Tp, kp >= math.sqrt(kp.min() * kp.max()))
     A1, B1, A2, B2 = fit["B"], fit["B_tilde"], fit["A"], fit["A_tilde"]

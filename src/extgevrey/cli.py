@@ -14,7 +14,8 @@ import numpy as np
 
 from . import assocfn, conjugate, equivalence, lambertw, sequences
 from .errors import DivergenceError, DomainError, NumericalError, RangeError, UsageError
-from .sequences import SequenceParams, _check_above_one, _check_p_max, _check_positive, _check_Q, _read_only
+from .sequences import (SequenceParams, _check_above_one, _check_p_max, _check_positive, _check_Q, _derived,
+                        _read_only)
 
 FMT = "%.17g"
 GRID_MAX_POINTS = 10 ** 7     # points one grid spec may ask for
@@ -188,9 +189,9 @@ def _cond(name):
     def run(a):
         kwargs = {}
         if name == "~M.4":
-            kwargs["params2"] = SequenceParams(2.0 * a.tau, a.sigma)
+            kwargs["params2"] = SequenceParams(_derived("2 tau", 2.0 * a.tau, "tau", a.tau), a.sigma)
         if name == "~M.5":
-            kwargs["params2"] = SequenceParams(a.tau, a.sigma + 1.0)
+            kwargs["params2"] = SequenceParams(a.tau, _derived("sigma + 1", a.sigma + 1.0, "sigma", a.sigma))
         rep = sequences.check_condition(name, SequenceParams(a.tau, a.sigma), a.pmax, **kwargs)
         return rep.holds, rep._asdict()
     return run
@@ -253,7 +254,7 @@ def _claim_ocena_norme(a):
     return rep.holds, rep._asdict()
 
 def _claim_matrix(a):
-    taus = [a.tau / 2, a.tau, 2 * a.tau, 4 * a.tau]
+    taus = [a.tau if f == 1 else _derived(f"{f:g} tau", f * a.tau, "tau", a.tau) for f in (0.5, 1, 2, 4)]
     Hs = set()
     for tau in taus:
         band = equivalence.slope_band(a.sigma, tau, 300)

@@ -186,13 +186,10 @@ def conjugate_table(phi: Callable[[float], float], y_values) -> ConjugateTable:
 # closed-form Young conjugate of phi_sigma
 # ---------------------------------------------------------------------------
 
-_NEWTON_MAXITER = 50
-_NEWTON_RTOL = 1e-14
-
-
-def _ln_phi_slope(w, s1, c):
-    """ln phi_sigma'(t) at t = w e^w, with s1 = sigma - 1 and c = sigma/s1."""
-    return w / s1 + np.log1p(c * w) - np.log1p(w)
+def _ln_phi_slope(w, s1):
+    """ln phi_sigma'(t) at t = w e^w, with s1 = sigma - 1: w/s1 + ln((1 + c w)/(1 + w)),
+    c = sigma/s1, as w/s1 + log1p(w/(s1 (1 + w))), which does not cancel as sigma grows."""
+    return w / s1 + np.log1p(w / (s1 * (1.0 + w)))
 
 
 def phi_sigma_conjugate(sigma: float, y):
@@ -207,8 +204,10 @@ def phi_sigma_conjugate(sigma: float, y):
     g(w) = ln phi'(w e^w) - ln y = 0 (`_ln_phi_slope`), and
     phi*(y) = y t* - phi(t*) = w^2 e^(s w/(s-1)) / ((s-1)(1+w)).
     g is increasing and concave and the seed lies left of its root, so
-    Newton's iterates rise monotonically to it. Each point stops at its own
-    convergence, so an array entry equals the scalar call at that y bit for bit.
+    Newton's iterates rise monotonically to it. Every point takes six steps
+    (within 2 ulp of the twentieth on seeded s in (1, 1e4], y up to 1e300),
+    so an array entry equals the scalar call at that y bit for bit.
+    NumericalError where the result passes the floats.
     """
     if not (sigma > 1 and math.isfinite(sigma)):
         raise DomainError(f"phi_sigma_conjugate needs finite sigma > 1, got sigma={sigma}")
@@ -221,28 +220,11 @@ def phi_sigma_conjugate(sigma: float, y):
     c = sigma / s1
     pos = ys > 1.0
     lny = np.log(ys[pos])
-    # g(w) < w/(s-1) + ln c - ln y, so this seed has g <= 0
-    w = wa = np.maximum(s1 * (lny - math.log(c)), 0.0)
-    idx = None      # indices in w of the points still stepping (wa); None while all are
-    for _ in range(_NEWTON_MAXITER):
-        g = _ln_phi_slope(wa, s1, c) - lny
-        dg = 1.0 / s1 + c / (1.0 + c * wa) - 1.0 / (1.0 + wa)
-        step = g / dg
-        wa -= step
-        done = np.abs(step) <= _NEWTON_RTOL * wa
-        if idx is not None:
-            w[idx] = wa
-        if (n := np.count_nonzero(done)) == wa.size:
-            break
-        if n:
-            j = np.flatnonzero(~done)
-            idx = j if idx is None else idx[j]
-            wa, lny = wa[j], lny[j]
-    else:
-        y_bad = ys[pos][0 if idx is None else idx[0]]     # the active points are the unconverged
-        raise NumericalError(f"phi_sigma_conjugate: Newton did not converge in "
-                             f"{_NEWTON_MAXITER} steps; sigma={sigma}, y={y_bad}")
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):      # a w past the floats fails the check below
+        # g(w) < w/(s-1) + ln c - ln y, so this seed has g <= 0
+        w = np.maximum(s1 * (lny - math.log(c)), 0.0)
+        for _ in range(6):
+            w -= (_ln_phi_slope(w, s1) - lny) / ((1.0 + 1.0 / ((1.0 + c * w) * (1.0 + w))) / s1)
         ew = np.exp(c * w)
         t_pos = w * np.exp(w)
         v_pos = w * w * ew / (s1 * (1.0 + w))

@@ -5,7 +5,7 @@ weight-matrix equivalence, and the closing corollary weight.
 
 import functools
 import math
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .conjugate import (_ln_phi_slope, check_weight_axioms, corollary_weight, ph
                         phi_sigma_conjugate)
 from .errors import DomainError, NumericalError, UsageError
 from .sequences import (LogWeightSequence, SequenceParams, _check_p_max, _check_positive, _doubled_tau,
-                        _fit_band, _read_only, conjugate_generated, default_p_grid, extended_gevrey,
-                        stable_sup)
+                        _fit_band, _read_only, default_p_grid, extended_gevrey, stable_sup)
 
 __all__ = [
     "EquivalenceReport",
@@ -132,7 +131,7 @@ def _t_star_past(sigma, y, t0):
     """t* > t0 for the argmax t* of y t - phi_sigma(t): ln y > ln phi_sigma'(t0) where 1 < y <=
     e^(650/sigma), phi_sigma' rising from 1; elsewhere the Newton call decides, with its errors."""
     if 1.0 < y <= math.exp(650.0 / sigma):
-        return math.log(y) > _ln_phi_slope(w0_scalar(t0)[0], sigma - 1.0, sigma / (sigma - 1.0))
+        return math.log(y) > _ln_phi_slope(w0_scalar(t0)[0], sigma - 1.0)
     return phi_sigma_conjugate(sigma, y)[1] > t0
 
 
@@ -187,10 +186,10 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
     logM = seq.log_M(p)
-    star1, star2 = phi_sigma_conjugate(sigma, np.multiply.outer((H1, H2), pf))[0]
+    logN1, logN2 = conjugate_matrix(sigma, (H1, H2)).table(p)
 
-    v1 = logM - star1 / H1
-    v2 = star2 / H2 - logM
+    v1 = logM - logN1
+    v2 = logN2 - logM
     logC1, arg1, stable1 = stable_sup(p, v1)
     logC2, arg2, stable2 = stable_sup(p, v2)
     # matrix-relation constants: per-p exponent of the C^p comparison
@@ -215,41 +214,33 @@ def check_ocena_norme(sigma: float, tau: float, p_max: int = 1000) -> Equivalenc
 # ---------------------------------------------------------------------------
 
 class MatrixHandle(NamedTuple):
-    """A weight matrix: one sequence `make(idx)` per index. `table`, where given, is
-    p -> `log_M_table(p)` computed for all members at once."""
+    """A weight matrix: `table(p)` is the (members x p) array of log M_p, one row per
+    index in `indices` order."""
     family: str
     sigma: float
     indices: Tuple[float, ...]
-    make: Callable[[float], LogWeightSequence]
-    table: Optional[Callable[[np.ndarray], Dict[float, np.ndarray]]] = None
-
-    def log_M_table(self, p: np.ndarray) -> Dict[float, np.ndarray]:
-        if self.table is not None:
-            return self.table(p)
-        return {idx: self.make(idx).log_M(p) for idx in self.indices}
+    table: Callable[[np.ndarray], np.ndarray]
 
 
 def extended_matrix(sigma: float, taus) -> MatrixHandle:
-    return MatrixHandle("M_sigma", sigma, tuple(taus),
-                        lambda tau: extended_gevrey(SequenceParams(tau, sigma)))
+    seqs = [extended_gevrey(SequenceParams(tau, sigma)) for tau in taus]
+    return MatrixHandle("M_sigma", sigma, tuple(taus), lambda p: np.array([seq.log_M(p) for seq in seqs]))
 
 
 def conjugate_matrix(sigma: float, Hs) -> MatrixHandle:
     """N_sigma: log N^H_p = phi_sigma*(H p) / H, one member per H."""
-
-    def phi_star(y):
-        return phi_sigma_conjugate(sigma, y)[0]
+    Hs = tuple(Hs)
+    for H in Hs:
+        _check_positive("H", H)
 
     def table(p):
-        # every member's phi*(H p) in one call: an entry of it does not depend on the other
-        # points, so each member's log_M, handed its row, is its own log_M bit for bit
-        members = {H: conjugate_generated(phi_star, H) for H in Hs}
-        stars = phi_star(np.multiply.outer(tuple(members), np.asarray(p, dtype=np.float64)))
-        return {H: seq._replace(fn=lambda _, v=v, H=H: v / H).log_M(p)
-                for (H, seq), v in zip(members.items(), stars)}
+        # every member's phi*(H p) in one call: an entry of it does not depend on the other points,
+        # so each row, checked as its member's log_M, is `conjugate_generated`'s log_M bit for bit
+        stars = phi_sigma_conjugate(sigma, np.multiply.outer(Hs, np.asarray(p, dtype=np.float64)))[0]
+        return np.array([LogWeightSequence("conjugate_generated", lambda _, v=v, H=H: v / H,
+                                           {"H": H}).log_M(p) for H, v in zip(Hs, stars)])
 
-    return MatrixHandle("N_sigma", sigma, tuple(Hs),
-                        lambda H: conjugate_generated(phi_star, H), table)
+    return MatrixHandle("N_sigma", sigma, Hs, table)
 
 
 def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
@@ -268,9 +259,7 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
         raise UsageError("matrix index grids must be non-empty")
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
-    tA = A.log_M_table(p)
-    tB = B.log_M_table(p)
-    diff = np.array(list(tA.values()))[:, None] - np.array(list(tB.values()))   # (|A|, |B|, p)
+    diff = A.table(p)[:, None] - B.table(p)     # (|A|, |B|, p)
 
     fitted: Dict[str, float] = {}
     notes = []
@@ -278,9 +267,9 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
     worst = -math.inf
     for direction, sign in (("<=", 1.0), (">=", -1.0)):
         sups, _, stables = stable_sup(p, sign * diff / pf)
-        for ia, row_sup, row_stable in zip(tA, sups.tolist(), stables.tolist()):
+        for ia, row_sup, row_stable in zip(A.indices, sups.tolist(), stables.tolist()):
             best = None
-            for ib, sup, stable in zip(tB, row_sup, row_stable):
+            for ib, sup, stable in zip(B.indices, row_sup, row_stable):
                 # tightest admissible partner: smallest |log C| (self-match
                 # inside the same family then yields log C = 0 exactly)
                 if stable and (best is None or abs(sup) < abs(best[1])

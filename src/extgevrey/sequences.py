@@ -80,6 +80,16 @@ def _doubled_tau(sigma, tau=1.0):
     return v
 
 
+def _derived(what, value, name, given):
+    """`value`, the parameter `what` that a check derives from the user's `name` = `given`
+    (2 tau, tau/2, sigma + 1); NumericalError naming `given` where it leaves the positive
+    floats or rounds back to `given`."""
+    if not 0.0 < value < math.inf or value == given:
+        how = f"rounds to {name}" if value == given else f"leaves the positive floats ({value!r})"
+        raise NumericalError(f"{what} {how}: {name}={given!r}")
+    return value
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     """a, made read-only: a grid built once and shared between calls."""
     a.flags.writeable = False

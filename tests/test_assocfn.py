@@ -386,6 +386,11 @@ def test_envelope_where_a_factor_or_E_leaves_the_floats():
     assert np.array_equal(envelope(SequenceParams(1.0, 1.001), 1.0, [0.5, 1.0]), [0.0, 0.0])
     with pytest.raises(NumericalError, match=r"tau=1.0, sigma=1.001, h=1.0, k=.*"):
         envelope(SequenceParams(1.0, 1.001), 1.0, [1.0, 10.0, 1e6])
+    # at sigma = 1e308, s ln ln k = inf; ln h / tau = -6.9e310 makes c, and so ln R, inf: no W call
+    with pytest.raises(NumericalError, match=r"^envelope E = exp\(inf\) overflows a float: tau=1.0, "):
+        envelope(SequenceParams(1.0, 1e308), 1.0, [10.0, 1e6])
+    with pytest.raises(NumericalError, match=r"^envelope's ln R leaves the floats, c = inf: tau=1e-308, "):
+        envelope(SequenceParams(1e-308, 2.0), 1e-300, [10.0, 1e6])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -490,13 +495,14 @@ def test_subnormal_tau_with_h_above_one_raises_as_at_1e_300(tau):
 
 
 def test_subnormal_tau_with_h_below_one_fails_the_nan_guard():
-    # ln h / tau overflows, so c = inf and the peak's ln p is NaN
+    # ln h / tau overflows, so c = inf and ln x = inf: both kernels raise before any W call
     P, at = SequenceParams(1e-310, 2.0), r"tau=1e-310, sigma=2.0, h=0.5, k=10"
-    with pytest.raises(NumericalError, match=rf"exp\(nan\) > 2\*\*53.*{at}$"):
-        assoc_fn_sup(P, 0.5, 10)
+    msg = rf"^ln x = inf of the root p\* leaves the floats, c = inf: {at}$"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)     # the Halley seeds at ln x = inf
-        with pytest.raises(NumericalError, match=rf"exp\(nan\) > 2\*\*53.*{at}$"):
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match=msg):
+            assoc_fn_sup(P, 0.5, 10)
+        with pytest.raises(NumericalError, match=msg):
             assoc_fn_sup_grid(P, 0.5, [10, 1e5])
 
 

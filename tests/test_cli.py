@@ -418,6 +418,15 @@ def _refuse_constant(name):
     (["--tau", "2", "--sigma", "1e4", "--h", "50"], "m2tilde", "sigma=10000.0"),    # 2^(sigma-1) = inf
     (["--tau", "1e-300", "--sigma", "2", "--h", "300", "--pmax", "300", "--Q", "100"],
      "integral-closed-form", "tau=1e-300"),     # expm1 of the closed form = inf
+    (["--tau", "1e308", "--sigma", "2"], "m4", "2 tau leaves the positive floats (inf): tau=1e+308"),
+    (["--tau", "5e-324", "--sigma", "2"], "matrix-equivalence",
+     "0.5 tau leaves the positive floats (0.0): tau=5e-324"),
+    (["--tau", "2", "--sigma", "1e20"], "m5", "sigma + 1 rounds to sigma: sigma=1e+20"),
+    (["--tau", "1e-10", "--sigma", "1.001", "--h", "1e-300"], "sandwich",
+     "E underflows to 0 at every k > 1 of the grid: tau=1e-10, sigma=1.001, h=1e-300"),
+    (["--tau", "1e-308", "--sigma", "2", "--h", "1e-300", "--pmax", "300"], "sandwich",
+     "ln x = inf of the root p* leaves the floats, c = inf: tau=1e-308"),     # ln h / tau = -inf
+    (["--tau", "2", "--sigma", "1e300"], "m5", "sigma=1e+300"),
 ])
 def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, names, capsys):
     with warnings.catch_warnings():

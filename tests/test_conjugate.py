@@ -176,14 +176,6 @@ def test_phi_sigma_conjugate_overflow():
     assert math.isfinite(val)
 
 
-def test_phi_sigma_conjugate_reports_nonconvergence(monkeypatch):
-    from extgevrey import conjugate
-
-    monkeypatch.setattr(conjugate, "_NEWTON_MAXITER", 1)
-    with pytest.raises(NumericalError, match=r"converge.*sigma=2\.0.*y=5\.0"):
-        phi_sigma_conjugate(2.0, [0.5, 5.0])
-
-
 def test_quadratic_is_self_conjugate():
     phi = lambda t: 0.5 * t * t
     for y in (0.5, 1.0, 3.0, 10.0):
@@ -393,11 +385,15 @@ def test_young_conjugate_divergence_is_unchanged(y, t_cap, monkeypatch):
 # -- phi_sigma_conjugate against the reference -------------------------------------
 
 def _conjugate_cases():
-    """Seeded y from just above 1 to where y^sigma nears the floats, sigma from 1 + 1e-12 to 100."""
+    """Seeded y from just above 1 to where y^sigma nears the floats, sigma from 1 + 1e-12 to 1e4;
+    at sigma >= 300 most y lie in (1, 1.1], where log1p(c w) - log1p(w) cancels as sigma grows."""
     rng = np.random.default_rng(11)
     for sigma in (1.0 + 2.0 ** -40, 1.0001, 1.01, 1.5, 2.0, 6.0, 100.0):
         top = min(300.0, 300.0 / sigma)
         yield sigma, np.concatenate([1.0 + 10.0 ** rng.uniform(-15.0, 0.0, 4), 10.0 ** rng.uniform(0.0, top, 10)])
+    for sigma in (300.0, 1e3, 1e4):
+        yield sigma, np.concatenate([1.0 + 0.1 * 10.0 ** rng.uniform(-14.0, 0.0, 30),
+                                     10.0 ** rng.uniform(0.0, 300.0 / sigma, 4)])
 
 
 def test_phi_sigma_conjugate_matches_the_reference():
@@ -476,20 +472,3 @@ def test_phi_sigma_rejects_sigma(sigma, message):
 def test_phi_sigma_takes_any_real_scalar(t):
     assert phi_sigma(2.0, t) == pytest.approx(phi_sigma(2.0, 3.0), rel=1e-6)
     assert phi_sigma(2.0, t) == phi_sigma(2.0, 3.0) or isinstance(t, np.float32)
-
-
-@pytest.mark.parametrize("maxiter", [1, 2, 3, 4, 5])
-def test_phi_sigma_conjugate_names_the_first_unconverged_y(monkeypatch, maxiter):
-    monkeypatch.setattr(conjugate, "_NEWTON_MAXITER", maxiter)
-    y = 10.0 ** np.random.default_rng(2).uniform(0.0, 6.0, 50)
-    fails = []
-    for v in y.tolist():
-        try:
-            phi_sigma_conjugate(2.0, v)
-        except NumericalError:
-            fails.append(v)
-    if not fails:
-        phi_sigma_conjugate(2.0, y)
-        return
-    with pytest.raises(NumericalError, match=rf"in {maxiter} steps; sigma=2.0, y={fails[0]!r}$"):
-        phi_sigma_conjugate(2.0, y)

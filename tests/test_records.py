@@ -47,7 +47,7 @@ RECORDS = [
     ("EquivalenceReport", ("claim", "grids", "fitted_constants", "holds", "max_violation", "notes"),
      {"notes": ""}, lambda: check_T_phi_equivalence(_P)),
     ("SlopeBand", ("a", "b", "t_max", "H1", "H2"), {}, lambda: slope_band(2.0, 1.0, 1000)),
-    ("MatrixHandle", ("family", "sigma", "indices", "make", "table"), {"table": None},
+    ("MatrixHandle", ("family", "sigma", "indices", "table"), {},
      lambda: extended_matrix(2.0, [0.5, 1.0])),
 ]
 
