@@ -113,12 +113,15 @@ def _floor_scalar(tau, s, C, lam):
     ln_val = w / (s - 1.0) - c
     val = math.exp(ln_val) if ln_val < 709.0 else math.inf
     # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
-    rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
-    if val and not rel * val < 0.5:     # a NaN count too: ln C/tau past the floats
+    # damped by W's conditioning 1/(1 + w)
+    rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) / (1.0 + w) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
+    if not (rel * val < 0.5 and rel < 0.5):     # a NaN count, or a 0 that exp underflowed to
         raise NumericalError(f"the count exp({ln_val:.6g}) is past what the closed form resolves: "
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
     n = round(val)
     if n >= 1 and abs(val - n) <= rel * val:
+        if tau < 2.0 ** -960:   # tau ln n would be subnormal: scale g and ln lambda by 2^600, exactly
+            tau, lnC, lnlam = tau * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
         return n if _fits(n, s - 1.0, lnC, tau, lnlam) else n - 1
     return math.floor(val)
 
@@ -132,15 +135,15 @@ def _fits(p, e, lnC, tau, lnlam):
 
 
 def _fits_past_floats(p, e, lnC, tau, lnlam):
-    """g(p) <= ln lambda where p^e overflows: q f q with q = p^(e/2), f = ln C + tau ln p, tau
-    taking a factor q first at C = 1 (f may be subnormal); if q overflows, g > 710 unless f <= 0."""
+    """g(p) <= ln lambda where p^e overflows: q f q with q = p^(e/2), f = ln C + tau ln p
+    (normal: the callers scale a tau below 2^-960); if q overflows, g > 710 unless f <= 0."""
     lnp = math.log(p)
     f = lnC + tau * lnp
     try:
         q = p ** (0.5 * e)
     except OverflowError:
         return f <= 0.0
-    return (q * tau * q * lnp if lnC == 0.0 else q * f * q) <= lnlam
+    return q * f * q <= lnlam
 
 
 def counting_fn_direct(params: SequenceParams, C, lam):
@@ -164,13 +167,16 @@ def _direct_scalar(tau, s, C, lam):
     lnC, lnlam, e = log(C), log(lam), s - 1.0
     if lnC > lnlam:     # g(1) = ln C
         return 0
+    t = tau     # the tau of g; errors name the user's
+    if tau < 2.0 ** -960:   # tau ln p would be subnormal: scale g and ln lambda by 2^600, exactly
+        t, lnC, lnlam = tau * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
     hi = 2
     while True:     # `_fits`, inline here and below: a call per probe made a count 14% slower
         try:
-            if not hi ** e * (lnC + tau * log(hi)) <= lnlam:
+            if not hi ** e * (lnC + t * log(hi)) <= lnlam:
                 break
         except OverflowError:
-            if not _fits_past_floats(hi, e, lnC, tau, lnlam):
+            if not _fits_past_floats(hi, e, lnC, t, lnlam):
                 break
         if hi >= 2 ** 53:
             raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
@@ -180,9 +186,9 @@ def _direct_scalar(tau, s, C, lam):
     while hi - lo > 1:
         mid = (lo + hi) // 2
         try:
-            fits = mid ** e * (lnC + tau * log(mid)) <= lnlam
+            fits = mid ** e * (lnC + t * log(mid)) <= lnlam
         except OverflowError:
-            fits = _fits_past_floats(mid, e, lnC, tau, lnlam)
+            fits = _fits_past_floats(mid, e, lnC, t, lnlam)
         if fits:
             lo = mid
         else:
@@ -246,13 +252,14 @@ def _floor_grid(tau, s, lnC, lnlam):
         ln_val = w / s1 - c
         val = np.where(ln_val < 709.0, np.exp(np.minimum(ln_val, 709.0)), math.inf)
         wl = np.multiply(w, 1.0 + np.abs(lx), out=np.zeros_like(w), where=w != 0.0)
-        rel_val = (1e-12 + 1e-15 * (wl / s1 + np.abs(lnC) / tau)) * val
+        rel = 1e-12 + 1e-15 * (wl / (1.0 + w) / s1 + np.abs(lnC) / tau)
+        rel_val = rel * val
         n = np.rint(val)
         gap = np.abs(val - n)
         # a bound on val's difference from the scalar route's: w's relative one, amplified
         # by ln P = w/(s-1) - c, plus the roundings of c, ln P and exp
         slack = 4e-14 * (1.0 + np.abs(w) / s1 + np.abs(c)) * val
-        doubt = (~fin | ~(rel_val < 0.5) | (np.abs(rel_val - 0.5) <= slack)
+        doubt = (~fin | ~(rel_val < 0.5) | ~(rel < 0.4999) | (np.abs(rel_val - 0.5) <= slack)
                  | ((n >= 1.0) & (np.abs(gap - rel_val) <= slack)))
     at_n = (n >= 1.0) & (gap <= rel_val) & ~doubt
     counts = np.floor(np.where(doubt, 0.0, val)).astype(np.int64)

@@ -187,12 +187,7 @@ def _claim_lemma(a):
 
 def _cond(name):
     def run(a):
-        kwargs = {}
-        if name == "~M.4":
-            kwargs["params2"] = SequenceParams(_derived("2 tau", 2.0 * a.tau, "tau", a.tau), a.sigma)
-        if name == "~M.5":
-            kwargs["params2"] = SequenceParams(a.tau, _derived("sigma + 1", a.sigma + 1.0, "sigma", a.sigma))
-        rep = sequences.check_condition(name, SequenceParams(a.tau, a.sigma), a.pmax, **kwargs)
+        rep = sequences.check_condition(name, SequenceParams(a.tau, a.sigma), a.pmax)
         return rep.holds, rep._asdict()
     return run
 

@@ -155,9 +155,7 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     while fb > fh:
         b *= 2.0
         if b > cap:
-            raise DivergenceError(
-                f"objective still increasing at t = {cap:g}; phi*({y}) diverges",
-                cap=cap)
+            raise DivergenceError(f"objective still increasing at t = {cap:g}; phi*({y}) diverges")
         fh, fb = fb, f(b)     # 0.5 * b is the last b exactly
     t_star, val = _golden_max(f, b)
     return max(val, 0.0), t_star      # t -> 0+ always yields 0

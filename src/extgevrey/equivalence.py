@@ -235,7 +235,7 @@ def conjugate_matrix(sigma: float, Hs) -> MatrixHandle:
 
     def table(p):
         # every member's phi*(H p) in one call: an entry of it does not depend on the other points,
-        # so each row, checked as its member's log_M, is `conjugate_generated`'s log_M bit for bit
+        # so each row, checked as its member's log_M, is phi*(H p) / H taken alone bit for bit
         stars = phi_sigma_conjugate(sigma, np.multiply.outer(Hs, np.asarray(p, dtype=np.float64)))[0]
         return np.array([LogWeightSequence("conjugate_generated", lambda _, v=v, H=H: v / H,
                                            {"H": H}).log_M(p) for H, v in zip(Hs, stars)])

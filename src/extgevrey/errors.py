@@ -25,7 +25,3 @@ class NumericalError(RuntimeError):
 
 class DivergenceError(NumericalError):
     """A supremum is unbounded on the search interval."""
-
-    def __init__(self, message, cap=None):
-        super().__init__(message)
-        self.cap = cap

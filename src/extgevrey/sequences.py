@@ -19,7 +19,6 @@ __all__ = [
     "LogWeightSequence",
     "extended_gevrey",
     "gevrey",
-    "conjugate_generated",
     "ConditionReport",
     "check_condition",
     "check_liminf_condition",
@@ -163,13 +162,6 @@ def gevrey(t: float) -> LogWeightSequence:
     return LogWeightSequence("gevrey", lambda p: t * _lgamma(p + 1.0), {"t": t})
 
 
-def conjugate_generated(phi_star: Callable[[np.ndarray], np.ndarray], H: float) -> LogWeightSequence:
-    """log M_p = phi*(H p) / H for a Young conjugate phi*."""
-    _check_positive("H", H)
-    return LogWeightSequence("conjugate_generated", lambda p: np.asarray(phi_star(H * p)) / H,
-                             {"H": H})
-
-
 # ---------------------------------------------------------------------------
 # grids and the sup-stabilization criterion
 # ---------------------------------------------------------------------------
@@ -240,16 +232,10 @@ class ConditionReport(NamedTuple):
     witness: Optional[int] = None
 
 
-def _require_ext(params):
-    if params is None:
-        raise UsageError("this condition needs extended Gevrey parameters")
-    return extended_gevrey(params)
-
-
-def _check_m1(params, params2, p_max):
+def _check_m1(params, p_max):
     # M_p^2 <= M_(p-1) M_(p+1) is log m_p <= log m_(p+1): compared as the quotients
     # themselves, which do not cancel as second differences of log M_p do
-    seq = _require_ext(params)
+    seq = extended_gevrey(params)
     logm = seq.log_m(np.arange(1, p_max + 2))
     bad = logm[:-1] > logm[1:]
     witness = int(np.argmax(bad)) + 1 if bad.any() else None
@@ -270,15 +256,15 @@ def _stable_report(name, p_max, p, values, sign=1.0):
     return ConditionReport(name, (1, p_max), True, sign * worst, None)
 
 
-def _check_m2_prime(params, params2, p_max):
-    seq = _require_ext(params)
+def _check_m2_prime(params, p_max):
+    seq = extended_gevrey(params)
     p = default_p_grid(p_max)
     v = seq.log_m(p + 1) / p.astype(np.float64) ** params.sigma
     return _stable_report("~M.2'", p_max, p, [v])
 
 
-def _check_m2_tilde(params, params2, p_max):
-    seq = _require_ext(params)
+def _check_m2_tilde(params, p_max):
+    seq = extended_gevrey(params)
     big = extended_gevrey(SequenceParams(_doubled_tau(params.sigma, params.tau), params.sigma))
     p = default_p_grid(p_max, per_decade=30)
     # each unordered pair p <= q once: the objective is symmetric but for the order of its
@@ -291,11 +277,11 @@ def _check_m2_tilde(params, params2, p_max):
     return _stable_report("~M.2", p_max, p[j], [v])
 
 
-def _check_m2_classical(params, params2, p_max):
+def _check_m2_classical(params, p_max):
     # full Komatsu-style stability: M_{2p} <= C H^{2p} M_p^2 needs
     # (log M_{2p} - 2 log M_p) / (2p) to stay bounded; here it diverges. p = 2 .. p_max/2.
     _check_p_max(p_max, 4)
-    seq = _require_ext(params)
+    seq = extended_gevrey(params)
     p = np.arange(2, min(p_max, 100000) // 2 + 1, dtype=np.int64)
     r = (seq.log_M(2 * p) - 2.0 * seq.log_M(p)) / (2.0 * p)
     sup, arg, stable = stable_sup(p, r)
@@ -305,8 +291,8 @@ def _check_m2_classical(params, params2, p_max):
     return ConditionReport("M.2-classical", (2, int(p[-1])), holds, sup, None if holds else witness)
 
 
-def _check_m3_prime(params, params2, p_max):
-    seq = _require_ext(params)
+def _check_m3_prime(params, p_max):
+    seq = extended_gevrey(params)
     p = np.arange(1, p_max + 1)
     logm = seq.log_m(p)
     partial = float(np.sum(np.exp(-logm)))
@@ -327,57 +313,56 @@ def _h_terms(diff, p, power):
     return (diff - pw * math.log(h) for h in _H_VALUES)
 
 
-def _check_m4(params, params2, p_max):
-    if params2 is None or params2.sigma != params.sigma or not params.tau < params2.tau:
-        raise UsageError("~M.4 compares tau1 < tau2 at equal sigma")
-    s1, s2 = _require_ext(params), _require_ext(params2)
+def _check_m4(params, p_max):
+    tau2 = _derived("2 tau", 2.0 * params.tau, "tau", params.tau)
+    s1, s2 = extended_gevrey(params), extended_gevrey(SequenceParams(tau2, params.sigma))
     p = default_p_grid(p_max)
     return _stable_report("~M.4", p_max, p, _h_terms(s1.log_M(p) - s2.log_M(p), p, params.sigma))
 
 
-def _check_m4_prime(params, params2, p_max):
-    seq = _require_ext(params)
+def _check_m4_prime(params, p_max):
+    seq = extended_gevrey(params)
     p = default_p_grid(p_max)
     # -log(h^{p^sigma} M_p), whose sup is minus the inf of log(h^{p^sigma} M_p)
     return _stable_report("~M.4'", p_max, p, _h_terms(-seq.log_M(p), p, params.sigma), sign=-1.0)
 
 
-def _check_m5(params, params2, p_max):
-    if params2 is None or not params.sigma < params2.sigma:
-        raise UsageError("~M.5 compares sigma1 < sigma2")
-    s1, s2 = _require_ext(params), _require_ext(params2)
+def _check_m5(params, p_max):
+    sigma2 = _derived("sigma + 1", params.sigma + 1.0, "sigma", params.sigma)
+    s1, s2 = extended_gevrey(params), extended_gevrey(SequenceParams(params.tau, sigma2))
     p = default_p_grid(p_max)
-    return _stable_report("~M.5", p_max, p, _h_terms(s1.log_M(p) - s2.log_M(p), p, params2.sigma))
+    return _stable_report("~M.5", p_max, p, _h_terms(s1.log_M(p) - s2.log_M(p), p, sigma2))
 
 
-def _check_m0(params, params2, p_max):
-    seq = _require_ext(params)
+def _check_m0(params, p_max):
+    seq = extended_gevrey(params)
     p = default_p_grid(p_max)
     pf = p.astype(np.float64)
     v = pf * np.log(pf) - seq.log_M(p)     # -log(M_p / p^p)
     return _stable_report("M.0", p_max, p, [v], sign=-1.0)
 
 
-# condition key -> check(params, params2, p_max); only ~M.4 and ~M.5 read params2
-_CHECKS = {"m1": _check_m1, "m2p": _check_m2_prime, "m2": _check_m2_tilde,
-           "m2_classical": _check_m2_classical, "m3p": _check_m3_prime, "m4": _check_m4,
-           "m4p": _check_m4_prime, "m5": _check_m5, "m0": _check_m0}
+# the label a report prints -> check(params, p_max)
+_CHECKS = {"M.1": _check_m1, "~M.2'": _check_m2_prime, "~M.2": _check_m2_tilde,
+           "M.2-classical": _check_m2_classical, "M.3'": _check_m3_prime, "~M.4": _check_m4,
+           "~M.4'": _check_m4_prime, "~M.5": _check_m5, "M.0": _check_m0}
 
 
-def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000, *,
-                    params2: Optional[SequenceParams] = None) -> ConditionReport:
-    """Verify one sequence condition on [1, p_max].
+def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000) -> ConditionReport:
+    """Verify one sequence condition, named by its label in `_CHECKS`, on [1, p_max].
 
     For existential "there is a C" conditions, holds=true means the
     finite sup defining log C stabilizes (see `stable_sup`); the fitted
     constant is that sup without any optimality claim. The weighted
-    conditions ~M.4, ~M.4' and ~M.5 are checked at h in {0.5, 1, 2}.
+    conditions ~M.4, ~M.4' and ~M.5 are checked at h in {0.5, 1, 2}; ~M.4
+    compares M_p with the sequence at 2 tau, ~M.5 with the one at sigma + 1.
     """
     _check_p_max(p_max, 3)
-    key = condition.strip().lower().replace("(", "").replace(")", "").replace("~", "").replace(".", "").replace("'", "p").replace("-", "_")
-    if key not in _CHECKS:
-        raise UsageError(f"unknown condition identifier: {condition!r}")
-    return _CHECKS[key](params, params2, p_max)
+    if condition not in _CHECKS:
+        raise UsageError(f"unknown condition {condition!r}: one of {', '.join(_CHECKS)}")
+    if not isinstance(params, SequenceParams):
+        raise UsageError("this condition needs extended Gevrey parameters")
+    return _CHECKS[condition](params, p_max)
 
 
 def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) -> ConditionReport:

@@ -10,8 +10,8 @@ found by `_newton`. Floats in, Decimals out; the domains:
 - `log_M(p, tau, sigma)` = tau p^sigma ln p (0 for p <= 1), `log_m(p, ...)` = log M_p -
   log M_(p-1) and `counting_sum(lnk, n, ...)` = n ln k - log M_n, the counting sum at its
   count n, for integers p, n >= 1, tau > 0 and sigma > 1 (2^1e6 is a Decimal).
-- `count(tau, sigma, C, lam)`: #{p >= 1 : p^(sigma-1) (ln C + tau ln p) <= ln lambda},
-  for counts up to about 1e15.
+- `count(tau, sigma, C, lam, below=None)`: #{p >= 1 : p^(sigma-1) (ln C + tau ln p) <= ln lambda},
+  for counts up to about 1e15; None where the count reaches `below`.
 - `envelope(tau, sigma, h, k)`: E(k) = W(R)^(-1/(sigma-1)) ln^(sigma/(sigma-1)) k at k > 1,
   wherever ln R <= 1e300.
 - `phi_star(sigma, y)`: (phi_sigma*(y), t*) = (sup_t (y t - phi_sigma(t)), its maximiser)
@@ -83,11 +83,13 @@ def counting_sum(lnk, n, tau, sigma):
         return n * _D(lnk) - log_M(n, tau, sigma)
 
 
-def count(tau, sigma, C, lam):
+def count(tau, sigma, C, lam, below=None):
     """By galloping and bisecting: the left side rises with p wherever it is positive."""
     with decimal.localcontext(_CTX):
         lnC, lnlam, s1, t = _D(C).ln(), _D(lam).ln(), _D(sigma) - 1, _D(tau)
         fits = lambda p: (s1 * _D(p).ln()).exp() * (lnC + t * _D(p).ln()) <= lnlam
+        if below is not None and fits(below):
+            return None
         lo, hi = 0, 1
         while fits(hi):
             lo, hi = hi, 2 * hi

@@ -209,6 +209,10 @@ def test_counting_fn_floor_matches_direct(tau, sigma, C, lam):
     (0.99999, 1.01, 1.0 + 2.0 ** -52, 1.0, 0),        # g(1) = ln C > 0 = ln lambda
     (0.05, 6.0, 1e4, 10.0, 0),                        # C^((s-1)/tau) = 1e400 overflows
     (1e-300, 100.0, math.e, 1.167, 0),                # ln C/tau = 1e300, past W's resolution
+    # ln x ~ w ~ (sigma-1)/tau: W's error, damped by 1/(1 + w), leaves P = 1 resolved
+    (2.0, 2e15, math.e, 2.955, 1),
+    (2.0, 1e16, math.e, 2.955, 1),
+    (2.0, 1e20, math.e, 2.955, 1),
 ])
 def test_counting_fn_floor_at_its_edges(tau, sigma, C, lam, expected):
     params = SequenceParams(tau, sigma)
@@ -222,6 +226,18 @@ def test_counting_fn_floor_past_its_resolution_raises():
     with pytest.raises(NumericalError, match=r"tau=1\.01, sigma=1\.01, C=0\.001"):
         counting_fn_floor(params, C, lam)
     assert counting_fn_direct(params, C, lam) == 944509049269
+
+
+@pytest.mark.parametrize("lam, count", [(3.0, 1), (10.0, 64), (100.0, 2071)])
+def test_counting_fn_floor_raises_where_its_count_underflows(lam, count):
+    # ln P = W(x)/(s-1) - ln C/tau, a difference of two terms near 1e303, comes out near
+    # -1.5e287: exp gives P = 0, whose error bound is past the resolution all the same
+    P = SequenceParams(1e-303, 1.2)
+    message = r"past what the closed form resolves: tau=1e-303, sigma=1\.2"
+    for C, l in ((math.e, lam), (np.array([math.e]), np.array([lam]))):
+        with pytest.raises(NumericalError, match=message):
+            counting_fn_floor(P, C, l)
+    assert counting_fn_direct(P, math.e, lam) == _reference.count(1e-303, 1.2, math.e, lam) == count
 
 
 def test_counting_fn_direct_takes_log_steps():
@@ -244,6 +260,40 @@ def test_counting_fn_direct_where_the_power_overflows(tau, count):
     # q = p^49.5; at tau = 5e-324 tau ln p is subnormal, and q (tau ln p) q gives 1820
     P = SequenceParams(tau, 100.0)
     assert counting_fn_direct(P, 1.0, 10.0) == _reference.count(tau, 100.0, 1.0, 10.0) == count
+
+
+def _subnormal_tau_points():
+    """Seeded (tau, sigma, C, lambda, count) at tau = 10^U(-323.5, -300), where tau ln p is
+    subnormal or near it, for every count below 1e15, and one point found by hand."""
+    rng = np.random.default_rng(3)
+    n = 200
+    taus = 10.0 ** rng.uniform(-323.5, -300.0, n)
+    sigmas = 1.0 + 10.0 ** rng.uniform(-1.0, 1.7, n)
+    lams = 1.0 + 10.0 ** rng.uniform(-13.0, 2.0, n)
+    points = [(2.542e-320, 31.46, 1.0, 1.0 + 5.69e-12, 11975054007)]
+    for tau, sigma, lam in zip(taus.tolist(), sigmas.tolist(), lams.tolist()):
+        for C in (1.0, math.e, 0.5):
+            count = _reference.count(tau, sigma, C, lam, below=1e15)
+            if count is not None:
+                points.append((tau, sigma, C, lam, count))
+    return points
+
+
+def test_counts_at_subnormal_tau_match_the_reference():
+    # g(p) is decided at tau, ln C and ln lambda scaled by 2^600, so tau ln p keeps its bits;
+    # the closed form may raise (ln C/tau past the floats), the direct route may not
+    points = _subnormal_tau_points()
+    assert len(points) > 200
+    for tau, sigma, C, lam, count in points:
+        P = SequenceParams(tau, sigma)
+        for fn in (counting_fn_floor, counting_fn_direct):
+            for c, l in ((C, lam), (np.array([C]), np.array([lam]))):
+                try:
+                    got = int(fn(P, c, l) if np.ndim(c) == 0 else fn(P, c, l)[0])
+                except NumericalError:
+                    assert fn is counting_fn_floor, (tau, sigma, C, lam)
+                    continue
+                assert got == count, (fn.__name__, tau, sigma, C, lam)
 
 
 def _scalar_table(fn, P, C, lam):

@@ -377,7 +377,6 @@ def test_young_conjugate_divergence_is_unchanged(y, t_cap, monkeypatch):
     with pytest.raises(DivergenceError) as err:
         young_conjugate(lambda t: ts.append(t) or t, y)
     cap = min(t_cap, sys.float_info.max / y)
-    assert err.value.cap == cap
     assert str(err.value) == f"objective still increasing at t = {cap:g}; phi*({y}) diverges"
     assert ts == [1.0, 0.5] + [2.0 ** i for i in range(1, math.floor(math.log2(cap)) + 1)]
 

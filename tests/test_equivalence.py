@@ -9,7 +9,7 @@ from extgevrey import cli, equivalence
 from extgevrey._kernels import assoc_sup_grid
 from extgevrey.conjugate import _ln_phi_slope, phi_sigma, phi_sigma_conjugate
 from extgevrey.lambertw import lambert_w0
-from extgevrey.sequences import _fit_band, conjugate_generated, default_p_grid, stable_sup
+from extgevrey.sequences import LogWeightSequence, _check_positive, _fit_band, default_p_grid, stable_sup
 from extgevrey import (
     DomainError,
     NumericalError,
@@ -307,8 +307,12 @@ def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch, tmp_path):
 
 def test_the_conjugate_matrix_table_equals_its_members_one_by_one():
     def one_by_one(sigma, Hs, p):
-        phi_star = lambda y: phi_sigma_conjugate(sigma, y)[0]
-        return [conjugate_generated(phi_star, H).log_M(p) for H in Hs]
+        # log N^H_p = phi*(H p) / H, one phi_sigma_conjugate call per member
+        def member(H):
+            _check_positive("H", H)
+            log_M = lambda q: phi_sigma_conjugate(sigma, H * q)[0] / H
+            return LogWeightSequence("conjugate_generated", log_M, {"H": H})
+        return [member(H).log_M(p) for H in Hs]
 
     p = default_p_grid(300)
     for sigma in (1.05, 2.0, 6.0):
@@ -323,6 +327,12 @@ def test_the_conjugate_matrix_table_equals_its_members_one_by_one():
         with pytest.raises(error) as member_by_member:
             one_by_one(2.0, Hs, p)
         assert str(one_call.value) == str(member_by_member.value)
+
+
+@pytest.mark.parametrize("H", [0.0, -1.0, math.nan, math.inf])
+def test_conjugate_matrix_needs_a_finite_positive_h(H):
+    with pytest.raises(DomainError, match=rf"^H must be finite and positive, got {H}$"):
+        conjugate_matrix(2.0, [1.0, H])
 
 
 def _matrix_check_pair_by_pair(A, B, p_max):

@@ -12,7 +12,6 @@ from extgevrey import (
     UsageError,
     check_condition,
     check_liminf_condition,
-    conjugate_generated,
     LogWeightSequence,
     default_p_grid,
     extended_gevrey,
@@ -149,12 +148,9 @@ def test_condition_suite_holds(tau, sigma):
     params = SequenceParams(tau, sigma)
     for name in ("M.1", "~M.2'", "~M.2", "M.3'", "~M.4'", "M.0"):
         assert check_condition(name, params, 3000).holds, name
-    rep = check_condition("~M.4", params, 3000,
-                          params2=SequenceParams(2.0 * tau, sigma))
-    assert rep.holds
-    rep = check_condition("~M.5", params, 3000,
-                          params2=SequenceParams(tau, sigma + 1.0))
-    assert rep.holds
+    # ~M.4 against the sequence at 2 tau, ~M.5 against the one at sigma + 1
+    assert check_condition("~M.4", params, 3000).holds
+    assert check_condition("~M.5", params, 3000).holds
 
 
 @pytest.mark.parametrize("tau,sigma", PARAM_SET)
@@ -197,30 +193,26 @@ _PINNED_REPORTS = {
 @pytest.mark.parametrize("tau,sigma", list(_PINNED_REPORTS))
 def test_condition_reports_are_pinned(tau, sigma):
     params = SequenceParams(tau, sigma)
-    second = {"~M.4": SequenceParams(2.0 * tau, sigma), "~M.5": SequenceParams(tau, sigma + 1.0)}
     for name, want in _PINNED_REPORTS[(tau, sigma)].items():
-        rep = check_condition(name, params, 10_000, params2=second.get(name))
+        rep = check_condition(name, params, 10_000)
         assert (rep.holds, rep.fitted_constant, rep.witness) == want, name
         assert rep.p_range == (1, 10_000)
         # the sign of a zero constant survives too: M.0's sup at tau=1, sigma=2 is +0.0
         assert math.copysign(1.0, rep.fitted_constant) == math.copysign(1.0, want[1]), name
 
 
-def test_condition_key_normalization():
-    params = SequenceParams(1.0, 2.0)
-    a = check_condition("(M.1)", params, 100)
-    b = check_condition("m1", params, 100)
-    assert a == b
+@pytest.mark.parametrize("name", ["m1", "(M.1)", "M.9"])
+def test_a_condition_is_named_by_its_report_label_alone(name):
+    labels = "M.1, ~M.2', ~M.2, M.2-classical, M.3', ~M.4, ~M.4', ~M.5, M.0"
+    with pytest.raises(UsageError) as err:
+        check_condition(name, SequenceParams(1.0, 2.0), 100)
+    assert str(err.value) == f"unknown condition {name!r}: one of {labels}"
 
 
 def test_condition_usage_errors():
     params = SequenceParams(1.0, 2.0)
     with pytest.raises(UsageError):
         check_condition("M.9", params)
-    with pytest.raises(UsageError):
-        check_condition("~M.4", params)      # missing comparison params
-    with pytest.raises(UsageError):
-        check_condition("~M.5", params, params2=SequenceParams(1.0, 1.5))
     with pytest.raises(UsageError, match="^this condition needs extended Gevrey parameters$"):
         check_condition("M.1", None)
 
@@ -329,11 +321,10 @@ def test_conditions_past_the_float_range_do_not_hold(name):
     # at tau = 1e305, log M_p leaves the floats from p = 24 on and log m_p (which ~M.2'
     # reads) from p = 43 on: no report on inf or NaN
     params = SequenceParams(1e305, 2.0)
-    second = {"~M.4": SequenceParams(2e305, 2.0), "~M.5": SequenceParams(1e305, 3.0)}
     what, p = ("log m_p", 43) if name == "~M.2'" else ("log M_p", 24)
     msg = rf"^{what} of the extended_gevrey sequence leaves the floats at p = {p}: tau=1e\+305, sigma=2\.0$"
     with pytest.raises(NumericalError, match=msg):
-        check_condition(name, params, 10_000, params2=second.get(name))
+        check_condition(name, params, 10_000)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -347,17 +338,13 @@ def test_values_past_the_float_range_raise():
     msg = r"^log m_p of the {} sequence leaves the floats at p = {}: {}$"
     with pytest.raises(NumericalError, match=msg.format("gevrey", 4, r"t=1e\+308")):
         gevrey(1e308).log_m([1, 4])
+    H = 0.5
+    exp_generated = LogWeightSequence("conjugate_generated", lambda p: np.exp(H * p) / H, {"H": H})
     with pytest.raises(NumericalError, match=msg.format("conjugate_generated", 2000, r"H=0\.5")):
-        conjugate_generated(np.exp, 0.5).log_m([1, 2000])      # e^1000
+        exp_generated.log_m([1, 2000])      # e^1000
     # one built without parameters names its kind alone
     with pytest.raises(NumericalError, match=r"^log M_p of the bare sequence leaves the floats at p = 2$"):
         LogWeightSequence("bare", lambda p: np.where(p > 1, np.inf, 0.0)).log_M([1, 2])
-
-
-@pytest.mark.parametrize("H", [0.0, -1.0, math.nan, math.inf])
-def test_conjugate_generated_needs_a_finite_positive_h(H):
-    with pytest.raises(DomainError, match=rf"^H must be finite and positive, got {H}$"):
-        conjugate_generated(np.exp, H)
 
 
 def test_m1_catches_a_dip_below_the_old_second_difference_slack(monkeypatch):
