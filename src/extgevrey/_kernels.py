@@ -19,7 +19,9 @@ ln p* = W0(x)/(sigma-1) - c, x = ln k (sigma-1)/(tau sigma) e^{(sigma-1)c},
 for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ... floor(p*)+2)), and
 max(0, g(1)) where x < -1/e (g only falls). `assoc_sup_grid` takes one W call
 for all k; the scalar `_assoc_sup_scalar` takes the same candidates in `math`,
-since a numpy call on one point costs more than the whole scalar path.
+since a numpy call on one point costs more than the whole scalar path. At h < 1
+and ln k > 0 both take ln p* from `_ln_p_star_h_below_1` instead, with no W and
+no difference of c-sized terms.
 
 The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
 N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p.
@@ -221,6 +223,24 @@ def _ln_x_over_lnk(s1, tau, b, c):
     return lq + s1 * c
 
 
+def _ln_p_star_h_below_1(lnk, lnh, tau, sigma, log=np.log, log1p=np.log1p, maximum=np.maximum):
+    """ln p* at h < 1 and ln k > 0, a float or an array, without W: W(x)/(sigma-1) - c is a
+    difference of two terms near c = 1/sigma - ln h/tau, which loses ln p* once ulp(c) p*
+    nears 1 (|ln h|/tau from about 1e14 on, at p* ~ 20). So u = ln p* solves
+    f(u) = (sigma-1) u + log1p(u/c) - r = 0, r = ln ln k - ln(tau - sigma ln h), which has
+    no term of c's size. f rises and is concave on u > -c, so Newton from the lower bound
+    u = r/(sigma-1 + 1/c) rises to the root; each step is kept at or above that bound.
+    Twelve fixed steps: across sigma-1 in [1e-15, 1e4], c in [0.3, 3e19] and u* <= ln 2**53,
+    nine put p* within 1e-3 of its converged value. r < 0 (p* < 1) is taken as 0, so the
+    candidates start at p = 1. The scalar kernel passes math.log, math.log1p and max."""
+    a, c = sigma - 1.0, 1.0 / sigma - lnh / tau     # c > 0, a sum, where tau sigma may overflow
+    r = maximum(log(lnk) - math.log(tau - sigma * lnh), 0.0)
+    u = lo = r / (a + 1.0 / c)
+    for _ in range(12):
+        u = maximum(u - (a * u + log1p(u / c) - r) / (a + 1.0 / (c + u)), lo)
+    return u
+
+
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     c = (tau - sigma * lnh) / (tau * sigma)
     lx = math.log(abs(lnk)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c) if lnk else -math.inf
@@ -228,8 +248,10 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
         if not lx < math.inf:       # NaN too
             raise _sup_error(_X_PAST_FLOATS.format(lx, c), lnk, lnh, tau, sigma)
-        w, _ = w0_exp_scalar(lx, lnk)
-        lnp = w / (sigma - 1.0) - c
+        if lnh < 0.0 and lnk > 0.0:
+            lnp = _ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max)
+        else:
+            lnp = w0_exp_scalar(lx, lnk)[0] / (sigma - 1.0) - c
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _sup_error(_PAST_2_53.format(lnp), lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
@@ -259,11 +281,16 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
     t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
-    L = lnk_arr[t]
     if not (lx[t] < math.inf).all():        # NaN too
         i = t[np.argmin(lx[t] < math.inf)]
         raise _sup_error(_X_PAST_FLOATS.format(lx[i], c), lnk_arr[i], lnh, tau, sigma)
-    lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
+    if lnh < 0.0:   # h < 1: where ln k <= 0 too, g(p) < 0 at every p >= 1
+        t = t[lnk_arr[t] > 0.0]
+        L = lnk_arr[t]
+        lnp = _ln_p_star_h_below_1(L, lnh, tau, sigma)
+    else:
+        L = lnk_arr[t]
+        lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
         raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)
     # the four candidates as contiguous rows, (4, len(t))

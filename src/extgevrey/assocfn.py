@@ -4,6 +4,7 @@ and counting-function sum), plus the Lambert-W sandwich bounds on it.
 """
 
 import math
+import sys
 from typing import NamedTuple, Tuple
 
 import numpy as np
@@ -356,6 +357,11 @@ def sandwich_bounds_check(params: SequenceParams, h: float, k_grid) -> SandwichR
         raise NumericalError(f"the envelope E underflows to 0 at every k > 1 of the grid: "
                              f"tau={params.tau!r}, sigma={params.sigma!r}, h={h!r}")
     kp, Tp, Ep = k[pos], T[pos], E[pos]
+    with np.errstate(over="ignore"):
+        lost = not (Ep.min() >= sys.float_info.min and (Tp / Ep < math.inf).all())
+    if lost:    # a subnormal E has lost its digits, and T/E may overflow
+        raise NumericalError(f"the envelope E (down to {Ep.min():.6g}) is below the normal floats or "
+                             f"T/E leaves them: tau={params.tau!r}, sigma={params.sigma!r}, h={h!r}")
     fit = _fit_band(Ep, Tp, kp >= math.sqrt(kp.min() * kp.max()))
     A1, B1, A2, B2 = fit["B"], fit["B_tilde"], fit["A"], fit["A_tilde"]
     top_dec = kp >= kp.max() / 10.0

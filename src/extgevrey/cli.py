@@ -85,13 +85,6 @@ def emit(columns, header, fmt, out_path):
     _write(end.join(lines) + end, out_path)
 
 
-def _jsonable(v):
-    """A numpy scalar in a verify payload as the Python value json writes."""
-    if isinstance(v, np.generic):
-        return v.item()
-    raise TypeError(f"{type(v).__name__} is not JSON serializable")
-
-
 def _write(text, out_path):
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -292,59 +285,74 @@ CLAIMS = {
 EXTRA_CLAIMS = {"m2-classical": _cond("M.2-classical")}
 
 
-def cmd_verify(args):
-    if args.only:
-        names = [n.strip() for n in args.only.split(",") if n.strip()]
+def verify_report(tau=1.0, sigma=2.0, h=1.0, Q=3, s=2.0, pmax=10_000, only=None):
+    """(report, exit code) of the claims named in `only` (comma-separated; default all of
+    CLAIMS), each looked up in CLAIMS or EXTRA_CLAIMS as it runs. The report holds JSON values
+    alone, equal to what `verify` writes; a claim that raises NumericalError or DivergenceError,
+    or whose details hold a NaN or inf, gets an "error" entry. Exit code 0, 1 where a claim
+    fails, 3 where one errs; a bad parameter raises UsageError or DomainError before any claim."""
+    if only:
+        names = [n.strip() for n in only.split(",") if n.strip()]
         unknown = [n for n in names if n not in CLAIMS and n not in EXTRA_CLAIMS]
         if unknown:
             raise UsageError(f"unknown claims: {', '.join(unknown)}")
     else:
         names = list(CLAIMS)
-    # a bad tau, sigma, h, pmax, Q or s exits 2 before any claim runs
-    SequenceParams(args.tau, args.sigma)
-    _check_positive("h", args.h)
-    _check_p_max(args.pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3, "--pmax")
+    SequenceParams(tau, sigma)
+    _check_positive("h", h)
+    _check_p_max(pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3, "--pmax")
     if "liminf" in names:
-        _check_Q(args.Q, args.pmax, "--Q", "--pmax")
+        _check_Q(Q, pmax, "--Q", "--pmax")
     if "corollary" in names:
-        _check_above_one("--s", args.s)
-    report = {}
-    failed, errored = [], []
+        _check_above_one("--s", s)
+    a = argparse.Namespace(tau=tau, sigma=sigma, h=h, Q=Q, s=s, pmax=pmax)
+    claims = {}
     for name in names:
-        fn = CLAIMS.get(name) or EXTRA_CLAIMS[name]
         try:
-            holds, payload = fn(args)
-            report[name] = {"holds": bool(holds), "details": payload}
+            holds, payload = (CLAIMS.get(name) or EXTRA_CLAIMS[name])(a)
+            claims[name] = {"holds": bool(holds), "details": _plain(payload, "details")}
         except (NumericalError, DivergenceError) as exc:
-            holds = False
-            report[name] = {"holds": False, "error": str(exc)}
-            errored.append(name)
-        if not holds:
-            failed.append(name)
+            claims[name] = {"holds": False, "error": str(exc)}
+    failed = [name for name, c in claims.items() if not c["holds"]]
     # only --s is unchecked where no claim reads it: a nan or inf there goes out as its repr
-    s = args.s if math.isfinite(args.s) else repr(args.s)
-    doc = {"parameters": {"tau": args.tau, "sigma": args.sigma, "h": args.h,
-                          "Q": args.Q, "s": s, "pmax": args.pmax},
-           "claims": report,
-           "passed": not failed,
-           "failed_claims": failed}
+    report = {"parameters": {"tau": tau, "sigma": sigma, "h": h, "Q": Q,
+                             "s": s if math.isfinite(s) else repr(s), "pmax": pmax},
+              "claims": claims, "passed": not failed, "failed_claims": failed}
+    return report, 3 if any("error" in c for c in claims.values()) else 1 if failed else 0
+
+
+def _plain(v, key):
+    """A claim's payload as the JSON values json.loads reads back: numpy scalars by .item(),
+    tuples as lists. NumericalError at a NaN or inf, which strict JSON (RFC 8259) cannot hold."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if type(v) is float:    # most leaves
+        if math.isfinite(v):
+            return v
+        raise NumericalError(f"the report's {key} = {v!r} is not a finite number")
+    if isinstance(v, dict):
+        return {k: _plain(x, k) for k, x in v.items()}
+    return [_plain(x, key) for x in v] if isinstance(v, (list, tuple)) else v
+
+
+def cmd_verify(args):
+    """`verify`: the report as json or one line per claim, its errors and failures on stderr."""
+    report, code = verify_report(**{k: v for k, v in vars(args).items()
+                                    if k not in ("command", "fn", "format", "output")})
+    claims, failed = report["claims"], report["failed_claims"]
     if args.format == "json":
-        # strict JSON (RFC 8259): a NaN or inf in a report is a fault, so it raises here
-        _write(json.dumps(doc, sort_keys=True, indent=2, default=_jsonable, allow_nan=False) + "\n",
-               args.output)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     else:
-        lines = []
-        for name in names:
-            status = "ERROR" if name in errored else "PASS" if report[name]["holds"] else "FAIL"
-            lines.append(f"{status}  {name}")
-        lines.append(("all claims hold" if not failed
-                      else "failed: " + ", ".join(failed)))
-        _write("\n".join(lines) + "\n", args.output)
-    for name in errored:
-        print(f"numerical failure in {name}: {report[name]['error']}", file=sys.stderr)
+        text = "\n".join([f"{'ERROR' if 'error' in c else 'PASS' if c['holds'] else 'FAIL'}  {name}"
+                          for name, c in claims.items()]
+                         + ["failed: " + ", ".join(failed) if failed else "all claims hold"])
+    _write(text + "\n", args.output)
+    for name, c in claims.items():
+        if "error" in c:
+            print(f"numerical failure in {name}: {c['error']}", file=sys.stderr)
     if failed:
         print("failed claims: " + ", ".join(failed), file=sys.stderr)
-    return 3 if errored else 1 if failed else 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +406,11 @@ def build_parser():
     common(p, "0:1000:16")
     p.set_defaults(fn=cmd_conjugate)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    p.add_argument("--tau", type=float, default=1.0)
-    p.add_argument("--sigma", type=float, default=2.0)
-    p.add_argument("--h", type=float, default=1.0)
-    p.add_argument("--Q", type=int, default=3)
-    p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--pmax", type=int, default=10_000)
-    p.add_argument("--only", default=None, help="comma-separated claim filter")
+    # verify_report's own defaults stand for the options not given
+    p = sub.add_parser("verify", help="run the verification suite", argument_default=argparse.SUPPRESS)
+    for name, kind in (("tau", float), ("sigma", float), ("h", float), ("Q", int), ("s", float), ("pmax", int)):
+        p.add_argument(f"--{name}", type=kind)
+    p.add_argument("--only", help="comma-separated claim filter")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", default=None)
     p.set_defaults(fn=cmd_verify)

@@ -59,9 +59,15 @@ def w0_log(lx):
 
 def g(p, lnk, lnh, tau, sigma):
     with decimal.localcontext(_CTX):
+        return _D(p) * _D(lnk) + _g_at_k_1(p, lnh, tau, sigma)
+
+
+@functools.lru_cache(maxsize=None)     # a sweep over k reads the same p^sigma terms at every k
+def _g_at_k_1(p, lnh, tau, sigma):
+    with decimal.localcontext(_CTX):
         P = _D(p)
         pw = (_D(sigma) * P.ln()).exp()
-        return pw * _D(lnh) + P * _D(lnk) - _D(tau) * pw * P.ln()
+        return pw * _D(lnh) - _D(tau) * pw * P.ln()
 
 
 @functools.lru_cache(maxsize=None)     # a count's check reads log M at N-1, N and N+1, each twice

