@@ -30,8 +30,11 @@ sigma ln p + ln B(p) with ln ln k - ln tau: values that neither cancel nor overf
 `_counting_sum_scalar` finds one N by galloping and bisecting in `math`,
 `counting_sum_grid` every N by `searchsorted` in one table.
 
-Where p^sigma leaves the floats (sigma > 170 at p = 64), a sup candidate scores -inf
-if its sign is proven, else NumericalError.
+A sup candidate past the floats, one rule in both kernels: g as written where it is
+finite, so ordinary bits stay; else, where p^sigma is finite, p^sigma (ln h - tau ln p)
++ p ln k, whose sign is right and which is inf only past the largest float (NumericalError);
+where p^sigma is not, -inf if tau ln p - ln h > p ln_+ k / MAX proves g < 0 (tau ln p = inf
+proves it), else NumericalError. No candidate is NaN, so the first largest wins.
 """
 
 import math
@@ -202,7 +205,7 @@ def _p_concave_from(lnh, tau):
 _PAST_2_53 = "T_h(k) peaks near p = exp({:.6g}) > 2**53, past exact integer floats"
 # c = (tau - sigma ln h)/(tau sigma) past the floats where |ln h|/tau is: no W argument x is formed
 _X_PAST_FLOATS = "ln x = {:.6g} of the root p* leaves the floats, c = {:.6g}"
-# p^sigma > _MAX: g(p) = p^sigma (ln h - tau ln p) + p ln k < 0 if tau ln p - ln h > p ln_+ k / _MAX
+_PAST_MAX = "T_h(k) = g(p) passes the largest float at p = {:.17g}"
 _UNRESOLVED = "p^sigma overflows a float at the candidate p = {:.17g}, where g's sign is unresolved"
 
 
@@ -248,10 +251,8 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
         if not lx < math.inf:       # NaN too
             raise _sup_error(_X_PAST_FLOATS.format(lx, c), lnk, lnh, tau, sigma)
-        if lnh < 0.0 and lnk > 0.0:
-            lnp = _ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max)
-        else:
-            lnp = w0_exp_scalar(lx, lnk)[0] / (sigma - 1.0) - c
+        lnp = (_ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max) if lnh < 0.0 and lnk > 0.0
+               else w0_exp_scalar(lx, lnk)[0] / (sigma - 1.0) - c)
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _sup_error(_PAST_2_53.format(lnp), lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
@@ -265,6 +266,10 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
                 raise _sup_error(_UNRESOLVED.format(p), lnk, lnh, tau, sigma) from None
             continue        # g(p) < 0
         g = pw * lnh + p * lnk - tau * pw * math.log(p)
+        if not math.isfinite(g):
+            g = pw * (lnh - tau * math.log(p)) + p * lnk
+            if g == math.inf:
+                raise _sup_error(_PAST_MAX.format(p), lnk, lnh, tau, sigma)
         if g > best:
             best, best_p = g, p
     return best, best_p
@@ -275,43 +280,38 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     values = lnk_arr + lnh      # g(1)
     argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
-    # the integers next to p*, where x >= -1/e
     c = (tau - sigma * lnh) / (tau * sigma)
     # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
-    t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))
+    t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))     # x >= -1/e: integers next to p* compete
     if not (lx[t] < math.inf).all():        # NaN too
         i = t[np.argmin(lx[t] < math.inf)]
         raise _sup_error(_X_PAST_FLOATS.format(lx[i], c), lnk_arr[i], lnh, tau, sigma)
+    L = lnk_arr[t]
     if lnh < 0.0:   # h < 1: where ln k <= 0 too, g(p) < 0 at every p >= 1
-        t = t[lnk_arr[t] > 0.0]
-        L = lnk_arr[t]
+        t, L = t[L > 0.0], L[L > 0.0]
         lnp = _ln_p_star_h_below_1(L, lnh, tau, sigma)
     else:
-        L = lnk_arr[t]
         lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
     if not (lnp < _LN_2_53).all():
         raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)
-    # the four candidates as contiguous rows, (4, len(t))
-    q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)
+    q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)    # a row per candidate
     with np.errstate(over="ignore", invalid="ignore"):
         pwq = q ** sigma
         g = pwq * lnh + q * L - tau * pwq * np.log(q)
-    over = pwq == math.inf
-    if over.any():      # the scalar kernel's test, on every candidate whose power overflowed
-        qo, Lo = q.T[over.T], np.broadcast_to(L[:, None], over.T.shape)[over.T]   # point by point
-        bad = ~(tau * np.log(qo) - lnh > np.maximum(Lo, 0.0) * qo / _MAX)
-        if bad.any():
-            raise _sup_error(_UNRESOLVED.format(qo[bad][0]), Lo[bad][0], lnh, tau, sigma)
-        g[over] = -math.inf
-    # a running max over the rows, in place in row 0: the first largest, or the first NaN, as argmax
-    best_q, best_g = q[0], g[0]
-    for qr, gr in zip(q[1:], g[1:]):
-        better = ~(gr <= best_g)
-        better &= best_g == best_g
-        np.copyto(best_q, qr, where=better)
-        np.copyto(best_g, gr, where=better)
+        lost = ~np.isfinite(g.T)        # point by point, as the scalar kernel meets them
+        if lost.any():
+            ql, Ll, pl = q.T[lost], np.broadcast_to(L[:, None], lost.shape)[lost], pwq.T[lost]
+            tlq = tau * np.log(ql)
+            g.T[lost] = gl = pl * (lnh - tlq) + ql * Ll    # -inf where pl = inf and g < 0 is proven
+            bad = (pl == math.inf) & ~(tlq - lnh > np.maximum(Ll, 0.0) * ql / _MAX)
+            if (stop := bad | (gl == math.inf)).any():
+                j = stop.argmax()
+                raise _sup_error((_UNRESOLVED if bad[j] else _PAST_MAX).format(ql[j]), Ll[j], lnh, tau, sigma)
+    best_g, best_q = g.max(axis=0), q[3].copy()
+    for qr, gr in zip(q[2::-1], g[2::-1]):      # upwards, so that the first largest wins
+        np.copyto(best_q, qr, where=gr == best_g)
     argmax[t] = np.where(best_g > values[t], best_q, argmax[t])
     values[t] = np.maximum(values[t], best_g)
     return values, argmax

@@ -300,8 +300,10 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
 
     Taken as E = exp((s ln ln k - ln W(R))/(s-1)) with ln R from `_ln_x_over_lnk`, W from
     ln R, and ln W(R) = ln R - W(R) where W <= 1 (W underflows with R): no factor of R or
-    E is formed, so none leaves the floats. NumericalError where E passes the largest float,
-    and where ln R does (c past the floats, where |ln h|/tau is)."""
+    E is formed, so none leaves the floats. Where s ln ln k does (s from about 5e306), E is
+    taken as exp((s/(s-1)) ln ln k - ln W(R)/(s-1)), near ln k; elsewhere E keeps its bits.
+    NumericalError where E passes the largest float, and where ln R does (c past the floats,
+    where |ln h|/tau is)."""
     _check_positive("h", h)
     k = np.asarray(k_grid, dtype=np.float64)
     tau, s = params.tau, params.sigma
@@ -313,10 +315,14 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
                              f"sigma={s!r}, h={h!r}")
     w = w0_exp_grid(ln_r)
     ln_w = np.log(w, out=ln_r - w, where=w > 1.0)     # ln R - W cancels where W is large
-    with np.errstate(over="ignore", invalid="ignore"):     # s ln ln k past the floats: named below
-        ln_e = (s * np.log(np.log(kb)) - ln_w) / (s - 1.0)
+    lnln = np.log(np.log(kb))
+    with np.errstate(over="ignore", invalid="ignore"):     # E past the floats: named below
+        sl = s * lnln
+        ln_e = (sl - ln_w) / (s - 1.0)
+        past = np.isinf(sl)     # s ln ln k leaves the floats where E need not: regrouped there
+        ln_e[past] = (s / (s - 1.0)) * lnln[past] - ln_w[past] / (s - 1.0)
         E[big] = np.exp(ln_e)
-    if not (E < math.inf).all():    # NaN too, where s ln ln k and ln W(R) are infinite
+    if not (E < math.inf).all():
         i = np.argmax(ln_e)
         raise NumericalError(f"envelope E = exp({ln_e[i]:.6g}) overflows a float: tau={tau!r}, "
                              f"sigma={s!r}, h={h!r}, k={float(kb[i])!r}")

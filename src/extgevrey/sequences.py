@@ -401,10 +401,14 @@ def lemma_quotient_bounds(params: SequenceParams, p_max: int = 10_000) -> LemmaB
     pf = p.astype(np.float64)
     logm = seq.log_m(p)
     lower = tau * pf ** (s - 1.0) / _doubled_tau(s) * (1.0 + s * np.log(pf) - s * math.log(2.0))
-    upper = tau * pf ** (s - 1.0) * (1.0 + s * np.log(pf))
+    with np.errstate(over="ignore"):    # an upper bound past the floats holds: its violation is -inf
+        upper = tau * pf ** (s - 1.0) * (1.0 + s * np.log(pf))
     slack = 1e-11 * np.maximum(1.0, np.abs(logm))
     lo_viol = lower - logm
     up_viol = logm - upper
+    if not up_viol.max() > -math.inf:
+        raise NumericalError(f"the upper bound on log m_p leaves the floats at every p <= {p_max}: "
+                             f"tau={tau!r}, sigma={s!r}")
     bad = (lo_viol > slack) | (up_viol > slack)
     witness = int(p[bad][0]) if bad.any() else None
     return LemmaBoundsReport(params, (2, p_max), not bad.any(),

@@ -2,10 +2,11 @@
 
 Every argv must end in a documented exit code (0, 1, 2 or 3) with no exception, a
 RuntimeWarning included (pyproject.toml makes those errors). A `verify` that exits 0, 1
-or 3 writes strict JSON (RFC 8259) holding every claim; a table holds no NaN, and an
-infinity only in the `phi` table, where phi_sigma passes the floats.
+or 3 writes strict JSON (RFC 8259) holding the claims asked for: every claim of
+`cli.CLAIMS`, or an `--only` subset, which may name the opt-in m2-classical. A table holds
+no NaN, and an infinity only in the `phi` table, where phi_sigma passes the floats.
 
-Run this module as a script for a longer sweep over more seeds:
+Run this module as a script for a longer sweep over more seeds; it exits 1 if an argv fails:
 
     PYTHONPATH=src python tests/test_argv_sweep.py FIRST_SEED LAST_SEED
 """
@@ -58,6 +59,8 @@ def verify_argv(rng):
         argv.append(_opt("s", 1.0 + _log_uniform(rng, 1e-8, 1e3)))
     if rng.random() < 0.3:
         argv.append(_opt("Q", int(_log_uniform(rng, 2.0, 1e6))))
+    if rng.random() < 0.5:      # a subset of the claims, the opt-in m2-classical among them
+        argv.append("--only=" + ",".join(rng.sample([*cli.CLAIMS, *cli.EXTRA_CLAIMS], rng.randint(1, 4))))
     return argv
 
 
@@ -100,7 +103,9 @@ def check(argv):
         assert code in (0, 1, 2, 3), f"exit code {code}"
         if argv[0] == "verify" and code != 2:
             doc = json.loads(out.getvalue(), parse_constant=_refuse)
-            assert set(doc["claims"]) == set(cli.CLAIMS) and doc["passed"] == (code == 0)
+            asked = next((a[len("--only="):].split(",") for a in argv if a.startswith("--only=")), cli.CLAIMS)
+            assert set(doc["claims"]) == set(asked)
+            assert doc["passed"] == (code == 0)
         elif argv[0] != "verify":
             text = out.getvalue().lower()
             assert "nan" not in text and (argv[0] == "phi" or "inf" not in text), "nan or inf in the table"
@@ -131,3 +136,4 @@ if __name__ == "__main__":
                 bad += 1
                 print(f"seed {seed}: {exc}"[:400])
     print(f"{bad} failing argvs over seeds {first}-{last}")
+    sys.exit(1 if bad else 0)

@@ -435,9 +435,13 @@ def test_envelope_where_a_factor_or_E_leaves_the_floats():
     assert np.array_equal(envelope(SequenceParams(1.0, 1.001), 1.0, [0.5, 1.0]), [0.0, 0.0])
     with pytest.raises(NumericalError, match=r"tau=1.0, sigma=1.001, h=1.0, k=.*"):
         envelope(SequenceParams(1.0, 1.001), 1.0, [1.0, 10.0, 1e6])
-    # at sigma = 1e308, s ln ln k = inf; ln h / tau = -6.9e310 makes c, and so ln R, inf: no W call
-    with pytest.raises(NumericalError, match=r"^envelope E = exp\(inf\) overflows a float: tau=1.0, "):
-        envelope(SequenceParams(1.0, 1e308), 1.0, [10.0, 1e6])
+    # at sigma = 1e308 (1.7e308), s ln ln k leaves the floats from k ~ 1e6 (k ~ 18), E ~ ln k does not
+    for sigma, k, step in ((1e308, np.array([10.0, 1e6]), 1), (1.7e308, default_k_grid(), 10)):
+        E = envelope(SequenceParams(1.0, sigma), 1.0, k)
+        assert np.all(np.isfinite(E)) and np.all(np.diff(E) > 0)
+        for kj, Ej in zip(k[::step].tolist(), E[::step].tolist()):
+            assert _reference.rel(Ej, _reference.envelope(1.0, sigma, 1.0, kj)) <= 1e-12, (sigma, kj, Ej)
+    # ln h / tau = -6.9e310 makes c, and so ln R, inf: no W call
     with pytest.raises(NumericalError, match=r"^envelope's ln R leaves the floats, c = inf: tau=1e-308, "):
         envelope(SequenceParams(1e-308, 2.0), 1e-300, [10.0, 1e6])
 

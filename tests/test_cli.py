@@ -405,36 +405,40 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON (RFC 8259)")
 
 
-# each once ended in a traceback or a report holding a NaN; now the claim named errs, naming the parameter
-@pytest.mark.parametrize("argv, claim, names", [
-    (["--tau", "7.5", "--sigma", "2", "--h", "1e-300"], "t-phi-equivalence", "h=1e-300"),  # T_h = 0 on the k grid
-    (["--tau", "1e6", "--sigma", "1.01", "--h", "2", "--s", "1.0000001"], "corollary", "s=1.0000001"),  # phi_s(ln t) = inf
-    (["--tau", "2", "--sigma", "1e4", "--h", "50"], "m2tilde", "sigma=10000.0"),    # 2^(sigma-1) = inf
-    (["--tau", "1e-300", "--sigma", "2", "--h", "300", "--pmax", "300", "--Q", "100"],
-     "integral-closed-form", "tau=1e-300"),     # expm1 of the closed form = inf
-    (["--tau", "1e308", "--sigma", "2"], "m4", "2 tau leaves the positive floats (inf): tau=1e+308"),
-    (["--tau", "5e-324", "--sigma", "2"], "matrix-equivalence",
-     "0.5 tau leaves the positive floats (0.0): tau=5e-324"),
-    (["--tau", "2", "--sigma", "1e20"], "m5", "sigma + 1 rounds to sigma: sigma=1e+20"),
-    (["--tau", "1e-10", "--sigma", "1.001", "--h", "1e-300"], "sandwich",
-     "E underflows to 0 at every k > 1 of the grid: tau=1e-10, sigma=1.001, h=1e-300"),
-    (["--tau", "1e-308", "--sigma", "2", "--h", "1e-300", "--pmax", "300"], "sandwich",
-     "ln x = inf of the root p* leaves the floats, c = inf: tau=1e-308"),     # ln h / tau = -inf
-    (["--tau", "2", "--sigma", "1e300"], "m5", "sigma=1e+300"),
-    # E is 0 or subnormal at every k of the grid, so T/E overflows
-    (["--tau", "4.933855643509777e-67", "--sigma", "1.2030439960144812", "--h", "0.010379461766728923"],
-     "sandwich", "below the normal floats or T/E leaves them: tau=4.933855643509777e-67"),
-    (["--tau", "3.247556628059514e-258", "--sigma", "1.801406858831939", "--h", "0.004679252925040047",
-      "--pmax", "300"], "sandwich", "sigma=1.801406858831939, h=0.004679252925040047"),
-    (["--tau", "5.383299083022838e-175", "--sigma", "1.5494689205900976", "--h", "0.0016736971937174603",
-      "--pmax", "1000"], "sandwich", "tau=5.383299083022838e-175, sigma=1.5494689205900976"),
-])
+# each once ended in a traceback or a report holding a NaN (its "why" says what left the floats);
+# now the claim named errs, naming the parameter. CI runs the same argvs as subprocesses.
+_EDGE_ARGVS = json.loads((Path(__file__).parent / "data" / "edge_argvs.json").read_text())
+
+
+@pytest.mark.parametrize("argv, claim, names", [(e["argv"], e["claim"], e["error"]) for e in _EDGE_ARGVS])
 def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, names, capsys):
     code, out, err = run_cli(["verify"] + argv, capsys)
     assert code in (1, 3) and "Traceback" not in err
     doc = json.loads(out, parse_constant=_refuse_constant)
     assert set(doc["claims"]) == set(cli.CLAIMS)
     assert names in doc["claims"][claim]["error"]
+
+
+def test_assocfn_where_both_products_of_a_candidate_overflow(capsys):
+    # 2^sigma = 3.5e307 at the candidate p = 2, where both products of g(2) overflow as written
+    code, out, _ = run_cli(["assocfn", "--tau", "5892447.000206286", "--sigma", "1021.6304760128658",
+                            "--h", "4.524178708727972e+26", "--grid", "1:1e10:4"], capsys)
+    assert code == 0 and "nan" not in out.lower()
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    params = SequenceParams(5892447.000206286, 1021.6304760128658)
+    assert len(rows) == 41
+    for k, T, p in rows:
+        res = assocfn.assoc_fn_sup(params, 4.524178708727972e+26, float(k))
+        assert (float(T), int(p)) == (res.value, res.argmax_p)
+
+
+def test_sandwich_where_both_products_of_a_candidate_overflow(capsys):
+    # once "E ... is below the normal floats or T/E leaves them", where T was NaN
+    code, out, _ = run_cli(["verify", "--only", "sandwich", "--tau", "5892447", "--sigma", "1021.63",
+                            "--h", "4.5e26"], capsys)
+    claim = json.loads(out, parse_constant=_refuse_constant)["claims"]["sandwich"]
+    assert code == 0 and claim["holds"] is True
+    assert (claim["details"]["ratio_lo"], claim["details"]["ratio_hi"]) == pytest.approx((3.1753, 3.3714), abs=1e-4)
 
 
 def test_verify_writes_a_nan_in_a_report_as_an_error_not_as_json(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_counting_grid,
                        assoc_fn_sup, assoc_fn_sup_grid, evaluate_w)
@@ -91,8 +91,15 @@ def test_assoc_sup_grid_matches_brute_force(tau, sigma, lnh, lnk):
         assert abs(v - want) <= 1e-14 * scale
 
 
+_LNK_WIDE = [math.log(k) for k in (2.0, 1e10, 3.56e78, 1e100, 1e300)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(_TAU, _SIGMA, _LNH, _LNK)
+# 2^sigma = 3.5e307: both products of g(2) overflow, g(2) = inf - inf as written
+@example(5892447.000206286, 1021.6304760128658, math.log(4.524178708727972e+26), _LNK_WIDE)
+# tau ln 2 passes the floats in the sign test of the candidates whose p^sigma overflows
+@example(1.6869638155091605e+308, 7021.061374725526, math.log(1.1933336980865066e-20), _LNK_WIDE)
 def test_assoc_sup_scalar_and_grid_agree(tau, sigma, lnh, lnk):
     values, argmax = _kernels.assoc_sup_grid(np.array(lnk), lnh, tau, sigma)
     for L, v, a in zip(lnk, values, argmax):
@@ -509,6 +516,12 @@ def test_overflowing_powers_that_decide_nothing_raise():
         assoc_fn_sup(params, 1e6, 10.0)
     with pytest.raises(NumericalError, match=msg):
         assoc_fn_sup_grid(params, 1e6, [10.0])
+    # 2^1020 (ln h - tau ln 2) = 1.1e307 * 16.6 is g(2): a sign, but past the largest float
+    msg = r"^T_h\(k\) = g\(p\) passes the largest float at p = 2: tau=1000\.0, sigma=1020\.0, h=exp\(709\.7\)"
+    with pytest.raises(NumericalError, match=msg + ", k=10$"):
+        _kernels._assoc_sup_scalar(math.log(10.0), 709.7, 1000.0, 1020.0)
+    with pytest.raises(NumericalError, match=msg + ", k=2$"):
+        _kernels.assoc_sup_grid(np.log([2.0, 10.0]), 709.7, 1000.0, 1020.0)
     # 2^1100 overflows, but ln log m_2 = 1100 ln 2 + ln B(2) does not: N = 1, T = ln k, as the sup
     params = SequenceParams(1.0, 1100.0)
     assert assoc_fn_counting(params, 1e10)[:2] == (math.log(1e10), 1)

@@ -261,6 +261,16 @@ def test_lemma_quotient_bounds(tau, sigma):
     assert rep.witness is None and rep.p_range == (2, 10_000)
 
 
+def test_lemma_bounds_where_the_upper_bound_leaves_the_floats():
+    # log m_10 = 1.1e307, and its upper bound tau p^(s-1) ln(e p^s) passes the floats: it holds there
+    rep = lemma_quotient_bounds(SequenceParams(2.037533394864031e+31, 275.3805505967718), 10)
+    assert rep.passed and math.isfinite(rep.max_upper_violation) and rep.max_upper_violation < 0.0
+    # at p_max = 2 no upper bound is a float, and no violation is left to report
+    with pytest.raises(NumericalError, match=r"^the upper bound on log m_p leaves the floats at every p <= 2: "
+                                             r"tau=1.8254443044360363e\+224, sigma=275.3805505967718$"):
+        lemma_quotient_bounds(SequenceParams(1.8254443044360363e+224, 275.3805505967718), 2)
+
+
 def _peak_of(fn):
     """The traced peak memory of fn(), which must raise UsageError."""
     tracemalloc.start()
