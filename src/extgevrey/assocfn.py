@@ -105,9 +105,9 @@ def counting_fn_floor(params: SequenceParams, C, lam):
 def _floor_scalar(tau, s, C, lam):
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
         _validate_c_lam(C, lam)
-    lnC, lnlam = math.log(C), math.log(lam)
-    if lnC > lnlam:     # g(1) = ln C: no p counts, whatever W's resolution
+    if not C <= lam:    # g(1) = ln C > ln lambda, on the floats: no p counts, whatever W resolves
         return 0
+    lnC, lnlam = math.log(C), math.log(lam)
     c = lnC / tau
     lx = math.log(lnlam) + _ln_x_over_lnk(s - 1.0, tau, 1.0, c) if lnlam > 0.0 else -math.inf
     w = w0_exp_scalar(lx)[0]
@@ -151,11 +151,11 @@ def counting_fn_direct(params: SequenceParams, C, lam):
     """The same count from its defining inequality, without W.
 
     g(p) = p^(s-1) (ln C + tau ln p) is negative wherever it falls, so
-    {p >= 1 : g(p) <= ln lambda} is an interval [1, P]: P is found by galloping
-    over powers of two, then bisecting. Raises NumericalError past p = 2**53.
+    {p >= 1 : g(p) <= ln lambda} is an interval [1, P]: P is found by one loop that
+    gallops over powers of two, then bisects. Raises NumericalError past p = 2**53.
 
-    C and lambda may be arrays, as for `counting_fn_floor`: one gallop and one
-    bisection then run over every point at once."""
+    C and lambda may be arrays, as for `counting_fn_floor`: one such loop then runs
+    over every point at once, each pass probing every point still open."""
     if isinstance(lam, float) and isinstance(C, float) or np.ndim(C) == np.ndim(lam) == 0:
         return _direct_scalar(params.tau, params.sigma, C, lam)
     return _counts_grid(_direct_grid, _direct_scalar, params, C, lam)
@@ -164,45 +164,37 @@ def counting_fn_direct(params: SequenceParams, C, lam):
 def _direct_scalar(tau, s, C, lam):
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
         _validate_c_lam(C, lam)
+    if not C <= lam:    # g(1) = ln C > ln lambda, on the floats
+        return 0
     log = math.log
     lnC, lnlam, e = log(C), log(lam), s - 1.0
-    if lnC > lnlam:     # g(1) = ln C
-        return 0
     t = tau     # the tau of g; errors name the user's
     if tau < 2.0 ** -960:   # tau ln p would be subnormal: scale g and ln lambda by 2^600, exactly
         t, lnC, lnlam = tau * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
-    hi = 2
-    while True:     # `_fits`, inline here and below: a call per probe made a count 14% slower
+    lo, hi, p = 1, 0, 2     # g(lo) <= ln lambda; hi = 0 while galloping, then g(hi) > ln lambda
+    while p != lo:      # `_fits`, inline: a call per probe made a count 14% slower
         try:
-            if not hi ** e * (lnC + t * log(hi)) <= lnlam:
-                break
+            fits = p ** e * (lnC + t * log(p)) <= lnlam
         except OverflowError:
-            if not _fits_past_floats(hi, e, lnC, t, lnlam):
-                break
-        if hi >= 2 ** 53:
+            fits = _fits_past_floats(p, e, lnC, t, lnlam)
+        if not fits:
+            hi = p
+        elif p >= 2 ** 53:
             raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
                                  f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
-        hi *= 2
-    lo = hi // 2        # g(lo) <= ln lambda < g(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            fits = mid ** e * (lnC + t * log(mid)) <= lnlam
-        except OverflowError:
-            fits = _fits_past_floats(mid, e, lnC, t, lnlam)
-        if fits:
-            lo = mid
         else:
-            hi = mid
+            lo = p
+        p = (lo + hi) // 2 if hi else 2 * p
     return lo
 
 
 # -- the array paths -----------------------------------------------------------
 #
-# Each decides every point as its scalar route does, in numpy. numpy's log, pow and exp
-# may differ from math's by an ulp (pow and exp do at about 5% of arguments here), and
-# the grid W from the scalar W by a few, so a point whose decision lies within a bound on
-# those differences of its threshold, or that raises, is handed to the scalar route.
+# Each decides every point as its scalar route does, in numpy, g(1) on the floats as
+# C <= lambda. numpy's log, pow and exp may differ from math's by an ulp (pow and exp do
+# at about 5% of arguments here), and the grid W from the scalar W by a few, so a point
+# whose decision lies within a bound on those differences of its threshold, or that
+# raises, is handed to the scalar route; so is a closed-form P near an integer.
 
 def _counts_grid(grid, scalar, params, C, lam):
     """`grid`'s counts at the broadcast (C, lambda), with `scalar` at every point it
@@ -214,33 +206,25 @@ def _counts_grid(grid, scalar, params, C, lam):
         i = int(np.argmin(ok))
         _validate_c_lam(float(Cf[i]), float(lamf[i]))
     tau, s = params.tau, params.sigma
-    lnC, lnlam = np.log(Cf), np.log(lamf)
     counts, doubt = np.zeros(Cf.size, dtype=np.int64), np.zeros(Cf.size, dtype=bool)
-    # g(1) = ln C > ln lambda: no p counts
-    live, doubt[:] = _fits_grid(1.0, 0.0, lnC, lnlam)
-    live = np.flatnonzero(live & ~doubt)
+    live = np.flatnonzero(Cf <= lamf)     # g(1) = ln C <= ln lambda, on the floats: else no p counts
     if live.size:
-        counts[live], doubt[live] = grid(tau, s, lnC[live], lnlam[live])
+        counts[live], doubt[live] = grid(tau, s, np.log(Cf[live]), np.log(lamf[live]))
     for i in np.flatnonzero(doubt).tolist():
         counts[i] = scalar(tau, s, float(Cf[i]), float(lamf[i]))
     return counts.reshape(C.shape)
 
 
-def _fits_grid(pe, t, lnC, lnlam):
-    """(g <= ln lambda, in doubt) for g = pe (ln C + t), pe = p^(s-1), t = tau ln p at
-    p >= 1: in doubt where g is within 1e-14 of its terms (plus a few subnormal units of t)
-    of ln lambda, or pe nears the largest float, where the scalar test may decide otherwise
-    or take its overflow branch."""
+def _fits_grid(p, e, tau, lnC, lnlam):
+    """(g(p) <= ln lambda, in doubt) at the float integers p >= 1, e = s - 1: in doubt where
+    g is within 1e-14 of its terms (plus a few subnormal units of tau ln p) of ln lambda, or
+    p^e nears the largest float, where the scalar test may decide otherwise or take its
+    overflow branch."""
     with np.errstate(over="ignore", invalid="ignore"):
+        pe, t = p ** e, tau * np.log(p)
         g = pe * (lnC + t)
         doubt = (pe >= 1e300) | (np.abs(g - lnlam) <= pe * (1e-14 * (np.abs(lnC) + t) + 2e-323))
     return g <= lnlam, doubt
-
-
-def _fits_at(p, e, tau, lnC, lnlam):
-    """`_fits_grid` at the float integers p."""
-    with np.errstate(over="ignore"):
-        return _fits_grid(p ** e, tau * np.log(p), lnC, lnlam)
 
 
 def _floor_grid(tau, s, lnC, lnlam):
@@ -256,38 +240,32 @@ def _floor_grid(tau, s, lnC, lnlam):
         rel = 1e-12 + 1e-15 * (wl / (1.0 + w) / s1 + np.abs(lnC) / tau)
         rel_val = rel * val
         n = np.rint(val)
-        gap = np.abs(val - n)
         # a bound on val's difference from the scalar route's: w's relative one, amplified
-        # by ln P = w/(s-1) - c, plus the roundings of c, ln P and exp
+        # by ln P = w/(s-1) - c, plus the roundings of c, ln P and exp; within it of the
+        # resolution, or within rel P of an integer n >= 1, the scalar route decides
         slack = 4e-14 * (1.0 + np.abs(w) / s1 + np.abs(c)) * val
         doubt = (~fin | ~(rel_val < 0.5) | ~(rel < 0.4999) | (np.abs(rel_val - 0.5) <= slack)
-                 | ((n >= 1.0) & (np.abs(gap - rel_val) <= slack)))
-    at_n = (n >= 1.0) & (gap <= rel_val) & ~doubt
-    counts = np.floor(np.where(doubt, 0.0, val)).astype(np.int64)
-    fits, doubt[at_n] = _fits_at(n[at_n], s1, tau, lnC[at_n], lnlam[at_n])
-    counts[at_n] = np.where(fits, n[at_n], n[at_n] - 1)
-    return counts, doubt
+                 | ((n >= 1.0) & (np.abs(val - n) <= rel_val + slack)))
+    return np.floor(np.where(doubt, 0.0, val)).astype(np.int64), doubt
 
 
 def _direct_grid(tau, s, lnC, lnlam):
-    e = s - 1.0
-    hi, doubt = np.full(lnC.size, 2, dtype=np.int64), np.zeros(lnC.size, dtype=bool)
-    act = np.arange(lnC.size)
-    while act.size:     # gallop: hi doubles while g(hi) fits, up to 2**53
-        fit, in_doubt = _fits_at(hi[act].astype(np.float64), e, tau, lnC[act], lnlam[act])
-        doubt[act] |= in_doubt | (fit & (hi[act] == 2 ** 53))
-        act = act[fit & ~doubt[act]]
-        hi[act] *= 2
-    lo = hi // 2
-    act = np.flatnonzero((hi - lo > 1) & ~doubt)
-    while act.size:     # bisect: g(lo) <= ln lambda < g(hi)
-        mid = (lo[act] + hi[act]) // 2
-        fit, in_doubt = _fits_at(mid.astype(np.float64), e, tau, lnC[act], lnlam[act])
-        doubt[act] |= in_doubt
-        lo[act] = np.where(fit, mid, lo[act])
-        hi[act] = np.where(fit, hi[act], mid)
-        act = act[(hi[act] - lo[act] > 1) & ~in_doubt]
-    return lo, doubt
+    # `_direct_scalar`'s loop, each pass probing every open point once: at 2 lo while it
+    # gallops (hi = 0), then at the midpoint of g(lo) <= ln lambda < g(hi); up to 2**53.
+    # The open points are kept packed, and leave once decided or in doubt.
+    counts, doubt = np.ones(lnC.size, dtype=np.int64), np.zeros(lnC.size, dtype=bool)
+    act, lo, hi, p = np.arange(lnC.size), counts.copy(), np.zeros_like(counts), np.full_like(counts, 2)
+    while act.size:
+        fit, dbt = _fits_grid(p.astype(np.float64), s - 1.0, tau, lnC, lnlam)
+        dbt |= fit & (p >= 2 ** 53)
+        lo, hi = np.where(fit, p, lo), np.where(fit, hi, p)
+        p = np.where(hi > 0, (lo + hi) // 2, 2 * lo)
+        done = (p == lo) | dbt
+        if done.any():
+            counts[act[done]], doubt[act[dbt]] = lo[done], True
+            keep = ~done
+            act, lo, hi, p, lnC, lnlam = act[keep], lo[keep], hi[keep], p[keep], lnC[keep], lnlam[keep]
+    return counts, doubt
 
 
 # ---------------------------------------------------------------------------

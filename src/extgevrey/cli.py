@@ -290,14 +290,14 @@ def verify_report(tau=1.0, sigma=2.0, h=1.0, Q=3, s=2.0, pmax=10_000, only=None)
     CLAIMS), each looked up in CLAIMS or EXTRA_CLAIMS as it runs. The report holds JSON values
     alone, equal to what `verify` writes; a claim that raises NumericalError or DivergenceError,
     or whose details hold a NaN or inf, gets an "error" entry. Exit code 0, 1 where a claim
-    fails, 3 where one errs; a bad parameter raises UsageError or DomainError before any claim."""
-    if only:
-        names = [n.strip() for n in only.split(",") if n.strip()]
-        unknown = [n for n in names if n not in CLAIMS and n not in EXTRA_CLAIMS]
-        if unknown:
-            raise UsageError(f"unknown claims: {', '.join(unknown)}")
-    else:
-        names = list(CLAIMS)
+    fails, 3 where one errs; a bad parameter, or an `only` that names no claim, raises UsageError
+    or DomainError before any claim."""
+    names = list(CLAIMS) if only is None else [n.strip() for n in only.split(",") if n.strip()]
+    unknown = [n for n in names if n not in CLAIMS and n not in EXTRA_CLAIMS]
+    if unknown:
+        raise UsageError(f"unknown claims: {', '.join(unknown)}")
+    if not names:
+        raise UsageError(f"--only names no claim: {only!r}")
     SequenceParams(tau, sigma)
     _check_positive("h", h)
     _check_p_max(pmax, 10 if "liminf" in names else 4 if "m2-classical" in names else 3, "--pmax")

@@ -16,6 +16,8 @@ from extgevrey import (
     assoc_fn_counting_grid,
     assoc_fn_sup,
     assoc_fn_sup_grid,
+    assocfn,
+    cli,
     counting_fn_direct,
     counting_fn_floor,
     default_k_grid,
@@ -219,6 +221,30 @@ def test_counting_fn_floor_at_its_edges(tau, sigma, C, lam, expected):
     params = SequenceParams(tau, sigma)
     assert counting_fn_floor(params, C, lam) == expected
     assert counting_fn_direct(params, C, lam) == expected
+
+
+@pytest.mark.parametrize("C", [5.0, 1e20, 1e200, 1e300])
+@pytest.mark.parametrize("fn", [counting_fn_floor, counting_fn_direct])
+def test_no_p_counts_where_lambda_is_the_float_below_c(fn, C):
+    # ln C == ln lambda in floats there: g(1) = ln C <= ln lambda is decided as C <= lambda
+    P, lam = SequenceParams(1.0, 2.0), math.nextafter(C, 0.0)
+    assert math.log(C) == math.log(lam) and _reference.count(1.0, 2.0, C, lam) == 0
+    assert fn(P, C, lam) == 0
+    assert fn(P, np.array([C]), np.array([lam, C])).tolist() == [0, 1]
+
+
+def test_the_array_routes_decide_the_verify_claim_grid_themselves(monkeypatch):
+    # at the default point, the counting-floor claim's 360 points: the floor hands the one
+    # point where P = 1 is an integer (C = 1, lambda = 1) to its scalar route, direct none
+    P, handed = SequenceParams(1.0, 2.0), []
+    for name in ("_floor_scalar", "_direct_scalar"):
+        fn = getattr(assocfn, name)
+        monkeypatch.setattr(assocfn, name, lambda *a, _name=name, _fn=fn: handed.append(_name) or _fn(*a))
+    assert cli._FLOOR_C.size * cli._FLOOR_LAMBDA.size == 360
+    floor = counting_fn_floor(P, cli._FLOOR_C, cli._FLOOR_LAMBDA)
+    assert handed.count("_floor_scalar") <= 1
+    assert (counting_fn_direct(P, cli._FLOOR_C, cli._FLOOR_LAMBDA) == floor).all()
+    assert handed.count("_direct_scalar") == 0
 
 
 def test_counting_fn_floor_past_its_resolution_raises():

@@ -240,6 +240,16 @@ def test_verify_unknown_claim(capsys):
     assert "unknown claims" in err
 
 
+@pytest.mark.parametrize("only", [",", " ", " , "])
+def test_verify_only_that_names_no_claim_is_a_usage_error(only, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setitem(cli.CLAIMS, "w3", lambda a: ran.append("w3") or (True, {}))
+    code, out, err = run_cli(["verify", "--only", only], capsys)
+    assert (code, out, ran) == (2, "", []) and "names no claim" in err
+    with pytest.raises(cli.UsageError, match="names no claim"):
+        cli.verify_report(only=only)
+
+
 def test_usage_error_exit_code(capsys):
     code, _, err = run_cli(["lambertw", "--grid", "5:1:8"], capsys)
     assert code == 2

@@ -5,7 +5,8 @@ values, or raise one of the package's errors (`extgevrey.errors`): any other exc
 fails, a RuntimeWarning included (pyproject.toml makes those errors). `phi_sigma` alone
 may return inf, past the floats, as it documents. Where a sup or counting grid returns,
 its values equal its scalar twin's at each point to 1e-13 relative; the maximisers may
-differ where g is flat within rounding at its top (p past about 1e8).
+differ where g is flat within rounding at its top (p past about 1e8). A count that returns
+is positive exactly where C <= lambda, where p = 1 counts.
 
 Run this module as a script for a longer sweep over more seeds; it exits 1 if a call fails:
 
@@ -106,6 +107,12 @@ def check(d):
         inf_ok = name in ("phi_sigma", "phi_sigma array")
         bad = [v for v in _numbers(out) if not (math.isfinite(v) or inf_ok and v == math.inf)]
         assert not bad, f"{name} at {d}: {bad[0]} in {out!r}"
+    # p = 1 counts exactly where g(1) = ln C <= ln lambda, that is where C <= lambda
+    for name, C in (("counting_fn_floor", d["C"]), ("counting_fn_floor array", d["k"]),
+                    ("counting_fn_direct", d["C"]), ("counting_fn_direct array", d["k"])):
+        if name in got:
+            assert ((np.asarray(got[name]) > 0) == (np.asarray(C) <= d["lam"])).all(), \
+                f"{name} at {d}: {got[name]!r}"
     for grid, scalar in (("assoc_fn_sup_grid", "assoc_fn_sup"), ("assoc_fn_counting_grid", "assoc_fn_counting")):
         if grid in got:
             assert scalar in got, f"{scalar} raises where {grid} returns, at {d}"
@@ -124,15 +131,16 @@ def test_public_functions_return_finite_values_or_documented_errors(seed):
         check(d)
 
 
-# (tau, sigma, h) where a call once broke the contract; the other arguments fixed
-@pytest.mark.parametrize("tau, sigma, h", [
-    (5892447.000206286, 1021.6304760128658, 4.524178708727972e+26),    # g(2) = inf - inf as written
-    (1.6869638155091605e+308, 7021.061374725526, 1.1933336980865066e-20),     # tau ln 2 = inf, a warning
-    (1000.0, 1020.0, math.exp(709.7)),      # g(2) passes the largest float: T_h was g(1)
-    (2.037533394864031e+31, 275.3805505967718, 1.0),    # the lemma's upper bound at p = 10 overflows
-], ids=["g-nan", "tau-ln-p-overflows", "g-past-max", "lemma-upper-bound"])
-def test_public_functions_at_points_that_once_broke_them(tau, sigma, h):
-    check({"tau": tau, "sigma": sigma, "h": h, "k": [2.0, 1e10, 3.56e78, 1e300], "C": 1.0, "lam": 1e6,
+# (tau, sigma, h, C, lambda) where a call once broke the contract; the other arguments fixed
+@pytest.mark.parametrize("tau, sigma, h, C, lam", [
+    (5892447.000206286, 1021.6304760128658, 4.524178708727972e+26, 1.0, 1e6),  # g(2) = inf - inf as written
+    (1.6869638155091605e+308, 7021.061374725526, 1.1933336980865066e-20, 1.0, 1e6),  # tau ln 2 = inf, a warning
+    (1000.0, 1020.0, math.exp(709.7), 1.0, 1e6),    # g(2) passes the largest float: T_h was g(1)
+    (2.037533394864031e+31, 275.3805505967718, 1.0, 1.0, 1e6),  # the lemma's upper bound at p = 10 overflows
+    (1.0, 2.0, 1.0, 1e20, math.nextafter(1e20, 0.0)),   # ln C == ln lambda for C > lambda: p = 1 counted
+], ids=["g-nan", "tau-ln-p-overflows", "g-past-max", "lemma-upper-bound", "g1-float-below-c"])
+def test_public_functions_at_points_that_once_broke_them(tau, sigma, h, C, lam):
+    check({"tau": tau, "sigma": sigma, "h": h, "k": [2.0, 1e10, 3.56e78, 1e300], "C": C, "lam": lam,
            "x": [0.0, 1.0, 1e300], "p_max": 10, "label": "M.1", "Q": 3, "s": 2.0})
 
 
