@@ -17,11 +17,11 @@ and p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on p 
 g has at most one interior local maximum, the W0 root
 ln p* = W0(x)/(sigma-1) - c, x = ln k (sigma-1)/(tau sigma) e^{(sigma-1)c},
 for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ... floor(p*)+2)), and
-max(0, g(1)) where x < -1/e (g only falls). `assoc_sup_grid` takes one W call
-for all k; the scalar `_assoc_sup_scalar` takes the same candidates in `math`,
-since a numpy call on one point costs more than the whole scalar path. At h < 1
-and ln k > 0 both take ln p* from `_ln_p_star_h_below_1` instead, with no W and
-no difference of c-sized terms.
+max(0, g(1)) where x < -1/e (g only falls), as at h < 1 and ln k <= 0 (g < 0 at
+every p >= 1). `assoc_sup_grid` takes one W call for all k; the scalar
+`_assoc_sup_scalar` takes the same candidates in `math`, since a numpy call on one
+point costs more than the whole scalar path. At h < 1 both take ln p* from
+`_ln_p_star_h_below_1` instead, with no W and no difference of c-sized terms.
 
 The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
 N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p.
@@ -30,11 +30,13 @@ sigma ln p + ln B(p) with ln ln k - ln tau: values that neither cancel nor overf
 `_counting_sum_scalar` finds one N by galloping and bisecting in `math`,
 `counting_sum_grid` every N by `searchsorted` in one table.
 
-A sup candidate past the floats, one rule in both kernels: g as written where it is
+The scalar kernel alone scores a sup candidate past the floats: g as written where it is
 finite, so ordinary bits stay; else, where p^sigma is finite, p^sigma (ln h - tau ln p)
 + p ln k, whose sign is right and which is inf only past the largest float (NumericalError);
 where p^sigma is not, -inf if tau ln p - ln h > p ln_+ k / MAX proves g < 0 (tau ln p = inf
-proves it), else NumericalError. No candidate is NaN, so the first largest wins.
+proves it), else NumericalError. No candidate is NaN, so the first largest wins. The grid
+decides a point where ln x is finite, ln p* < ln 2**53 and each g is finite or so proven
+< 0, and hands every other point, in k order, to the scalar kernel.
 """
 
 import math
@@ -202,13 +204,6 @@ def _p_concave_from(lnh, tau):
     return int(min(math.exp(min(lnh / tau, 16.0)), 4e6)) + 1 if lnh > 0.0 else 1
 
 
-_PAST_2_53 = "T_h(k) peaks near p = exp({:.6g}) > 2**53, past exact integer floats"
-# c = (tau - sigma ln h)/(tau sigma) past the floats where |ln h|/tau is: no W argument x is formed
-_X_PAST_FLOATS = "ln x = {:.6g} of the root p* leaves the floats, c = {:.6g}"
-_PAST_MAX = "T_h(k) = g(p) passes the largest float at p = {:.17g}"
-_UNRESOLVED = "p^sigma overflows a float at the candidate p = {:.17g}, where g's sign is unresolved"
-
-
 def _sup_error(what, lnk, lnh, tau, sigma):
     # exp(ln h) is off by about |ln h| ulps: 12 significant digits hide that round trip
     h, k = (f"{math.exp(v):.12g}" if v < 709.0 else f"exp({v:.12g})" for v in (lnh, lnk))
@@ -248,13 +243,15 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     c = (tau - sigma * lnh) / (tau * sigma)
     lx = math.log(abs(lnk)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c) if lnk else -math.inf
     near = ()
-    if lnk > 0.0 or lx <= -1.0:      # x >= -1/e
-        if not lx < math.inf:       # NaN too
-            raise _sup_error(_X_PAST_FLOATS.format(lx, c), lnk, lnh, tau, sigma)
-        lnp = (_ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max) if lnh < 0.0 and lnk > 0.0
+    if lnk > 0.0 or lx <= -1.0 and lnh >= 0.0:      # x >= -1/e, as in `assoc_sup_grid`
+        if not lx < math.inf:       # NaN too: c passes the floats where |ln h|/tau does
+            raise _sup_error(f"ln x = {lx:.6g} of the root p* leaves the floats, c = {c:.6g}",
+                             lnk, lnh, tau, sigma)
+        lnp = (_ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max) if lnh < 0.0
                else w0_exp_scalar(lx, lnk)[0] / (sigma - 1.0) - c)
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
-            raise _sup_error(_PAST_2_53.format(lnp), lnk, lnh, tau, sigma)
+            raise _sup_error(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer floats",
+                             lnk, lnh, tau, sigma)
         q = math.floor(math.exp(lnp))
         near = range(max(q - 1, 1), q + 3)
     best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
@@ -263,13 +260,14 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
             pw = float(p) ** sigma
         except OverflowError:
             if not tau * math.log(p) - lnh > max(lnk, 0.0) * p / _MAX:
-                raise _sup_error(_UNRESOLVED.format(p), lnk, lnh, tau, sigma) from None
+                raise _sup_error(f"p^sigma overflows a float at the candidate p = {p}, where g's sign is "
+                                 "unresolved", lnk, lnh, tau, sigma) from None
             continue        # g(p) < 0
         g = pw * lnh + p * lnk - tau * pw * math.log(p)
         if not math.isfinite(g):
             g = pw * (lnh - tau * math.log(p)) + p * lnk
             if g == math.inf:
-                raise _sup_error(_PAST_MAX.format(p), lnk, lnh, tau, sigma)
+                raise _sup_error(f"T_h(k) = g(p) passes the largest float at p = {p}", lnk, lnh, tau, sigma)
         if g > best:
             best, best_p = g, p
     return best, best_p
@@ -281,39 +279,32 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
     c = (tau - sigma * lnh) / (tau * sigma)
-    # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):     # undecided points are handed over
+        # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
         lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
-    t = np.flatnonzero((lnk_arr > 0.0) | (lx <= -1.0))     # x >= -1/e: integers next to p* compete
-    if not (lx[t] < math.inf).all():        # NaN too
-        i = t[np.argmin(lx[t] < math.inf)]
-        raise _sup_error(_X_PAST_FLOATS.format(lx[i], c), lnk_arr[i], lnh, tau, sigma)
-    L = lnk_arr[t]
-    if lnh < 0.0:   # h < 1: where ln k <= 0 too, g(p) < 0 at every p >= 1
-        t, L = t[L > 0.0], L[L > 0.0]
-        lnp = _ln_p_star_h_below_1(L, lnh, tau, sigma)
-    else:
-        lnp = w0_exp_grid(lx[t], L) / (sigma - 1.0) - c
-    if not (lnp < _LN_2_53).all():
-        raise _sup_error(_PAST_2_53.format(lnp.max()), L[np.argmax(lnp)], lnh, tau, sigma)
-    q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)    # a row per candidate
-    with np.errstate(over="ignore", invalid="ignore"):
+        # x >= -1/e: integers next to p* compete; at h < 1 only where ln k > 0, as g < 0 at every p >= 1 else
+        t = np.flatnonzero(lnk_arr > 0.0 if lnh < 0.0 else (lnk_arr > 0.0) | (lx <= -1.0))
+        L, lx = lnk_arr[t], lx[t]
+        lnp = (_ln_p_star_h_below_1(L, lnh, tau, sigma) if lnh < 0.0
+               else w0_exp_grid(lx, L) / (sigma - 1.0) - c)
+        q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)    # a row per candidate
         pwq = q ** sigma
         g = pwq * lnh + q * L - tau * pwq * np.log(q)
-        lost = ~np.isfinite(g.T)        # point by point, as the scalar kernel meets them
-        if lost.any():
-            ql, Ll, pl = q.T[lost], np.broadcast_to(L[:, None], lost.shape)[lost], pwq.T[lost]
-            tlq = tau * np.log(ql)
-            g.T[lost] = gl = pl * (lnh - tlq) + ql * Ll    # -inf where pl = inf and g < 0 is proven
-            bad = (pl == math.inf) & ~(tlq - lnh > np.maximum(Ll, 0.0) * ql / _MAX)
-            if (stop := bad | (gl == math.inf)).any():
-                j = stop.argmax()
-                raise _sup_error((_UNRESOLVED if bad[j] else _PAST_MAX).format(ql[j]), Ll[j], lnh, tau, sigma)
+        dec = np.isfinite(g)    # the candidates decided on the floats
+        if not dec.all():       # and where p^sigma = inf, those the sign test proves g < 0 at
+            dec |= (pwq == math.inf) & (tau * np.log(q) - lnh > np.maximum(L, 0.0) * q / _MAX)
+            g[~np.isfinite(g)] = -math.inf      # proven, or its point is handed over
+    ok_x, ok_p, hand = lx < math.inf, lnp < _LN_2_53, ()     # NaN too
+    if not (ok_x.all() and ok_p.all() and dec.all()):
+        keep = ok_x & ok_p & dec.all(axis=0)
+        hand, t, q, g = t[~keep], t[keep], q[:, keep], g[:, keep]
     best_g, best_q = g.max(axis=0), q[3].copy()
     for qr, gr in zip(q[2::-1], g[2::-1]):      # upwards, so that the first largest wins
         np.copyto(best_q, qr, where=gr == best_g)
     argmax[t] = np.where(best_g > values[t], best_q, argmax[t])
     values[t] = np.maximum(values[t], best_g)
+    for i in hand:      # in k order, so that the first failing point raises
+        values[i], argmax[i] = _assoc_sup_scalar(float(lnk_arr[i]), lnh, tau, sigma)
     return values, argmax
 
 

@@ -53,7 +53,8 @@ def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
 
 
 def assoc_fn_sup_grid(params: SequenceParams, h: float, k_grid) -> Tuple[np.ndarray, np.ndarray]:
-    """(T_h(k), argmax p) for every k, as arrays shaped like k_grid."""
+    """(T_h(k), argmax p) for every k, as arrays shaped like k_grid, each entry equal to
+    `assoc_fn_sup` at its k to rounding; an error is that call's at the first failing k."""
     _check_positive("h", h)
     k = _k_grid(k_grid, "assoc_fn_sup_grid")
     T, argmax = assoc_sup_grid(np.log(k).ravel(), math.log(h), params.tau, params.sigma)
@@ -280,10 +281,10 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     ln R, and ln W(R) = ln R - W(R) where W <= 1 (W underflows with R): no factor of R or
     E is formed, so none leaves the floats. Where s ln ln k does (s from about 5e306), E is
     taken as exp((s/(s-1)) ln ln k - ln W(R)/(s-1)), near ln k; elsewhere E keeps its bits.
-    NumericalError where E passes the largest float, and where ln R does (c past the floats,
-    where |ln h|/tau is)."""
+    DomainError unless every k is finite and > 0. NumericalError where E passes the largest
+    float, and where ln R does (c past the floats, where |ln h|/tau is)."""
     _check_positive("h", h)
-    k = np.asarray(k_grid, dtype=np.float64)
+    k = _k_grid(k_grid, "envelope")
     tau, s = params.tau, params.sigma
     E, big = np.zeros_like(k), k > 1.0
     kb, c = k[big], (tau - s * math.log(h)) / (tau * s)

@@ -228,12 +228,16 @@ def extended_matrix(sigma: float, taus) -> MatrixHandle:
 
 
 def conjugate_matrix(sigma: float, Hs) -> MatrixHandle:
-    """N_sigma: log N^H_p = phi_sigma*(H p) / H, one member per H."""
+    """N_sigma: log N^H_p = phi_sigma*(H p) / H, one member per H. The table raises
+    NumericalError, naming sigma and H, where H p leaves the floats."""
     Hs = tuple(Hs)
     for H in Hs:
         _check_positive("H", H)
 
     def table(p):
+        pm = float(np.max(p, initial=0))
+        if big := [H for H in Hs if not float(H) * pm < math.inf]:
+            raise NumericalError(f"H p leaves the floats at p = {pm:g}: sigma={sigma!r}, H={big[0]!r}")
         # every member's phi*(H p) in one call: an entry of it does not depend on the other points,
         # so each row, checked as its member's log_M, is phi*(H p) / H taken alone bit for bit
         stars = phi_sigma_conjugate(sigma, np.multiply.outer(Hs, np.asarray(p, dtype=np.float64)))[0]
@@ -253,6 +257,7 @@ def check_matrix_equivalence(A: MatrixHandle, B: MatrixHandle,
     handles probes the other family; holds=true means every probe index is
     bracketed within the reservoir grid.
     """
+    _check_p_max(p_max, 10)     # stable_sup reads the drift on p <= p_max/10
     if A.sigma != B.sigma:
         raise UsageError("matrix handles must share sigma")
     if not A.indices or not B.indices:

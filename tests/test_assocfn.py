@@ -428,6 +428,13 @@ def test_envelope_positive_and_increasing():
     assert np.all(np.diff(E) > 0)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, 0.0])
+def test_envelope_needs_finite_positive_k(k):
+    # as assoc_fn_sup_grid: a NaN k once gave E = 0, and an infinite one a NumericalError
+    with pytest.raises(DomainError, match=rf"^envelope needs finite k > 0, got k={k}$"):
+        envelope(SequenceParams(1.0, 2.0), 1.0, [10.0, k])
+
+
 # where a factor of E leaves the floats: E finite, 0 at k = 1 and rising; its values are
 # held to the 50-digit reference below, at the same (tau, sigma, h)
 
@@ -559,7 +566,7 @@ def test_subnormal_tau_raises_numerical_error(tau, sigma):
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match=rf"2\*\*53.*{at}, h=1, k=10$"):
             assoc_fn_sup(P, 1, 10)
-        with pytest.raises(NumericalError, match=rf"2\*\*53.*{at}, h=1, k=100000$"):
+        with pytest.raises(NumericalError, match=rf"2\*\*53.*{at}, h=1, k=10$"):
             assoc_fn_sup_grid(P, 1, [10, 1e5])
         with pytest.raises(NumericalError, match=rf"resolves: {at}, C=2.718281828459045, lambda=10$"):
             counting_fn_floor(P, math.e, 10)

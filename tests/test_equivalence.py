@@ -135,6 +135,23 @@ def test_matrix_guards():
         check_matrix_equivalence(M, extended_matrix(2.0, []), 100)
 
 
+@pytest.mark.parametrize("p_max", [0, 5, 9])
+def test_matrix_equivalence_needs_p_max_of_10(p_max):
+    # as ocena-norme: stable_sup reads the drift on p <= p_max/10
+    with pytest.raises(UsageError, match=rf"^p_max must lie in \[10, 10000000\], got {p_max}$"):
+        check_matrix_equivalence(extended_matrix(2.0, [1.0]), conjugate_matrix(2.0, [1.0]), p_max)
+
+
+def test_conjugate_matrix_where_h_p_leaves_the_floats():
+    N, p = conjugate_matrix(2.0, [1.0, 1e307]), np.arange(1, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=r"^H p leaves the floats at p = 300: sigma=2\.0, H=1e\+307$"):
+            N.table(p)
+        with pytest.raises(NumericalError, match=r"H=1e\+307$"):
+            check_matrix_equivalence(extended_matrix(2.0, [1.0, 2.0]), N, 300)
+
+
 @pytest.mark.parametrize("s", [2.0, 3.0])
 def test_corollary_band(s):
     rep = check_corollary(s)

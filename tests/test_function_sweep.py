@@ -5,8 +5,9 @@ values, or raise one of the package's errors (`extgevrey.errors`): any other exc
 fails, a RuntimeWarning included (pyproject.toml makes those errors). `phi_sigma` alone
 may return inf, past the floats, as it documents. Where a sup or counting grid returns,
 its values equal its scalar twin's at each point to 1e-13 relative; the maximisers may
-differ where g is flat within rounding at its top (p past about 1e8). A count that returns
-is positive exactly where C <= lambda, where p = 1 counts.
+differ where g is flat within rounding at its top (p past about 1e8). Where the sup grid
+raises, the scalar calls over the same k raise the same error, at the first failing k.
+A count that returns is positive exactly where C <= lambda, where p = 1 counts.
 
 Run this module as a script for a longer sweep over more seeds; it exits 1 if a call fails:
 
@@ -43,7 +44,7 @@ def draw(rng):
             "C": _k(rng), "lam": 1.0 if rng.random() < 0.1 else 1.0 + _positive(rng),
             "x": [0.0 if rng.random() < 0.1 else _positive(rng) for _ in range(3)],
             "p_max": rng.choice((10, 300, 1000)), "label": rng.choice(list(sequences._CHECKS)),
-            "Q": int(_log_uniform(rng, 2.0, 10.0)), "s": _sigma(rng)}
+            "Q": int(_log_uniform(rng, 2.0, 10.0)), "s": _sigma(rng), "H": _positive(rng)}
 
 
 def calls(d):
@@ -52,6 +53,7 @@ def calls(d):
     P = eg.SequenceParams(tau, sigma)
     seq = eg.extended_gevrey(P)
     p = np.arange(1, d["p_max"] + 1)
+    phi = lambda t: eg.phi_sigma(sigma, t)
     return [
         ("assoc_fn_sup", lambda: [eg.assoc_fn_sup(P, h, kj) for kj in k]),
         ("assoc_fn_sup_grid", lambda: eg.assoc_fn_sup_grid(P, h, k)),
@@ -63,12 +65,14 @@ def calls(d):
         ("counting_fn_direct array", lambda: eg.counting_fn_direct(P, np.array(k), d["lam"])),
         ("envelope", lambda: eg.envelope(P, h, k)),
         ("sandwich_bounds_check", lambda: eg.sandwich_bounds_check(P, h, _SANDWICH_K)),
-        ("integral_closed_form_check", lambda: eg.integral_closed_form_check(P, d["C"], [1.5, 1e3, 1e8])),
+        ("integral_closed_form_check",
+         lambda: eg.integral_closed_form_check(P, d["C"], [kj for kj in k if kj > 1.0])),
         ("phi_sigma", lambda: [eg.phi_sigma(sigma, xj) for xj in x]),
         ("phi_sigma array", lambda: eg.phi_sigma(sigma, np.array(x))),
         ("phi_sigma_conjugate", lambda: [eg.phi_sigma_conjugate(sigma, xj) for xj in x]),
         ("phi_sigma_conjugate array", lambda: eg.phi_sigma_conjugate(sigma, np.array(x))),
-        ("young_conjugate", lambda: eg.young_conjugate(lambda t: eg.phi_sigma(sigma, t), min(x[0], 1e6))),
+        ("young_conjugate", lambda: eg.young_conjugate(phi, min(x[0], 1e6))),
+        ("conjugate_table", lambda: eg.conjugate_table(phi, [min(xj, 1e6) for xj in x])),
         ("lambert_w0", lambda: [eg.lambert_w0(xj) for xj in x]),
         ("lambert_w0_grid", lambda: eg.lambert_w0_grid(x)),
         ("evaluate_w", lambda: [eg.evaluate_w(xj) for xj in x]),
@@ -80,6 +84,10 @@ def calls(d):
         ("slope_band", lambda: eg.slope_band(sigma, tau, d["p_max"])),
         ("check_T_phi_equivalence", lambda: eg.check_T_phi_equivalence(P, h)),
         ("check_corollary", lambda: eg.check_corollary(d["s"])),
+        ("check_weight_axioms", lambda: eg.check_weight_axioms(eg.corollary_weight(d["s"]))),
+        ("check_ocena_norme", lambda: eg.check_ocena_norme(sigma, tau, d["p_max"])),
+        ("check_matrix_equivalence", lambda: eg.check_matrix_equivalence(
+            eg.extended_matrix(sigma, [tau, 2.0 * tau]), eg.conjugate_matrix(sigma, [d["H"]]), d["p_max"])),
     ]
 
 
@@ -96,11 +104,12 @@ def _numbers(v):
 
 def check(d):
     """Call every entry point at d: AssertionError, naming the call and d, where one breaks the contract."""
-    got = {}
+    got, raised = {}, {}
     for name, thunk in calls(d):
         try:
             got[name] = out = thunk()
-        except _DOCUMENTED:
+        except _DOCUMENTED as exc:
+            raised[name] = repr(exc)
             continue
         except Exception as exc:        # a RuntimeWarning too
             raise AssertionError(f"{name} at {d}: {exc!r}") from exc
@@ -113,6 +122,10 @@ def check(d):
         if name in got:
             assert ((np.asarray(got[name]) > 0) == (np.asarray(C) <= d["lam"])).all(), \
                 f"{name} at {d}: {got[name]!r}"
+    # a sup grid's error is the scalar call's at the first failing k
+    if "assoc_fn_sup_grid" in raised:
+        assert raised.get("assoc_fn_sup") == raised["assoc_fn_sup_grid"], f"assoc_fn_sup_grid at {d}: " \
+            f"{raised['assoc_fn_sup_grid']} against {raised.get('assoc_fn_sup')}"
     for grid, scalar in (("assoc_fn_sup_grid", "assoc_fn_sup"), ("assoc_fn_counting_grid", "assoc_fn_counting")):
         if grid in got:
             assert scalar in got, f"{scalar} raises where {grid} returns, at {d}"
@@ -141,7 +154,7 @@ def test_public_functions_return_finite_values_or_documented_errors(seed):
 ], ids=["g-nan", "tau-ln-p-overflows", "g-past-max", "lemma-upper-bound", "g1-float-below-c"])
 def test_public_functions_at_points_that_once_broke_them(tau, sigma, h, C, lam):
     check({"tau": tau, "sigma": sigma, "h": h, "k": [2.0, 1e10, 3.56e78, 1e300], "C": C, "lam": lam,
-           "x": [0.0, 1.0, 1e300], "p_max": 10, "label": "M.1", "Q": 3, "s": 2.0})
+           "x": [0.0, 1.0, 1e300], "p_max": 10, "label": "M.1", "Q": 3, "s": 2.0, "H": 1.0})
 
 
 if __name__ == "__main__":

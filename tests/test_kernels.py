@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from extgevrey import (NumericalError, SequenceParams, assoc_fn_counting, assoc_fn_counting_grid,
-                       assoc_fn_sup, assoc_fn_sup_grid, evaluate_w)
+                       assoc_fn_sup, assoc_fn_sup_grid, default_k_grid, evaluate_w)
 from extgevrey import lambert_w0
 from extgevrey import _kernels, assocfn
 from extgevrey.lambertw import w_residual
@@ -106,6 +106,29 @@ def test_assoc_sup_scalar_and_grid_agree(tau, sigma, lnh, lnk):
         vs, ps = _kernels._assoc_sup_scalar(L, lnh, tau, sigma)
         assert ps == a
         assert vs == pytest.approx(v, rel=1e-13, abs=1e-13)
+
+
+def test_the_grid_hands_only_undecided_points_to_the_scalar_kernel(monkeypatch):
+    handed, scalar = [], _kernels._assoc_sup_scalar
+    monkeypatch.setattr(_kernels, "_assoc_sup_scalar", lambda *a: handed.append(a[0]) or scalar(*a))
+    # the verify default on its k grid, and the (tau, sigma, h) of the benchmark's grid workload
+    # on 4000 points of k in [1, 1e10]: every point decided in the grid
+    cases = [(1.0, 2.0, 1.0, default_k_grid())] + [
+        (tau, sigma, h, np.logspace(0.0, 10.0, 4000)) for tau, sigma, h in
+        [(1.0, 2.0, 1.0), (0.5, 1.5, 1.0), (1.0, 1.3, 1.0), (2.0, 3.0, 1.0), (1.0, 2.0, math.e ** 2),
+         (0.5, 1.5, math.e ** 3)]]
+    for tau, sigma, h, k in cases:
+        _kernels.assoc_sup_grid(np.log(k), math.log(h), tau, sigma)
+    assert handed == []
+    # g(2) = inf - inf as written at every point: each one goes over, in k order
+    _kernels.assoc_sup_grid(np.array(_LNK_WIDE), math.log(4.524178708727972e+26), 5892447.000206286,
+                            1021.6304760128658)
+    assert handed == _LNK_WIDE
+    # every candidate past p = 1 has p^sigma = inf, and tau ln p = inf proves g < 0: none goes over
+    handed.clear()
+    _kernels.assoc_sup_grid(np.array(_LNK_WIDE), math.log(1.1933336980865066e-20), 1.6869638155091605e+308,
+                            7021.061374725526)
+    assert handed == []
 
 
 def test_w_iterations_below_e_are_few():

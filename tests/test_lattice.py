@@ -35,7 +35,7 @@ def _point(tau, sigma, h):
             claims[name] = "ERROR " + _NUMBER.sub("#", rep["error"])
         else:
             claims[name] = "PASS" if rep["holds"] else "FAIL"
-    return {"tau": tau, "sigma": sigma, "h": h, "exit": code, "claims": claims}
+    return {"tau": tau, "sigma": sigma, "h": h, "exit": code, "claims": dict(sorted(claims.items()))}
 
 
 def build():
