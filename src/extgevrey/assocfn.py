@@ -9,7 +9,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._kernels import (_assoc_sup_scalar, _counting_sum_scalar, _ln_x_over_lnk, assoc_sup_grid,
+from ._kernels import (_LN_2_53, _assoc_sup_scalar, _counting_sum_scalar, _ln_x_over_lnk, assoc_sup_grid,
                        counting_sum_grid, w0_exp_grid, w0_exp_scalar)
 from .errors import DomainError, NumericalError, UsageError
 from .sequences import SequenceParams, _check_positive, _fit_band
@@ -79,6 +79,16 @@ def assoc_fn_counting_grid(params: SequenceParams, k_grid) -> Tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 # counting function for the shifted quotient variant
 # ---------------------------------------------------------------------------
+#
+# Both routes decide g(p) = p^(s-1) (ln C + tau ln p) <= ln lambda one way, exactly: divided
+# by p^(s-1), as a = ln C^+ + tau ln p <= b = ln C^- + ln lambda / p^(s-1) (C^+ = max(C, 1),
+# C^- = max(1/C, 1)), sums of terms >= 0 that the floats give to a few ulps. A float a taken
+# _K times too large proves that p fits where it is <= b, and that p does not where it is
+# > _K^2 b; in between, and only there, `_fits_exact` decides in decimal.
+
+_K = 1.0 + 2.0 ** -46   # past a's and b's rounding errors (several ulps each)
+_K2 = _K * _K
+
 
 def _validate_c_lam(C, lam):
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
@@ -86,13 +96,23 @@ def _validate_c_lam(C, lam):
         raise DomainError(f"lambda must be finite and >= 1, got {lam}")
 
 
+def _fits_exact(p, s, tau, C, lam):
+    """a(p) <= b(p) in 50-digit decimal at the given floats; a difference within 1e-40 of
+    the terms is a tie (as at C = 1, tau = 1, sigma = 2, lambda = p^p), and a tie fits."""
+    from decimal import Context, Decimal as D, localcontext     # here alone: ~2.5 ms to import
+    with localcontext(Context(prec=50)):
+        lp, lnC = D(p).ln(), D(float(C)).ln()
+        t, r = D(tau) * lp, D(float(lam)).ln() * ((1 - D(s)) * lp).exp()
+        return lnC + t - r <= (abs(lnC) + t + r) * D("1e-40")
+
+
 def counting_fn_floor(params: SequenceParams, C, lam):
     """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W.
 
-    The bound is P = exp(W(x)/(s-1) - ln C/tau), x = C^((s-1)/tau) (s-1)/tau ln lambda,
-    with W from ln x where x is large. Within the rounding error of P of an integer n,
-    the defining inequality at p = n decides whether n counts; where that error
-    reaches 1/2, more than one integer is in doubt and NumericalError is raised.
+    The count is floor(P), P = exp(W(x)/(s-1) - ln C/tau), x = C^((s-1)/tau) (s-1)/tau
+    ln lambda, with W from ln x where x is large. A bound d on the error of ln P brackets
+    P in e^(ln P -+ d): its one integer part, or `counting_fn_direct`'s search in it, is
+    the count. Raises NumericalError where the bracket is not finite and below 2**53.
 
     C and lambda may be arrays, which broadcast: the counts come back as an int64 array
     with one W call for all of them, each entry equal to the scalar call at its point,
@@ -103,49 +123,26 @@ def counting_fn_floor(params: SequenceParams, C, lam):
     return _counts_grid(_floor_grid, _floor_scalar, params, C, lam)
 
 
+def _ln_p_error(ln_p, c, w, m, s1):
+    """A bound on the error of ln P = w/s1 - c, w = W(e^lx), lx = ln ln lambda + m: 2^-46 times
+    its terms and those of lx, damped by W's gain w/(1 + w) (w/(1 + w) |lx| <= 1 + 2w); or arrays."""
+    return 2.0 ** -46 * (1.0 + abs(ln_p) + abs(c) + (1.0 + w + abs(m)) / s1)
+
+
 def _floor_scalar(tau, s, C, lam):
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
         _validate_c_lam(C, lam)
     if not C <= lam:    # g(1) = ln C > ln lambda, on the floats: no p counts, whatever W resolves
         return 0
-    lnC, lnlam = math.log(C), math.log(lam)
-    c = lnC / tau
-    lx = math.log(lnlam) + _ln_x_over_lnk(s - 1.0, tau, 1.0, c) if lnlam > 0.0 else -math.inf
-    w = w0_exp_scalar(lx)[0]
-    ln_val = w / (s - 1.0) - c
-    val = math.exp(ln_val) if ln_val < 709.0 else math.inf
-    # relative error of P: ~eps times the terms of ln P, w's carrying that of x = e^lx
-    # damped by W's conditioning 1/(1 + w)
-    rel = 1e-12 + 1e-15 * ((w * (1.0 + abs(lx)) / (1.0 + w) if w else 0.0) / (s - 1.0) + abs(lnC) / tau)
-    if not (rel * val < 0.5 and rel < 0.5):     # a NaN count, or a 0 that exp underflowed to
-        raise NumericalError(f"the count exp({ln_val:.6g}) is past what the closed form resolves: "
+    s1, lnlam, c = s - 1.0, math.log(lam), math.log(C) / tau
+    m = _ln_x_over_lnk(s1, tau, 1.0, c)
+    w = w0_exp_scalar(math.log(lnlam) + m if lnlam > 0.0 else -math.inf)[0]
+    d = _ln_p_error(ln_p := w / s1 - c, c, w, m, s1)
+    if not ln_p + d < _LN_2_53:     # NaN too
+        raise NumericalError(f"the count exp({ln_p:.6g}) is past what the closed form resolves: "
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
-    n = round(val)
-    if n >= 1 and abs(val - n) <= rel * val:
-        if tau < 2.0 ** -960:   # tau ln n would be subnormal: scale g and ln lambda by 2^600, exactly
-            tau, lnC, lnlam = tau * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
-        return n if _fits(n, s - 1.0, lnC, tau, lnlam) else n - 1
-    return math.floor(val)
-
-
-def _fits(p, e, lnC, tau, lnlam):
-    """g(p) = p^e (ln C + tau ln p) <= ln lambda, through `_fits_past_floats` where p^e overflows."""
-    try:
-        return p ** e * (lnC + tau * math.log(p)) <= lnlam
-    except OverflowError:
-        return _fits_past_floats(p, e, lnC, tau, lnlam)
-
-
-def _fits_past_floats(p, e, lnC, tau, lnlam):
-    """g(p) <= ln lambda where p^e overflows: q f q with q = p^(e/2), f = ln C + tau ln p
-    (normal: the callers scale a tau below 2^-960); if q overflows, g > 710 unless f <= 0."""
-    lnp = math.log(p)
-    f = lnC + tau * lnp
-    try:
-        q = p ** (0.5 * e)
-    except OverflowError:
-        return f <= 0.0
-    return q * f * q <= lnlam
+    lo, hi = math.floor(math.exp(ln_p - d)) or 1, math.floor(math.exp(ln_p + d)) + 1
+    return lo if hi - lo <= 1 else _direct_scalar(tau, s, C, lam, lo, hi)
 
 
 def counting_fn_direct(params: SequenceParams, C, lam):
@@ -153,7 +150,8 @@ def counting_fn_direct(params: SequenceParams, C, lam):
 
     g(p) = p^(s-1) (ln C + tau ln p) is negative wherever it falls, so
     {p >= 1 : g(p) <= ln lambda} is an interval [1, P]: P is found by one loop that
-    gallops over powers of two, then bisects. Raises NumericalError past p = 2**53.
+    gallops over powers of two, then bisects, deciding each probe exactly (on the floats
+    where they prove it, else in decimal). Raises NumericalError past p = 2**53.
 
     C and lambda may be arrays, as for `counting_fn_floor`: one such loop then runs
     over every point at once, each pass probing every point still open."""
@@ -162,40 +160,48 @@ def counting_fn_direct(params: SequenceParams, C, lam):
     return _counts_grid(_direct_grid, _direct_scalar, params, C, lam)
 
 
-def _direct_scalar(tau, s, C, lam):
+def _direct_scalar(tau, s, C, lam, lo=1, hi=0):
+    """The one search: from g(lo) <= ln lambda, gallops while hi = 0, then bisects with
+    g(hi) > ln lambda; `_floor_scalar` passes its bracket as (lo, hi)."""
     if not (0.0 < C < math.inf and 1.0 <= lam < math.inf):
         _validate_c_lam(C, lam)
     if not C <= lam:    # g(1) = ln C > ln lambda, on the floats
         return 0
-    log = math.log
-    lnC, lnlam, e = log(C), log(lam), s - 1.0
-    t = tau     # the tau of g; errors name the user's
-    if tau < 2.0 ** -960:   # tau ln p would be subnormal: scale g and ln lambda by 2^600, exactly
-        t, lnC, lnlam = tau * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
-    lo, hi, p = 1, 0, 2     # g(lo) <= ln lambda; hi = 0 while galloping, then g(hi) > ln lambda
-    while p != lo:      # `_fits`, inline: a call per probe made a count 14% slower
+    log, e = math.log, s - 1.0
+    lnC, lnlam, t = log(C), log(lam), tau
+    if t < 2.0 ** -960:     # tau ln p would be subnormal: scale g and ln lambda by 2^600, exactly
+        t, lnC, lnlam = t * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
+    aC = abs(lnC)
+    ca, ta, cm = (lnC + aC) * (0.5 * _K), t * _K, (aC - lnC) * 0.5     # _K ln C^+, _K tau, ln C^-
+    p = (lo + hi) // 2 if hi else 2 * lo
+    while p != lo:
         try:
-            fits = p ** e * (lnC + t * log(p)) <= lnlam
+            b = cm + lnlam / p ** e
         except OverflowError:
-            fits = _fits_past_floats(p, e, lnC, t, lnlam)
-        if not fits:
-            hi = p
-        elif p >= 2 ** 53:
-            raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
-                                 f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
-        else:
+            b = cm + _over_power(lnlam, p, e)
+        a = ca + ta * log(p)
+        if a <= b or not a > b * _K2 and _fits_exact(p, s, tau, C, lam):
+            if p >= 2 ** 53:
+                raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
+                                     f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
             lo = p
+        else:
+            hi = p
         p = (lo + hi) // 2 if hi else 2 * p
     return lo
 
 
-# -- the array paths -----------------------------------------------------------
-#
-# Each decides every point as its scalar route does, in numpy, g(1) on the floats as
-# C <= lambda. numpy's log, pow and exp may differ from math's by an ulp (pow and exp do
-# at about 5% of arguments here), and the grid W from the scalar W by a few, so a point
-# whose decision lies within a bound on those differences of its threshold, or that
-# raises, is handed to the scalar route; so is a closed-form P near an integer.
+def _over_power(lnlam, p, e):
+    """ln lambda / p^e where p^e passes the floats (of a's size at a subnormal tau), as
+    ln lambda / q / q, q = p^(e/2); 0 where q does too, far below a's rounding."""
+    try:
+        return lnlam / (q := p ** (0.5 * e)) / q
+    except OverflowError:
+        return 0.0
+
+
+# -- the array paths: each decides a point where its own bound does, in numpy, and hands
+# every other point to its scalar route, which is exact ----------------------------------
 
 def _counts_grid(grid, scalar, params, C, lam):
     """`grid`'s counts at the broadcast (C, lambda), with `scalar` at every point it
@@ -216,56 +222,48 @@ def _counts_grid(grid, scalar, params, C, lam):
     return counts.reshape(C.shape)
 
 
-def _fits_grid(p, e, tau, lnC, lnlam):
-    """(g(p) <= ln lambda, in doubt) at the float integers p >= 1, e = s - 1: in doubt where
-    g is within 1e-14 of its terms (plus a few subnormal units of tau ln p) of ln lambda, or
-    p^e nears the largest float, where the scalar test may decide otherwise or take its
-    overflow branch."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pe, t = p ** e, tau * np.log(p)
-        g = pe * (lnC + t)
-        doubt = (pe >= 1e300) | (np.abs(g - lnlam) <= pe * (1e-14 * (np.abs(lnC) + t) + 2e-323))
-    return g <= lnlam, doubt
-
-
 def _floor_grid(tau, s, lnC, lnlam):
+    # `_floor_scalar`'s bracket; in doubt where it holds two integer parts or is not finite
     s1 = s - 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = lnC / tau
-        lx = np.log(lnlam) + _ln_x_over_lnk(s1, tau, 1.0, c)
-        fin = lx < math.inf         # ln C/tau past the floats: the scalar route raises
-        w = w0_exp_grid(np.where(fin, lx, 0.0))
-        ln_val = w / s1 - c
-        val = np.where(ln_val < 709.0, np.exp(np.minimum(ln_val, 709.0)), math.inf)
-        wl = np.multiply(w, 1.0 + np.abs(lx), out=np.zeros_like(w), where=w != 0.0)
-        rel = 1e-12 + 1e-15 * (wl / (1.0 + w) / s1 + np.abs(lnC) / tau)
-        rel_val = rel * val
-        n = np.rint(val)
-        # a bound on val's difference from the scalar route's: w's relative one, amplified
-        # by ln P = w/(s-1) - c, plus the roundings of c, ln P and exp; within it of the
-        # resolution, or within rel P of an integer n >= 1, the scalar route decides
-        slack = 4e-14 * (1.0 + np.abs(w) / s1 + np.abs(c)) * val
-        doubt = (~fin | ~(rel_val < 0.5) | ~(rel < 0.4999) | (np.abs(rel_val - 0.5) <= slack)
-                 | ((n >= 1.0) & (np.abs(val - n) <= rel_val + slack)))
-    return np.floor(np.where(doubt, 0.0, val)).astype(np.int64), doubt
+        m = _ln_x_over_lnk(s1, tau, 1.0, c)
+        lx = np.log(lnlam) + m
+        w = w0_exp_grid(np.where(lx < math.inf, lx, 0.0))    # NaN too: d is then not finite
+        ln_p = w / s1 - c
+        d = _ln_p_error(ln_p, c, w, m, s1)
+        ok = ln_p + d < _LN_2_53
+        lo = np.floor(np.exp(np.where(ok, ln_p - d, 0.0)))
+        doubt = ~ok | (lo != np.floor(np.exp(np.where(ok, ln_p + d, 0.0))))
+    return np.where(doubt, 0.0, lo).astype(np.int64), doubt
 
 
 def _direct_grid(tau, s, lnC, lnlam):
-    # `_direct_scalar`'s loop, each pass probing every open point once: at 2 lo while it
-    # gallops (hi = 0), then at the midpoint of g(lo) <= ln lambda < g(hi); up to 2**53.
-    # The open points are kept packed, and leave once decided or in doubt.
+    # `_direct_scalar`'s loop, each pass probing every open point once, up to 2**53; the
+    # open points are kept packed, and leave once decided or in doubt. Below tau = 2^-960,
+    # where the scalar route scales g, every point is left to it.
     counts, doubt = np.ones(lnC.size, dtype=np.int64), np.zeros(lnC.size, dtype=bool)
+    if tau < 2.0 ** -960:
+        return counts, ~doubt
+    aC = np.abs(lnC)
+    ca, ta, cm = (lnC + aC) * (0.5 * _K), tau * _K, (aC - lnC) * 0.5
     act, lo, hi, p = np.arange(lnC.size), counts.copy(), np.zeros_like(counts), np.full_like(counts, 2)
     while act.size:
-        fit, dbt = _fits_grid(p.astype(np.float64), s - 1.0, tau, lnC, lnlam)
-        dbt |= fit & (p >= 2 ** 53)
+        pf = p.astype(np.float64)
+        with np.errstate(over="ignore"):
+            q = pf ** (0.5 * (s - 1.0))     # ln lambda / q / q: `_over_power`'s form, 0 past the floats
+            b = cm + lnlam / q / q
+        a = ca + ta * np.log(pf)
+        fit = a <= b
+        dbt = ~fit & ~(a > b * _K2) | fit & (p >= 2 ** 53)
         lo, hi = np.where(fit, p, lo), np.where(fit, hi, p)
         p = np.where(hi > 0, (lo + hi) // 2, 2 * lo)
         done = (p == lo) | dbt
         if done.any():
             counts[act[done]], doubt[act[dbt]] = lo[done], True
             keep = ~done
-            act, lo, hi, p, lnC, lnlam = act[keep], lo[keep], hi[keep], p[keep], lnC[keep], lnlam[keep]
+            act, lo, hi, p = act[keep], lo[keep], hi[keep], p[keep]
+            ca, cm, lnlam = ca[keep], cm[keep], lnlam[keep]
     return counts, doubt
 
 

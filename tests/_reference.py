@@ -11,7 +11,8 @@ found by `_newton`. Floats in, Decimals out; the domains:
   log M_(p-1) and `counting_sum(lnk, n, ...)` = n ln k - log M_n, the counting sum at its
   count n, for integers p, n >= 1, tau > 0 and sigma > 1 (2^1e6 is a Decimal).
 - `count(tau, sigma, C, lam, below=None)`: #{p >= 1 : p^(sigma-1) (ln C + tau ln p) <= ln lambda},
-  for counts up to about 1e15; None where the count reaches `below`.
+  a difference within 1e-40 of the terms a tie that counts, for counts up to about 1e15;
+  None where the count reaches `below`.
 - `envelope(tau, sigma, h, k)`: E(k) = W(R)^(-1/(sigma-1)) ln^(sigma/(sigma-1)) k at k > 1,
   wherever ln R <= 1e300.
 - `phi_star(sigma, y)`: (phi_sigma*(y), t*) = (sup_t (y t - phi_sigma(t)), its maximiser)
@@ -24,6 +25,7 @@ import math
 
 _CTX = decimal.Context(prec=60)
 _STOP = decimal.Decimal(10) ** -50
+_TIE = decimal.Decimal(10) ** -40
 _D = decimal.Decimal
 
 
@@ -90,10 +92,16 @@ def counting_sum(lnk, n, tau, sigma):
 
 
 def count(tau, sigma, C, lam, below=None):
-    """By galloping and bisecting: the left side rises with p wherever it is positive."""
+    """By galloping and bisecting: the left side rises with p wherever it is positive. A
+    difference within 1e-40 of the terms is a tie, which counts: at lambda = p^p (C = 1,
+    tau = 1, sigma = 2) the two sides are equal, and 60 digits leave them a rounding apart."""
     with decimal.localcontext(_CTX):
         lnC, lnlam, s1, t = _D(C).ln(), _D(lam).ln(), _D(sigma) - 1, _D(tau)
-        fits = lambda p: (s1 * _D(p).ln()).exp() * (lnC + t * _D(p).ln()) <= lnlam
+
+        def fits(p):
+            pw, tl = (s1 * _D(p).ln()).exp(), t * _D(p).ln()
+            return pw * (lnC + tl) - lnlam <= _TIE * (pw * (abs(lnC) + tl) + lnlam)
+
         if below is not None and fits(below):
             return None
         lo, hi = 0, 1

@@ -201,7 +201,7 @@ def test_counting_fn_floor_matches_direct(tau, sigma, C, lam):
     params = SequenceParams(tau, sigma)
     try:
         n = counting_fn_floor(params, C, lam)
-    except NumericalError:      # a count too large for the closed form to resolve
+    except NumericalError:      # a count past 2**53, where the closed form gives no bracket
         return
     assert counting_fn_direct(params, C, lam) == n
 
@@ -216,11 +216,21 @@ def test_counting_fn_floor_matches_direct(tau, sigma, C, lam):
     (2.0, 2e15, math.e, 2.955, 1),
     (2.0, 1e16, math.e, 2.955, 1),
     (2.0, 1e20, math.e, 2.955, 1),
+    (1.01, 1.01, 0.001, 960831131233.0902, 944509049269),   # P = 944509049269.9: 1e-12 P spans two integers
+    # where a float test of g(p) <= ln lambda errs, a tie (g(p) = ln lambda) counted
+    (1.0, 2.0, 1.0, 1e10, 10),                      # g(10) = 10 ln 10
+    (1.0, 2.0, 1.0, 8916100448256.0, 12),           # 12^12
+    (1.0, 2.0, 1.0, 8.272402618863368e+20, 17),     # 17^17 in floats
+    (0.5, 3.0, 1.0, 65535.99999999998, 3),          # the float below 4^8 = exp(g(4))
+    (5.746645561626626e-22, 2.2357614778230337, 1.0, 2.043460145819747, 6411264056792603),
+    (0.05, 1.01, 1.0, 6.408, 1537173683865),
 ])
 def test_counting_fn_floor_at_its_edges(tau, sigma, C, lam, expected):
     params = SequenceParams(tau, sigma)
-    assert counting_fn_floor(params, C, lam) == expected
-    assert counting_fn_direct(params, C, lam) == expected
+    for fn in (counting_fn_floor, counting_fn_direct):
+        assert fn(params, C, lam) == expected
+        assert fn(params, np.array([C]), np.array([lam])).tolist() == [expected]
+        assert fn(params, np.full((2, 1), C), np.full(3, lam)).tolist() == [[expected] * 3] * 2
 
 
 @pytest.mark.parametrize("C", [5.0, 1e20, 1e200, 1e300])
@@ -245,14 +255,6 @@ def test_the_array_routes_decide_the_verify_claim_grid_themselves(monkeypatch):
     assert handed.count("_floor_scalar") <= 1
     assert (counting_fn_direct(P, cli._FLOOR_C, cli._FLOOR_LAMBDA) == floor).all()
     assert handed.count("_direct_scalar") == 0
-
-
-def test_counting_fn_floor_past_its_resolution_raises():
-    # P = 944509049269.9: past 5e11 a 1e-12 relative error spans more than one integer
-    params, C, lam = SequenceParams(1.01, 1.01), 0.001, 960831131233.0902
-    with pytest.raises(NumericalError, match=r"tau=1\.01, sigma=1\.01, C=0\.001"):
-        counting_fn_floor(params, C, lam)
-    assert counting_fn_direct(params, C, lam) == 944509049269
 
 
 @pytest.mark.parametrize("lam, count", [(3.0, 1), (10.0, 64), (100.0, 2071)])
@@ -283,8 +285,8 @@ def test_counting_fn_direct_past_2_53_raises():
 
 @pytest.mark.parametrize("tau, count", [(1e-300, 1060), (1e-310, 1337), (5e-324, 1821)])
 def test_counting_fn_direct_where_the_power_overflows(tau, count):
-    # p^99 passes the floats from p = 1300, where the count is decided as q (ln C + tau ln p) q,
-    # q = p^49.5; at tau = 5e-324 tau ln p is subnormal, and q (tau ln p) q gives 1820
+    # p^99 passes the floats from p = 1300, where ln lambda / p^99 is taken as ln lambda / q / q,
+    # q = p^49.5: at tau = 5e-324 it is of the size of tau ln p
     P = SequenceParams(tau, 100.0)
     assert counting_fn_direct(P, 1.0, 10.0) == _reference.count(tau, 100.0, 1.0, 10.0) == count
 
@@ -354,7 +356,7 @@ def _assert_array_equals_scalar(fn, P, C, lam):
 
 def _boundary_lams(rng, tau, sigma, C, n):
     """lambda = exp(g(p)) at random integers p: ln lambda lies within a few ulps of g(p), where
-    numpy's and math's pow and log can decide g(p) <= ln lambda differently."""
+    the floats leave g(p) <= ln lambda in doubt."""
     p = np.floor(10.0 ** rng.uniform(0.0, 6.0, n))
     with np.errstate(over="ignore"):
         lam = np.exp(p ** (sigma - 1.0) * (math.log(C) + tau * np.log(p)))
@@ -388,12 +390,12 @@ def test_counting_array_equals_the_scalar_calls_at_the_edges(fn, tau, sigma):
 
 
 def test_counting_array_error_names_the_first_failing_point_in_c_order():
-    # row 0 fails at its second lambda, row 1 at its first: C order meets row 0's failure first
-    lam = np.array([2.0, 960831131233.0902])
-    with pytest.raises(NumericalError, match=r"C=0\.001, lambda=960831131233\.0902$"):
-        counting_fn_floor(SequenceParams(1.01, 1.01), np.array([[0.001], [1e-12]]), lam)
+    # row 0 passes 2**53 at its second lambda, row 1 at its first: C order meets row 0's first
+    P, C, lam = SequenceParams(0.05, 1.01), np.array([[1.0], [0.001]]), [2.0, 1000.0]
+    with pytest.raises(NumericalError, match=r"resolves: .*C=1\.0, lambda=1000\.0$"):
+        counting_fn_floor(P, C, lam)
     with pytest.raises(NumericalError, match=r"2\*\*53.*C=1\.0, lambda=1000\.0$"):
-        counting_fn_direct(SequenceParams(0.05, 1.01), np.array([[1.0], [0.001]]), [2.0, 1000.0])
+        counting_fn_direct(P, C, lam)
 
 
 @pytest.mark.parametrize("C, lam, message", [
