@@ -2,13 +2,14 @@
 
 Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar` takes
 a seed and two Fritsch-Shafer-Crowley steps, a fixed count with no convergence test.
-`w0_grid` takes Halley steps in numpy over cache-sized blocks of each branch's points,
-gathered by index into buffers made once per call and stepped in place, each pass on the
-block's still-active points only: a point takes its own steps, and its w is bit-identical
-whichever block and other points it comes with. The grid keeps its Halley bits because
-the default verify report prints values built on them (the matrix-equivalence reservoir
-H = 1/min(T/phi_sigma)). The scalar W is within 2 ulp of W for x >= -0.3, the grid for
-x >= 1e-4 (3 ulp on [-0.3, -1e-4]), so the two agree to about 2e-15 relative.
+`w0_grid` takes the same seeds and the same two `_fsc_step`s on [-1/e, e), and from x = e
+three Halley steps in log form on ln x, over cache-sized blocks of each branch's points.
+Every point of a branch takes the same steps, so its w is bit-identical whichever block
+and other points it comes with. The log form keeps its Halley bits because the default
+verify report prints values built on them (the matrix-equivalence reservoir
+H = 1/min(T/phi_sigma)), which FSC steps there move in the last digit. Both kernels are
+within 2 ulp of W for x >= -0.28 (2.3 near -0.3, where 1/(1 + w) is 1.8), so they agree
+to about 2e-15 relative.
 `w0_exp_scalar` and `w0_exp_grid` take W(+-e^lx) from ln x, in log form where lx >= 1.
 
 T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
@@ -46,8 +47,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-_W_TOL = 4.5e-16      # ~2 ulps of max(1, x): the floor of |w e^w - x| for x < e
-_BLOCK = 8192        # W points per Halley block: its seven buffers (448 KiB), reused by every block, stay in L2
+_BLOCK = 8192        # W points per block: its six buffers (384 KiB), reused by every block, stay in L2
+_LOG_STEPS = 3       # Halley steps of the grid W in log form: the fewest within 2 ulp (two leave 8.5e4)
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 _LN_POW_MAX = 709.0      # sigma ln p below this, p^sigma is a float (ln of the largest is 709.78)
@@ -100,14 +101,16 @@ def _w0_log_scalar(lx):
 
 
 def w0_grid(x):
-    """Elementwise W: the series below 1e-4, else Halley steps, point by point."""
+    """Elementwise W: 0 at 0, the series below 1e-4, -1 at and below the branch point,
+    `_w0_fsc_block` on the rest of [-1/e, e) and `_w0_log_block` on ln x from x = e."""
     x = np.asarray(x, dtype=np.float64)
     w, xf = np.zeros(x.shape), x.ravel()
-    wf, ax = w.reshape(-1), np.abs(xf)
+    wf, ax, q = w.reshape(-1), np.abs(xf), math.e * np.minimum(xf, 0.0) + 1.0    # q > 0 past -1/e
     small = ((xf != 0.0) & (ax < 1e-4)).nonzero()[0]
     wf[small] = _w0_series(xf[small])
-    _halley(wf, xf, ((ax >= 1e-4) & (xf < math.e)).nonzero()[0], log_form=False)
-    _halley(wf, xf, (xf >= math.e).nonzero()[0], log_form=True, ln=True)
+    wf[q <= 0.0] = -1.0
+    _by_block(wf, xf, ((ax >= 1e-4) & (xf < math.e) & (q > 0.0)).nonzero()[0], _w0_fsc_block)
+    _by_block(wf, xf, (xf >= math.e).nonzero()[0], _w0_log_block, ln=True)
     return w
 
 
@@ -122,58 +125,47 @@ def w0_exp_grid(lx, sign=1.0):
     w, lf = np.empty(lx.shape), lx.ravel()
     wf, big = w.reshape(-1), lf >= 1.0
     with np.errstate(over="ignore"):    # w^2 = inf past ln x ~ 1.3e154: r/w^2 = 0 is right
-        _halley(wf, lf, big.nonzero()[0], log_form=True)
+        _by_block(wf, lf, big.nonzero()[0], _w0_log_block)
     rest = (~big).nonzero()[0]
     wf[rest] = w0_grid(np.copysign(np.exp(lf[rest]), np.broadcast_to(sign, lx.shape).ravel()[rest]))
     return w
 
 
-def _halley(w, v, idx, log_form, ln=False):
-    """W at the flat indices idx of v, written into w at the same indices: W(v) by Halley
-    steps from v, or in log form W(e^v) from v - ln v, v the ln of the gathered value where
-    `ln`. Each block of up to _BLOCK points is gathered by index into buffers made once per
-    call and stepped in place; after a pass that freezes a point, only its active points go on."""
-    if not idx.size:
-        return
-    wb, vb, lb, rb, ub, tb, db = np.empty((7, min(idx.size, _BLOCK)))
+def _by_block(w, v, idx, steps, ln=False):
+    """steps(w, v, scratch) at the flat indices idx of v, ln v where `ln`, written into w at
+    the same indices. Each block of up to _BLOCK points is gathered by index into buffers
+    made once per call. Every point takes the same fixed steps, whatever its block."""
+    vb, wb, *sb = np.empty((6, min(idx.size, _BLOCK)))
     for i in range(0, idx.size, _BLOCK):
         ib = idx[i:i + _BLOCK]      # in range: take's mode="clip" skips only a copy of the block
-        wa, va, lim = wb[:ib.size], v.take(ib, out=vb[:ib.size], mode="clip"), lb[:ib.size]
-        r, u, t, d = rb[:ib.size], ub[:ib.size], tb[:ib.size], db[:ib.size]     # scratch
+        va, wa = v.take(ib, out=vb[:ib.size], mode="clip"), wb[:ib.size]
         if ln:
             np.log(va, out=va)
-        if log_form:    # the seeds
-            np.subtract(va, np.log(va, out=wa), out=wa)
-        else:
-            np.copyto(wa, va)
-        np.multiply(np.maximum(va, 1.0, out=lim), 1e-15 if log_form else _W_TOL, out=lim)
-        pos = None      # the active points' positions in wb; None while all are
-        for _ in range(50):
-            if log_form:    # Halley on g(w) = w + ln w - v, with g'' = -1/w^2
-                np.subtract(np.add(np.log(wa, out=r), wa, out=r), va, out=r)
-                np.add(np.divide(1.0, wa, out=u), 1.0, out=u)           # g'
-                np.multiply(np.multiply(r, 2.0, out=t), u, out=t)
-                np.multiply(np.multiply(u, 2.0, out=d), u, out=d)
-                d += np.divide(r, np.multiply(wa, wa, out=u), out=u)
-                wa -= np.divide(t, d, out=t)
-            else:           # Halley on w e^w - v
-                np.subtract(np.multiply(wa, np.exp(wa, out=u), out=r), va, out=r)   # u = e^w
-                np.multiply(np.add(wa, 1.0, out=d), u, out=d)
-                np.multiply(np.add(wa, 2.0, out=t), r, out=t)
-                d -= np.divide(t, np.add(np.multiply(wa, 2.0, out=u), 2.0, out=u), out=t)
-                wa -= np.divide(r, d, out=t)
-                np.maximum(wa, -1.0, out=wa)
-            if pos is not None:
-                wb[pos] = wa
-            keep = np.abs(r, out=r) > lim
-            if (n := np.count_nonzero(keep)) == wa.size:
-                continue
-            if n == 0:
-                break
-            j = keep.nonzero()[0]
-            pos = j if pos is None else pos[j]
-            wa, va, lim, r, u, t, d = wa[j], va[j], lim[j], r[:n], u[:n], t[:n], d[:n]
-        w[ib] = wb[:ib.size]
+        steps(wa, va, [s[:ib.size] for s in sb])
+        w[ib] = wa
+
+
+def _w0_fsc_block(w, x, _):
+    """`w0_scalar` on x in (-1/e, e), |x| >= 1e-4: its seeds and its two `_fsc_step`s."""
+    p, l = np.sqrt(2.0 * (math.e * x + 1.0)), np.log1p(x)
+    v = np.where(x < -0.3, -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0))),
+                 l * (1.0 - np.log1p(l) / (2.0 + l)))
+    v = _fsc_step(v, np.log(x / v) - v)
+    w[:] = _fsc_step(v, np.log(x / v) - v)
+
+
+def _w0_log_block(w, lx, scratch):
+    """W(e^lx) for lx >= 1, in place: _LOG_STEPS Halley steps on g(w) = w + ln w - lx,
+    g'' = -1/w^2, from lx - ln lx."""
+    r, u, t, d = scratch
+    np.subtract(lx, np.log(lx, out=w), out=w)
+    for _ in range(_LOG_STEPS):
+        np.subtract(np.add(np.log(w, out=r), w, out=r), lx, out=r)
+        np.add(np.divide(1.0, w, out=u), 1.0, out=u)           # g'
+        np.multiply(np.multiply(r, 2.0, out=t), u, out=t)
+        np.multiply(np.multiply(u, 2.0, out=d), u, out=d)
+        d += np.divide(r, np.multiply(w, w, out=u), out=u)
+        w -= np.divide(t, d, out=t)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def lambert_w0(x):
 def lambert_w0_grid(x):
     """Elementwise W over an array of nonnegative reals."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)) or np.any(x < 0):
-        raise DomainError("lambert_w0_grid requires finite x >= 0")
+    if not (ok := np.isfinite(x) & (x >= 0.0)).all():
+        raise DomainError(f"lambert_w0_grid requires finite x >= 0, got {x[~ok].flat[0]}")
     return w0_grid(x)
 
 

@@ -122,6 +122,18 @@ def test_guard_messages(fn, x, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("x, message", [
+    ([1.0, math.nan], "lambert_w0_grid requires finite x >= 0, got nan"),
+    ([math.inf, 1.0], "lambert_w0_grid requires finite x >= 0, got inf"),
+    ([[1.0, -math.inf], [-2.0, math.nan]], "lambert_w0_grid requires finite x >= 0, got -inf"),
+    ([0.0, -5e-324], "lambert_w0_grid requires finite x >= 0, got -5e-324"),
+    (-2.0, "lambert_w0_grid requires finite x >= 0, got -2.0")])
+def test_grid_guard_names_the_first_offending_x(x, message):
+    with pytest.raises(DomainError) as err:
+        lambert_w0_grid(np.array(x))
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("x", [0, 2, np.float64(2.0), np.float32(2.0), np.int64(2), True, -0.0])
 def test_w_takes_any_real_scalar(x):
     assert lambert_w0(x) == lambert_w0(float(x))
