@@ -10,19 +10,27 @@ verify report prints values built on them (the matrix-equivalence reservoir
 H = 1/min(T/phi_sigma)), which FSC steps there move in the last digit. Both kernels are
 within 2 ulp of W for x >= -0.28 (2.3 near -0.3, where 1/(1 + w) is 1.8), so they agree
 to about 2e-15 relative.
-`w0_exp_scalar` and `w0_exp_grid` take W(+-e^lx) from ln x, in log form where lx >= 1.
+`w0_exp_grid` and `_ln_root` take W(+-e^lx) from ln x, in log form where lx >= 1.
 
 T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
-g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = (tau - sigma ln h)/(tau sigma),
-and p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on p > 0
-g has at most one interior local maximum, the W0 root
-ln p* = W0(x)/(sigma-1) - c, x = ln k (sigma-1)/(tau sigma) e^{(sigma-1)c},
-for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ... floor(p*)+2)), and
-max(0, g(1)) where x < -1/e (g only falls), as at h < 1 and ln k <= 0 (g < 0 at
-every p >= 1). `assoc_sup_grid` takes one W call for all k; the scalar
-`_assoc_sup_scalar` takes the same candidates in `math`, since a numpy call on one
-point costs more than the whole scalar path. At h < 1 both take ln p* from
-`_ln_p_star_h_below_1` instead, with no W and no difference of c-sized terms.
+g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = (tau - sigma ln h)/(tau sigma), and
+p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on p > 0 g has at most
+one interior local maximum p*, for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ...
+floor(p*)+2)), and max(0, g(1)) where x < -1/e (below), as at h < 1 and ln k <= 0 (g < 0 at
+every p >= 1). `assoc_sup_grid` takes one root call for all k; the scalar `_assoc_sup_scalar`
+the same candidates in `math`, since a numpy call on one point costs more than that path.
+
+One root, `_ln_root`, gives u = ln p at p^s1 (ln p + c) = r, s1 = sigma-1, for the sups' p*
+(r = ln k/(tau sigma)) and the counting floors' P (c = ln C/tau, r = ln lambda/tau). For c <= 4
+(the sups at h >= 1, the floors at C <= e^2 and tau = 1) it is u = W(x)/s1 - c, x = s1 r e^(s1 c),
+within 2^-46 (1 + 2|u| + 2|c| + (1 + |m|)/s1), m = ln x - ln L (L = ln k or ln lambda): the
+terms of u, and of ln x damped by W's gain. Past c = 4, where W/s1 - c loses ln p to a
+difference of c-sized terms, Newton solves s1 u + log1p(u/c) = ln r - ln c = ln L - ln(tau b c),
+from logs of logs (ln(tau - sigma ln h), ln ln C), so r and c are never formed and c may be inf.
+The left side rises and is concave, so the steps rise from u = (ln r - ln c)/(s1 + 1/c) to the
+root (0 for a root below 0); seven of the twelve suffice, six do not, for c in [4, 1e300], s1 in
+[2^-52, 1e4] and u <= 700. The error, 2^-46 (1 + |u| + (1 + |ln L| + |ln(tau b c)|)/(s1 + 1/(c + u))),
+is that of ln r - ln c and of a step, over the slope. Given m, the root returns its bound with u.
 
 The counting sum T(k) = sum_{log m_p <= ln k} (ln k - log m_p) telescopes to
 N ln k - log M_N, N = #{p >= 1 : log m_p <= ln k}, and the quotients rise with p.
@@ -52,6 +60,7 @@ _LOG_STEPS = 3       # Halley steps of the grid W in log form: the fewest within
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 _LN_POW_MAX = 709.0      # sigma ln p below this, p^sigma is a float (ln of the largest is 709.78)
+_C_NEWTON = 4.0          # `_ln_root` takes its Newton form past this c
 _MAX = sys.float_info.max
 
 
@@ -114,14 +123,8 @@ def w0_grid(x):
     return w
 
 
-def w0_exp_scalar(lx, sign=1.0):
-    """W(x) for x = sign e^lx >= -1/e, as (w, iterations): `_w0_log_scalar` on ln x
-    where lx >= 1, else `w0_scalar` on x."""
-    return _w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), sign))
-
-
 def w0_exp_grid(lx, sign=1.0):
-    """Elementwise `w0_exp_scalar`'s w; `sign` is a scalar or an array shaped like lx."""
+    """W(sign e^lx) elementwise: `_w0_log_block` where lx >= 1, else `w0_grid`; sign a scalar or like lx."""
     w, lf = np.empty(lx.shape), lx.ravel()
     wf, big = w.reshape(-1), lf >= 1.0
     with np.errstate(over="ignore"):    # w^2 = inf past ln x ~ 1.3e154: r/w^2 = 0 is right
@@ -203,44 +206,42 @@ def _sup_error(what, lnk, lnh, tau, sigma):
 
 
 def _ln_x_over_lnk(s1, tau, b, c):
-    """ln |x| - ln |L| = ln(s1/(tau b)) + s1 c for a W argument x = L s1/(tau b) e^(s1 c):
-    the one place it is formed. The sups pass s1 = sigma-1, b = sigma and L = ln k,
-    `envelope` the same at L = ln(e+k), `counting_fn_floor` b = 1, c = ln C/tau and
-    L = ln lambda. The quotient's log is ln(s1/b) - ln tau where the quotient leaves the
-    floats (tau subnormal), so a subnormal tau b loses no digits of the log."""
+    """ln |x| - ln |L| = ln(s1/(tau b)) + s1 c for x = L s1/(tau b) e^(s1 c), of `_ln_root` and
+    `envelope` (L = ln(e+k)); ln(s1/b) - ln tau where s1/(tau b) leaves the floats (tau subnormal)."""
     q = s1 / (tau * b)
     lq = math.log(q) if 0.0 < q < math.inf else math.log(s1 / b) - math.log(tau)
     return lq + s1 * c
 
 
-def _ln_p_star_h_below_1(lnk, lnh, tau, sigma, log=np.log, log1p=np.log1p, maximum=np.maximum):
-    """ln p* at h < 1 and ln k > 0, a float or an array, without W: W(x)/(sigma-1) - c is a
-    difference of two terms near c = 1/sigma - ln h/tau, which loses ln p* once ulp(c) p*
-    nears 1 (|ln h|/tau from about 1e14 on, at p* ~ 20). So u = ln p* solves
-    f(u) = (sigma-1) u + log1p(u/c) - r = 0, r = ln ln k - ln(tau - sigma ln h), which has
-    no term of c's size. f rises and is concave on u > -c, so Newton from the lower bound
-    u = r/(sigma-1 + 1/c) rises to the root; each step is kept at or above that bound.
-    Twelve fixed steps: across sigma-1 in [1e-15, 1e4], c in [0.3, 3e19] and u* <= ln 2**53,
-    nine put p* within 1e-3 of its converged value. r < 0 (p* < 1) is taken as 0, so the
-    candidates start at p = 1. The scalar kernel passes math.log, math.log1p and max."""
-    a, c = sigma - 1.0, 1.0 / sigma - lnh / tau     # c > 0, a sum, where tau sigma may overflow
-    r = maximum(log(lnk) - math.log(tau - sigma * lnh), 0.0)
-    u = lo = r / (a + 1.0 / c)
-    for _ in range(12):
-        u = maximum(u - (a * u + log1p(u / c) - r) / (a + 1.0 / (c + u)), lo)
-    return u
+def _ln_root(lx, ll, c, tc, s1, sign=1.0, m=None):
+    """u = ln p at p^s1 (ln p + c) = r > 0 (module docstring), for floats or arrays, from
+    lx = ln x = ln(sign x), ll = ln L = ln(tau b r) and tc = tau b c; given m = lx - ll, (u, the
+    bound on its error). A float c takes one form."""
+    if isinstance(lx, float) and not c > _C_NEWTON:
+        u = (_w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), sign)))[0] / s1 - c
+        return u if m is None else (u, 2.0 ** -46 * (1.0 + 2.0 * (abs(u) + abs(c)) + (1.0 + abs(m)) / s1))
+    one, new = isinstance(lx, float), c > _C_NEWTON
+    u = None if one or np.all(new) else w0_exp_grid(lx, sign) / s1 - c     # the W form, on arrays
+    e = None if u is None or m is None else 1.0 + 2.0 * (abs(u) + abs(c)) + (1.0 + abs(m)) / s1
+    if one or np.any(new):
+        log, log1p, top = (math.log, math.log1p, max) if one else (np.log, np.log1p, np.maximum)
+        v = lo = (d := top(ll - log(tc), 0.0)) / (s1 + 1.0 / c)
+        for _ in range(12):
+            v = top(v - (s1 * v + log1p(v / c) - d) / (s1 + 1.0 / (c + v)), lo)
+        f = None if m is None else 1.0 + abs(v) + (1.0 + abs(ll) + abs(log(tc))) / (s1 + 1.0 / (c + v))
+        u, e = (v, f) if u is None else (np.where(new, v, u), None if m is None else np.where(new, f, e))
+    return u if m is None else (u, 2.0 ** -46 * e)
 
 
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
-    c = (tau - sigma * lnh) / (tau * sigma)
-    lx = math.log(abs(lnk)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c) if lnk else -math.inf
-    near = ()
+    s1, c = sigma - 1.0, (tau - sigma * lnh) / (tau * sigma)
+    ll = math.log(abs(lnk)) if lnk else -math.inf
+    lx, near = ll + _ln_x_over_lnk(s1, tau, sigma, c), ()
     if lnk > 0.0 or lx <= -1.0 and lnh >= 0.0:      # x >= -1/e, as in `assoc_sup_grid`
         if not lx < math.inf:       # NaN too: c passes the floats where |ln h|/tau does
             raise _sup_error(f"ln x = {lx:.6g} of the root p* leaves the floats, c = {c:.6g}",
                              lnk, lnh, tau, sigma)
-        lnp = (_ln_p_star_h_below_1(lnk, lnh, tau, sigma, math.log, math.log1p, max) if lnh < 0.0
-               else w0_exp_scalar(lx, lnk)[0] / (sigma - 1.0) - c)
+        lnp = _ln_root(lx, ll, c, tau - sigma * lnh, s1, lnk)
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _sup_error(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer floats",
                              lnk, lnh, tau, sigma)
@@ -270,15 +271,15 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     values = lnk_arr + lnh      # g(1)
     argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
-    c = (tau - sigma * lnh) / (tau * sigma)
+    s1, c = sigma - 1.0, (tau - sigma * lnh) / (tau * sigma)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):     # undecided points are handed over
         # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
-        lx = np.log(np.abs(lnk_arr)) + _ln_x_over_lnk(sigma - 1.0, tau, sigma, c)
+        ll = np.log(np.abs(lnk_arr))
+        lx = ll + _ln_x_over_lnk(s1, tau, sigma, c)
         # x >= -1/e: integers next to p* compete; at h < 1 only where ln k > 0, as g < 0 at every p >= 1 else
         t = np.flatnonzero(lnk_arr > 0.0 if lnh < 0.0 else (lnk_arr > 0.0) | (lx <= -1.0))
-        L, lx = lnk_arr[t], lx[t]
-        lnp = (_ln_p_star_h_below_1(L, lnh, tau, sigma) if lnh < 0.0
-               else w0_exp_grid(lx, L) / (sigma - 1.0) - c)
+        L, lx, ll = lnk_arr[t], lx[t], ll[t]
+        lnp = _ln_root(lx, ll, c, tau - sigma * lnh, s1, L)
         q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)    # a row per candidate
         pwq = q ** sigma
         g = pwq * lnh + q * L - tau * pwq * np.log(q)
@@ -304,9 +305,18 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
 # Counting-sum evaluation  T(k) = sum_{log m_p <= ln k} (ln k - log m_p)
 # ---------------------------------------------------------------------------
 
+def _tau_pow(p, tau, sigma):
+    """tau p^sigma at float p >= 0; where it passes the floats, again as exp(ln tau + sigma ln p),
+    finite where p^sigma alone overflows (tau < 1). Every finite value keeps its bits."""
+    with np.errstate(over="ignore"):
+        t = tau * p ** sigma
+        big = t == math.inf
+        return np.where(big, np.exp(math.log(tau) + sigma * np.log(np.maximum(p, 1.0))), t) if big.any() else t
+
+
 def ext_log_M(p, tau, sigma):
     """log M_p = tau p^sigma ln p of the extended Gevrey sequence at float p, 0 for p <= 1."""
-    return np.where(p > 1, tau * p ** sigma * np.log(np.maximum(p, 1.0)), 0.0)
+    return np.where(p > 1, _tau_pow(p, tau, sigma) * np.log(np.maximum(p, 1.0)), 0.0)
 
 
 def _quotient_factor(p, lp, sigma):
@@ -328,7 +338,7 @@ def _quotient_factor(p, lp, sigma):
 def ext_log_m(p, tau, sigma):
     """log m_p = log M_p - log M_(p-1) = tau p^sigma B(p) at float p >= 1, 0 at p = 1."""
     q = np.asarray(np.maximum(p, 2.0))      # an array, which `_quotient_factor` overwrites
-    return np.where(p > 1, tau * p ** sigma * _quotient_factor(q, np.log(q), sigma), 0.0)
+    return np.where(p > 1, _tau_pow(p, tau, sigma) * _quotient_factor(q, np.log(q), sigma), 0.0)
 
 
 def _counting_sum_scalar(lnk, tau, sigma):

@@ -9,8 +9,8 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from ._kernels import (_LN_2_53, _assoc_sup_scalar, _counting_sum_scalar, _ln_x_over_lnk, assoc_sup_grid,
-                       counting_sum_grid, w0_exp_grid, w0_exp_scalar)
+from ._kernels import (_LN_2_53, _assoc_sup_scalar, _counting_sum_scalar, _ln_root, _ln_x_over_lnk,
+                       assoc_sup_grid, counting_sum_grid, w0_exp_grid)
 from .errors import DomainError, NumericalError, UsageError
 from .sequences import SequenceParams, _check_positive, _fit_band
 
@@ -107,26 +107,19 @@ def _fits_exact(p, s, tau, C, lam):
 
 
 def counting_fn_floor(params: SequenceParams, C, lam):
-    """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda} via W.
+    """Closed form #{p >= 1 : C^{p^(s-1)} p^{tau p^(s-1)} <= lambda}.
 
-    The count is floor(P), P = exp(W(x)/(s-1) - ln C/tau), x = C^((s-1)/tau) (s-1)/tau
-    ln lambda, with W from ln x where x is large. A bound d on the error of ln P brackets
-    P in e^(ln P -+ d): its one integer part, or `counting_fn_direct`'s search in it, is
-    the count. Raises NumericalError where the bracket is not finite and below 2**53.
+    The count is floor(P), P^(s-1) (ln P + ln C/tau) = ln lambda/tau, ln P from `_ln_root`
+    (W, or Newton past ln C/tau = 4), whose error bound d brackets P in e^(ln P -+ d): the one
+    integer part, or `counting_fn_direct`'s search in the bracket, is the count.
+    Raises NumericalError where the bracket is not finite and below 2**53.
 
     C and lambda may be arrays, which broadcast: the counts come back as an int64 array
-    with one W call for all of them, each entry equal to the scalar call at its point,
-    and an error is the scalar call's at the first failing point in C order. A float C
-    and lambda take the scalar path in `math` after two isinstance tests."""
+    with one root call for all of them, each entry equal to the scalar call at its point,
+    and an error is the scalar call's at the first failing point in C order."""
     if isinstance(lam, float) and isinstance(C, float) or np.ndim(C) == np.ndim(lam) == 0:
         return _floor_scalar(params.tau, params.sigma, C, lam)
     return _counts_grid(_floor_grid, _floor_scalar, params, C, lam)
-
-
-def _ln_p_error(ln_p, c, w, m, s1):
-    """A bound on the error of ln P = w/s1 - c, w = W(e^lx), lx = ln ln lambda + m: 2^-46 times
-    its terms and those of lx, damped by W's gain w/(1 + w) (w/(1 + w) |lx| <= 1 + 2w); or arrays."""
-    return 2.0 ** -46 * (1.0 + abs(ln_p) + abs(c) + (1.0 + w + abs(m)) / s1)
 
 
 def _floor_scalar(tau, s, C, lam):
@@ -134,10 +127,10 @@ def _floor_scalar(tau, s, C, lam):
         _validate_c_lam(C, lam)
     if not C <= lam:    # g(1) = ln C > ln lambda, on the floats: no p counts, whatever W resolves
         return 0
-    s1, lnlam, c = s - 1.0, math.log(lam), math.log(C) / tau
+    s1, lnC, lnlam = s - 1.0, math.log(C), math.log(lam)
+    c, ll = lnC / tau, math.log(lnlam) if lnlam > 0.0 else -math.inf
     m = _ln_x_over_lnk(s1, tau, 1.0, c)
-    w = w0_exp_scalar(math.log(lnlam) + m if lnlam > 0.0 else -math.inf)[0]
-    d = _ln_p_error(ln_p := w / s1 - c, c, w, m, s1)
+    ln_p, d = _ln_root(ll + m, ll, c, lnC, s1, 1.0, m)
     if not ln_p + d < _LN_2_53:     # NaN too
         raise NumericalError(f"the count exp({ln_p:.6g}) is past what the closed form resolves: "
                              f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
@@ -177,8 +170,8 @@ def _direct_scalar(tau, s, C, lam, lo=1, hi=0):
     while p != lo:
         try:
             b = cm + lnlam / p ** e
-        except OverflowError:
-            b = cm + _over_power(lnlam, p, e)
+        except OverflowError:       # ln lambda / q / q, q = p^(e/2), and 0 past that, far below a's rounding
+            b = cm + (lnlam / (q := p ** (0.5 * e)) / q if 0.5 * e * log(p) < 709.0 else 0.0)
         a = ca + ta * log(p)
         if a <= b or not a > b * _K2 and _fits_exact(p, s, tau, C, lam):
             if p >= 2 ** 53:
@@ -189,15 +182,6 @@ def _direct_scalar(tau, s, C, lam, lo=1, hi=0):
             hi = p
         p = (lo + hi) // 2 if hi else 2 * p
     return lo
-
-
-def _over_power(lnlam, p, e):
-    """ln lambda / p^e where p^e passes the floats (of a's size at a subnormal tau), as
-    ln lambda / q / q, q = p^(e/2); 0 where q does too, far below a's rounding."""
-    try:
-        return lnlam / (q := p ** (0.5 * e)) / q
-    except OverflowError:
-        return 0.0
 
 
 # -- the array paths: each decides a point where its own bound does, in numpy, and hands
@@ -226,12 +210,9 @@ def _floor_grid(tau, s, lnC, lnlam):
     # `_floor_scalar`'s bracket; in doubt where it holds two integer parts or is not finite
     s1 = s - 1.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        c = lnC / tau
+        c, ll = lnC / tau, np.log(lnlam)
         m = _ln_x_over_lnk(s1, tau, 1.0, c)
-        lx = np.log(lnlam) + m
-        w = w0_exp_grid(np.where(lx < math.inf, lx, 0.0))    # NaN too: d is then not finite
-        ln_p = w / s1 - c
-        d = _ln_p_error(ln_p, c, w, m, s1)
+        ln_p, d = _ln_root(ll + m, ll, c, lnC, s1, 1.0, m)
         ok = ln_p + d < _LN_2_53
         lo = np.floor(np.exp(np.where(ok, ln_p - d, 0.0)))
         doubt = ~ok | (lo != np.floor(np.exp(np.where(ok, ln_p + d, 0.0))))
@@ -251,7 +232,7 @@ def _direct_grid(tau, s, lnC, lnlam):
     while act.size:
         pf = p.astype(np.float64)
         with np.errstate(over="ignore"):
-            q = pf ** (0.5 * (s - 1.0))     # ln lambda / q / q: `_over_power`'s form, 0 past the floats
+            q = pf ** (0.5 * (s - 1.0))     # ln lambda / q / q, as in `_direct_scalar`: 0 past the floats
             b = cm + lnlam / q / q
         a = ca + ta * np.log(pf)
         fit = a <= b

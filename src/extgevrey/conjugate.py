@@ -50,8 +50,9 @@ def phi_sigma(sigma: float, t):
         except OverflowError:
             return math.inf
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0):
-        raise DomainError("phi_sigma needs t >= 0")
+    if not (np.isfinite(t) & (t >= 0)).all():     # a negative t first, then a NaN or inf one
+        v = (t[t < 0] if (t < 0).any() else t[~np.isfinite(t)]).flat[0]
+        raise DomainError(f"phi_sigma needs {'t >= 0' if v < 0 else 'finite t'}, got {v}")
     e = lambert_w0_grid(t)      # then e^(W/(s-1)) t in place on W's array, a float64 scalar at a 0-d t
     e /= sigma - 1.0
     with np.errstate(over="ignore"):    # inf past the floats, as the scalar path returns

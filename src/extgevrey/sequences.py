@@ -11,7 +11,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import ext_log_M, ext_log_m
+from ._kernels import _tau_pow, ext_log_M, ext_log_m
 from .errors import DomainError, NumericalError, RangeError, UsageError
 
 __all__ = [
@@ -362,7 +362,12 @@ def check_condition(condition: str, params: SequenceParams, p_max: int = 10_000)
         raise UsageError(f"unknown condition {condition!r}: one of {', '.join(_CHECKS)}")
     if not isinstance(params, SequenceParams):
         raise UsageError("this condition needs extended Gevrey parameters")
-    return _CHECKS[condition](params, p_max)
+    with np.errstate(over="ignore"):    # p^sigma may pass the floats where log M_p does not (tiny tau)
+        rep = _CHECKS[condition](params, p_max)
+    if not math.isfinite(rep.fitted_constant or 0.0):      # p^sigma ln h past them: no finite C
+        raise NumericalError(f"the sup of {condition} is {rep.fitted_constant!r} at p = {rep.witness}, "
+                             f"past the floats: tau={params.tau!r}, sigma={params.sigma!r}")
+    return rep
 
 
 def check_liminf_condition(seq: LogWeightSequence, Q: int, p_max: int = 10_000) -> ConditionReport:
@@ -400,9 +405,10 @@ def lemma_quotient_bounds(params: SequenceParams, p_max: int = 10_000) -> LemmaB
     p = np.arange(2, p_max + 1, dtype=np.int64)
     pf = p.astype(np.float64)
     logm = seq.log_m(p)
-    lower = tau * pf ** (s - 1.0) / _doubled_tau(s) * (1.0 + s * np.log(pf) - s * math.log(2.0))
+    tp = _tau_pow(pf, tau, s - 1.0)
+    lower = tp / _doubled_tau(s) * (1.0 + s * np.log(pf) - s * math.log(2.0))
     with np.errstate(over="ignore"):    # an upper bound past the floats holds: its violation is -inf
-        upper = tau * pf ** (s - 1.0) * (1.0 + s * np.log(pf))
+        upper = tp * (1.0 + s * np.log(pf))
     slack = 1e-11 * np.maximum(1.0, np.abs(logm))
     lo_viol = lower - logm
     up_viol = logm - upper

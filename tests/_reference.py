@@ -13,6 +13,8 @@ found by `_newton`. Floats in, Decimals out; the domains:
 - `count(tau, sigma, C, lam, below=None)`: #{p >= 1 : p^(sigma-1) (ln C + tau ln p) <= ln lambda},
   a difference within 1e-40 of the terms a tie that counts, for counts up to about 1e15;
   None where the count reaches `below`.
+- `ln_root(ll, tc, t, s1)`: u = ln p >= 0 at the root of p^s1 (ln p + c) = r, r = e^ll/t,
+  c = tc/t >= 0, s1 > 0, for r >= c; t > 0 and tc >= 0 are floats, up to 1e300 apart.
 - `envelope(tau, sigma, h, k)`: E(k) = W(R)^(-1/(sigma-1)) ln^(sigma/(sigma-1)) k at k > 1,
   wherever ln R <= 1e300.
 - `phi_star(sigma, y)`: (phi_sigma*(y), t*) = (sup_t (y t - phi_sigma(t)), its maximiser)
@@ -111,6 +113,17 @@ def count(tau, sigma, C, lam, below=None):
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if fits(mid) else (lo, mid)
         return lo
+
+
+def ln_root(ll, tc, t, s1):
+    """For c > 0 by Newton on s1 u + log1p(u/c) - ln(r/c), concave and rising, from u = 0, left
+    of the root, so the iterates rise to it, with no term of c's size; at c = 0 as W(s1 r)/s1."""
+    with decimal.localcontext(_CTX):
+        lr, c, s1 = _D(ll) - _D(t).ln(), _D(tc) / _D(t), _D(s1)
+        if c == 0:
+            return w0_log(s1.ln() + lr) / s1
+        d = lr - c.ln()
+        return _newton(lambda u: (s1 * u + _log1p(u / c) - d) / (s1 + 1 / (c + u)), _D(0))
 
 
 def envelope(tau, sigma, h, k):

@@ -420,6 +420,17 @@ def _refuse_constant(name):
 _EDGE_ARGVS = json.loads((Path(__file__).parent / "data" / "edge_argvs.json").read_text())
 
 
+def test_verify_at_a_tiny_tau_where_p_to_the_sigma_alone_passes_the_floats(capsys):
+    # 6^400 overflows, tau 6^400 does not: log m_p and log M_p are finite on p <= 10, and the closed
+    # form counts where ln C / tau = 1e300; what is left past the floats is p^sigma ln h and phi*
+    code, out, _ = run_cli(["verify", "--tau", "1e-300", "--sigma", "400", "--pmax", "10"], capsys)
+    claims = json.loads(out)["claims"]
+    assert code == 3 and not [c for c in claims.values() if "leaves the floats" in c.get("error", "")]
+    assert sorted(k for k, c in claims.items() if "error" in c) == [
+        "m4", "m4prime", "m5", "matrix-equivalence", "ocena-norme"]
+    assert all(claims[k]["holds"] for k in ("lemma-quotient-bounds", "liminf", "counting-floor", "m1"))
+
+
 @pytest.mark.parametrize("argv, claim, names", [(e["argv"], e["claim"], e["error"]) for e in _EDGE_ARGVS])
 def test_verify_past_the_floats_writes_a_full_strict_json_report(argv, claim, names, capsys):
     code, out, err = run_cli(["verify"] + argv, capsys)

@@ -447,10 +447,10 @@ def test_phi_sigma_conjugate_array_entries_equal_scalar_calls_at_any_sigma(sigma
     (math.inf, "lambert_w0 requires finite x, got inf"),
     (-math.inf, "phi_sigma needs t >= 0, got -inf"),
     (-1.0, "phi_sigma needs t >= 0, got -1.0"),
-    (np.array([1.0, -1.0]), "phi_sigma needs t >= 0"),
-    (np.array([1.0, math.nan]), "lambert_w0_grid requires finite x >= 0, got nan"),
-    (np.array([[1.0], [math.inf]]), "lambert_w0_grid requires finite x >= 0, got inf"),
-    (np.array([math.nan, -math.inf]), "phi_sigma needs t >= 0")])
+    (np.array([1.0, -1.0]), "phi_sigma needs t >= 0, got -1.0"),
+    (np.array([1.0, math.nan]), "phi_sigma needs finite t, got nan"),
+    (np.array([[1.0], [math.inf]]), "phi_sigma needs finite t, got inf"),
+    (np.array([math.nan, -math.inf]), "phi_sigma needs t >= 0, got -inf")])
 def test_phi_sigma_domain_errors(t, message):
     with pytest.raises(DomainError) as err:
         phi_sigma(2.0, t)

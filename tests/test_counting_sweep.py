@@ -7,7 +7,9 @@ g(p) <= ln lambda is decided within a few ulps, where a float test alone can err
 lambda broadcast against two rows of C), must equal `_reference.count` (50 digits, a tie
 counted) at every such lambda, and raise NumericalError where the count passes 2**53.
 C is 1 in a third of the draws, with tau = g/(p^(sigma-1) ln p) for a drawn g; elsewhere
-tau is drawn and ln C = g/p^(sigma-1) - tau ln p.
+tau is drawn, half the time in [5e-324, 1e-250], where ln C/tau passes 1e250 (or the floats),
+and ln C = g/p^(sigma-1) - tau ln p. Fixed cases hold both routes where ln C/tau is near 1e300
+or past the floats and the count is small.
 
 Run this module as a script for a longer sweep over more seeds; it exits 1 if a point fails:
 
@@ -41,7 +43,7 @@ def draw(rng):
             if rng.random() < 1.0 / 3.0:
                 C, tau = 1.0, g / (pe * lp) if p > 1 else 1.0
             else:
-                tau = 10.0 ** rng.uniform(-3.0, 2.0)
+                tau = 10.0 ** (rng.uniform(-323.3, -250.0) if rng.random() < 0.5 else rng.uniform(-3.0, 2.0))
                 C = math.exp(g / pe - tau * lp)
             g = pe * (math.log(C) + tau * lp) if tau > 0.0 and C > 0.0 else -1.0
         except (OverflowError, ValueError):
@@ -83,6 +85,20 @@ def points(seed):
 def test_both_counting_routes_equal_the_reference_on_the_boundary(seed):
     for d in points(seed):
         check(*d)
+
+
+@pytest.mark.parametrize("tau, sigma, lam, count", [
+    pytest.param(1e-300, 100.0, 2.955, 1, id="tau1e-300-sigma100"),
+    pytest.param(1e-303, 1.2, 3.0, 1, id="tau1e-303-lambda3"),
+    pytest.param(1e-303, 1.2, 10.0, 64, id="tau1e-303-lambda10"),
+    pytest.param(1e-303, 1.2, 100.0, 2071, id="tau1e-303-lambda100"),
+    *(pytest.param(tau, sigma, 10.0, n, id=f"tau{tau!r}-sigma{sigma!r}") for tau in (1e-300, 1e-310, 5e-324)
+      for sigma, n in ((1.2, 64), (2.0, 2), (6.0, 1)))])
+def test_both_routes_count_past_the_w_form(tau, sigma, lam, count):
+    # C = e: ln C/tau is near 1e300 or inf, where W(x)/(sigma-1) - ln C/tau would be a difference
+    # of two such terms; the closed form's Newton form takes ln ln lambda - ln ln C, with no tau
+    assert _reference.count(tau, sigma, math.e, lam) == count
+    check(tau, sigma, math.e, [lam])
 
 
 def test_the_reference_counts_a_tie():

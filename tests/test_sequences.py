@@ -22,6 +22,8 @@ from extgevrey import (
 from extgevrey import sequences
 from extgevrey.sequences import P_MAX_CAP, _stable_report
 
+import _reference
+
 PARAM_SET = [(t, s) for t in (0.5, 1.0, 2.0) for s in (1.5, 2.0, 3.0)]
 
 
@@ -269,6 +271,20 @@ def test_lemma_bounds_where_the_upper_bound_leaves_the_floats():
     with pytest.raises(NumericalError, match=r"^the upper bound on log m_p leaves the floats at every p <= 2: "
                                              r"tau=1.8254443044360363e\+224, sigma=275.3805505967718$"):
         lemma_quotient_bounds(SequenceParams(1.8254443044360363e+224, 275.3805505967718), 2)
+
+
+def test_tiny_tau_where_p_to_the_sigma_alone_passes_the_floats():
+    # 6^400 = 1.8e311 overflows, tau 6^400 = 1.8e11 does not: log m_6 and log M_6 are finite, and
+    # so are the lemma's bounds on p <= 10; where p^sigma ln h passes the floats, ~M.4 names that
+    P = SequenceParams(1e-300, 400.0)
+    seq = extended_gevrey(P)
+    for p in (6, 10):
+        assert _reference.rel(seq.log_m(p), _reference.log_m(p, 1e-300, 400.0)) <= 1e-12
+        assert _reference.rel(seq.log_M(p), _reference.log_M(p, 1e-300, 400.0)) <= 1e-12
+    assert lemma_quotient_bounds(P, 10).passed
+    with pytest.raises(NumericalError, match=r"^the sup of ~M.4 is inf at p = 6, past the floats: "
+                                             r"tau=1e-300, sigma=400.0$"):
+        check_condition("~M.4", P, 10)
 
 
 def _peak_of(fn):
