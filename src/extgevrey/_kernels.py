@@ -39,13 +39,11 @@ sigma ln p + ln B(p) with ln ln k - ln tau: values that neither cancel nor overf
 `_counting_sum_scalar` finds one N by galloping and bisecting in `math`,
 `counting_sum_grid` every N by `searchsorted` in one table.
 
-The scalar kernel alone scores a sup candidate past the floats: g as written where it is
-finite, so ordinary bits stay; else, where p^sigma is finite, p^sigma (ln h - tau ln p)
-+ p ln k, whose sign is right and which is inf only past the largest float (NumericalError);
-where p^sigma is not, -inf if tau ln p - ln h > p ln_+ k / MAX proves g < 0 (tau ln p = inf
-proves it), else NumericalError. No candidate is NaN, so the first largest wins. The grid
-decides a point where ln x is finite, ln p* < ln 2**53 and each g is finite or so proven
-< 0, and hands every other point, in k order, to the scalar kernel.
+Where g(p) is not finite as written, both sup kernels take g = p ln k - sign(d) exp(sigma ln p
++ ln |d|), d = tau ln p - ln h, with ln d = ln tau + ln ln p at h = 1 (tau ln p may be subnormal);
+a finite g keeps its bits. An exp past the floats is -inf, a proven loss, or +inf: g(p) passes the
+largest float (NumericalError). The grid hands a point, in k order, to the scalar kernel only where
+a candidate is not below +inf or ln p* not below ln 2**53, so that the scalar kernel raises there.
 """
 
 import math
@@ -59,9 +57,8 @@ _BLOCK = 8192        # W points per block: its six buffers (384 KiB), reused by 
 _LOG_STEPS = 3       # Halley steps of the grid W in log form: the fewest within 2 ulp (two leave 8.5e4)
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
-_LN_POW_MAX = 709.0      # sigma ln p below this, p^sigma is a float (ln of the largest is 709.78)
 _C_NEWTON = 4.0          # `_ln_root` takes its Newton form past this c
-_MAX = sys.float_info.max
+_LN_MAX = math.log(sys.float_info.max)    # e^x is a float up to this x
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +235,6 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     ll = math.log(abs(lnk)) if lnk else -math.inf
     lx, near = ll + _ln_x_over_lnk(s1, tau, sigma, c), ()
     if lnk > 0.0 or lx <= -1.0 and lnh >= 0.0:      # x >= -1/e, as in `assoc_sup_grid`
-        if not lx < math.inf:       # NaN too: c passes the floats where |ln h|/tau does
-            raise _sup_error(f"ln x = {lx:.6g} of the root p* leaves the floats, c = {c:.6g}",
-                             lnk, lnh, tau, sigma)
         lnp = _ln_root(lx, ll, c, tau - sigma * lnh, s1, lnk)
         if not lnp < _LN_2_53:      # NaN too: c or x out of the float range
             raise _sup_error(f"T_h(k) peaks near p = exp({lnp:.6g}) > 2**53, past exact integer floats",
@@ -249,16 +243,17 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
         near = range(max(q - 1, 1), q + 3)
     best, best_p = 0.0, 0   # the p = 0 term: ln_+ 1 = 0
     for p in (1, *near):
+        lp = math.log(p)
         try:
             pw = float(p) ** sigma
         except OverflowError:
-            if not tau * math.log(p) - lnh > max(lnk, 0.0) * p / _MAX:
-                raise _sup_error(f"p^sigma overflows a float at the candidate p = {p}, where g's sign is "
-                                 "unresolved", lnk, lnh, tau, sigma) from None
-            continue        # g(p) < 0
-        g = pw * lnh + p * lnk - tau * pw * math.log(p)
-        if not math.isfinite(g):
-            g = pw * (lnh - tau * math.log(p)) + p * lnk
+            pw = math.inf       # g as written is then not finite
+        g = pw * lnh + p * lnk - tau * pw * lp
+        if not math.isfinite(g):    # the log form: -inf past the floats is a proven loss
+            d = tau * lp - lnh
+            ld = math.log(tau) + math.log(lp) if lnh == 0.0 else math.log(abs(d)) if d else -math.inf
+            e = sigma * lp + ld
+            g = p * lnk - math.copysign(math.exp(e) if e <= _LN_MAX else math.inf, d)
             if g == math.inf:
                 raise _sup_error(f"T_h(k) = g(p) passes the largest float at p = {p}", lnk, lnh, tau, sigma)
         if g > best:
@@ -272,7 +267,7 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
     s1, c = sigma - 1.0, (tau - sigma * lnh) / (tau * sigma)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):     # undecided points are handed over
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):     # past the floats: the log form below
         # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
         ll = np.log(np.abs(lnk_arr))
         lx = ll + _ln_x_over_lnk(s1, tau, sigma, c)
@@ -281,15 +276,19 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
         L, lx, ll = lnk_arr[t], lx[t], ll[t]
         lnp = _ln_root(lx, ll, c, tau - sigma * lnh, s1, L)
         q = np.maximum(np.floor(np.exp(lnp)) + np.arange(-1.0, 3.0)[:, None], 1.0)    # a row per candidate
+        lq = np.log(q)
         pwq = q ** sigma
-        g = pwq * lnh + q * L - tau * pwq * np.log(q)
-        dec = np.isfinite(g)    # the candidates decided on the floats
-        if not dec.all():       # and where p^sigma = inf, those the sign test proves g < 0 at
-            dec |= (pwq == math.inf) & (tau * np.log(q) - lnh > np.maximum(L, 0.0) * q / _MAX)
-            g[~np.isfinite(g)] = -math.inf      # proven, or its point is handed over
-    ok_x, ok_p, hand = lx < math.inf, lnp < _LN_2_53, ()     # NaN too
-    if not (ok_x.all() and ok_p.all() and dec.all()):
-        keep = ok_x & ok_p & dec.all(axis=0)
+        g = pwq * lnh + q * L - tau * pwq * lq
+        if not (fin := np.isfinite(g)).all():      # the scalar kernel's log form, at those candidates alone
+            b = ~fin
+            qb, lb = q[b], lq[b]
+            d = tau * lb - lnh
+            e = sigma * lb + (math.log(tau) + np.log(lb) if lnh == 0.0 else np.log(np.abs(d)))
+            g[b] = qb * np.broadcast_to(L, q.shape)[b] - np.copysign(np.exp(e), d)
+    # a g past the largest float (+inf, or NaN) and p* past 2**53 (NaN too): the scalar kernel raises
+    keep, hand = lnp < _LN_2_53, ()
+    if not (keep.all() and fin.all()):
+        keep &= (g < math.inf).all(axis=0)
         hand, t, q, g = t[~keep], t[keep], q[:, keep], g[:, keep]
     best_g, best_q = g.max(axis=0), q[3].copy()
     for qr, gr in zip(q[2::-1], g[2::-1]):      # upwards, so that the first largest wins
@@ -347,7 +346,7 @@ def _counting_sum_scalar(lnk, tau, sigma):
     N is found by galloping over p = 64 * 2^j, then bisecting, on the finite
     sigma ln p + ln B(p) <= ln ln k - ln tau, with `_quotient_factor`'s B written inline
     (a call per quotient made a count about 20% slower). NumericalError where N passes
-    _COUNT_P_CAP, or where N^sigma in log M_N = tau N^sigma ln N leaves the floats."""
+    _COUNT_P_CAP. log M_N = tau N^sigma ln N takes tau N^sigma by `_tau_pow`'s rule."""
     if lnk <= 0.0:
         return 0.0, int(lnk == 0.0)
     log, log1p, expm1 = math.log, math.log1p, math.expm1
@@ -366,11 +365,12 @@ def _counting_sum_scalar(lnk, tau, sigma):
         if hi - lo == 1:
             break
         p = (lo + hi) // 2 if hi else 2 * p
+    try:
+        t = tau * lo ** sigma
+    except OverflowError:
+        t = math.inf
     lp = log(lo)
-    if not sigma * lp < _LN_POW_MAX:
-        raise NumericalError(f"log M_N = tau N^sigma ln N needs N^sigma past the floats at N = {lo}: "
-                             f"tau={tau!r}, sigma={sigma!r}, k up to exp({lnk!r})")
-    return lo * lnk - tau * lo ** sigma * lp, lo
+    return lo * lnk - (t if t < math.inf else math.exp(log(tau) + sigma * lp)) * lp, lo
 
 
 def counting_sum_grid(lnk_arr, tau, sigma):

@@ -6,7 +6,8 @@ found by `_newton`. Floats in, Decimals out; the domains:
 
 - `w0(x)`: W0 for x in (-1/e, 1.8e308]; `w0_log(lx)`: W(e^lx) for lx <= 1e300.
 - `g(p, lnk, lnh, tau, sigma)`: the objective p^sigma ln h + p ln k - tau p^sigma ln p of T_h
-  at an integer p >= 1, where its three terms cancel in floats.
+  at an integer p >= 1, where its three terms cancel in floats; `g_cond(p, ...)` the sum of
+  their sizes over |g(p)|, by which a rounding of each term grows in g.
 - `log_M(p, tau, sigma)` = tau p^sigma ln p (0 for p <= 1), `log_m(p, ...)` = log M_p -
   log M_(p-1) and `counting_sum(lnk, n, ...)` = n ln k - log M_n, the counting sum at its
   count n, for integers p, n >= 1, tau > 0 and sigma > 1 (2^1e6 is a Decimal).
@@ -64,6 +65,13 @@ def w0_log(lx):
 def g(p, lnk, lnh, tau, sigma):
     with decimal.localcontext(_CTX):
         return _D(p) * _D(lnk) + _g_at_k_1(p, lnh, tau, sigma)
+
+
+def g_cond(p, lnk, lnh, tau, sigma):
+    with decimal.localcontext(_CTX):
+        P = _D(p)
+        terms = P * abs(_D(lnk)) + (_D(sigma) * P.ln()).exp() * (abs(_D(lnh)) + _D(tau) * P.ln())
+        return float(terms / abs(g(p, lnk, lnh, tau, sigma)))
 
 
 @functools.lru_cache(maxsize=None)     # a sweep over k reads the same p^sigma terms at every k

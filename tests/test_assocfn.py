@@ -567,14 +567,15 @@ def test_subnormal_tau_with_h_above_one_raises_as_at_1e_300(tau):
         assoc_fn_sup(SequenceParams(tau, 1.2), 1e6, 1e-10)
 
 
-def test_subnormal_tau_with_h_below_one_fails_the_nan_guard():
-    # ln h / tau overflows, so c = inf and ln x = inf: both kernels raise before any W call
-    P, at = SequenceParams(1e-310, 2.0), r"tau=1e-310, sigma=2.0, h=0.5, k=10"
-    msg = rf"^ln x = inf of the root p\* leaves the floats, c = inf: {at}$"
-    with pytest.raises(NumericalError, match=msg):
-        assoc_fn_sup(P, 0.5, 10)
-    with pytest.raises(NumericalError, match=msg):
-        assoc_fn_sup_grid(P, 0.5, [10, 1e5])
+def test_subnormal_tau_with_h_below_one_takes_the_newton_root():
+    # ln h / tau overflows, so c = inf and ln x = inf: the root's Newton form takes c = inf, and
+    # both kernels give g(2) = 2 ln 10 - 4 ln 2 at k = 10, where tau 4 ln 2 is below an ulp
+    P = SequenceParams(1e-310, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T, p = assoc_fn_sup_grid(P, 0.5, [10, 1e5])
+        assert [(T[i], p[i]) for i in (0, 1)] == [assoc_fn_sup(P, 0.5, k)[:2] for k in (10, 1e5)]
+    assert (T[0], p[0]) == (2.0 * math.log(10.0) - 4.0 * math.log(2.0), 2) == (1.8325814637483107, 2)
 
 
 def test_tau_1e_300_with_h_below_one_gives_the_scalar_sup_on_the_grid_without_a_warning():

@@ -18,6 +18,10 @@ from extgevrey.lambertw import w_residual
 import _reference
 
 
+_FLOAT_MAX = sys.float_info.max
+_LN_FLOAT_MAX = math.log(_FLOAT_MAX)
+
+
 def _both_sides(x):
     return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
 
@@ -120,15 +124,19 @@ def test_the_grid_hands_only_undecided_points_to_the_scalar_kernel(monkeypatch):
     for tau, sigma, h, k in cases:
         _kernels.assoc_sup_grid(np.log(k), math.log(h), tau, sigma)
     assert handed == []
-    # g(2) = inf - inf as written at every point: each one goes over, in k order
-    _kernels.assoc_sup_grid(np.array(_LNK_WIDE), math.log(4.524178708727972e+26), 5892447.000206286,
-                            1021.6304760128658)
-    assert handed == _LNK_WIDE
-    # every candidate past p = 1 has p^sigma = inf, and tau ln p = inf proves g < 0: none goes over
-    handed.clear()
-    _kernels.assoc_sup_grid(np.array(_LNK_WIDE), math.log(1.1933336980865066e-20), 1.6869638155091605e+308,
-                            7021.061374725526)
+    # the log form decides, in the grid, candidates whose g is not finite as written: g(2) = inf - inf
+    # at tau = 5892447, and at tau = 1.7e308 tau ln p = inf at every candidate past p = 1
+    for lnh, tau, sigma in [(math.log(4.524178708727972e+26), 5892447.000206286, 1021.6304760128658),
+                            (math.log(1.1933336980865066e-20), 1.6869638155091605e+308, 7021.061374725526)]:
+        _kernels.assoc_sup_grid(np.array(_LNK_WIDE), lnh, tau, sigma)
     assert handed == []
+    # g past the largest float from k = 2, and p* past 2**53 from k = 3.56e78 at sigma = 1.01: the first
+    # such point goes over, and the scalar kernel raises there
+    for (lnh, tau, sigma), first in [((709.7, 1000.0, 1020.0), 0), ((0.0, 1.0, 1.01), 2)]:
+        with pytest.raises(NumericalError):
+            _kernels.assoc_sup_grid(np.array(_LNK_WIDE), lnh, tau, sigma)
+        assert handed == [_LNK_WIDE[first]]
+        handed.clear()
 
 
 def test_w_iterations_below_e_are_few():
@@ -533,14 +541,16 @@ def test_counting_equals_the_sup_where_2_to_the_sigma_overflows(sigma):
 
 
 def test_overflowing_powers_that_decide_nothing_raise():
-    # ln h > tau ln p: g(p) = p^sigma (ln h - tau ln p) + p ln k has no float value
+    # ln h > tau ln p where p^800 overflows: g(p) = p ln k + exp(800 ln p + ln(ln h - tau ln p)) passes
+    # the largest float at the first candidate next to p* = 1e6
     params = SequenceParams(1.0, 800.0)
-    msg = r"overflows a float at the candidate p = .*tau=1\.0, sigma=800\.0, h=1000000, k=10$"
+    msg = (r"^T_h\(k\) = g\(p\) passes the largest float at p = 998749: "
+           r"tau=1\.0, sigma=800\.0, h=1000000, k=10$")
     with pytest.raises(NumericalError, match=msg):
         assoc_fn_sup(params, 1e6, 10.0)
     with pytest.raises(NumericalError, match=msg):
         assoc_fn_sup_grid(params, 1e6, [10.0])
-    # 2^1020 (ln h - tau ln 2) = 1.1e307 * 16.6 is g(2): a sign, but past the largest float
+    # 2^1020 (ln h - tau ln 2) = 1.1e307 * 16.6 is g(2): past the largest float as well
     msg = r"^T_h\(k\) = g\(p\) passes the largest float at p = 2: tau=1000\.0, sigma=1020\.0, h=exp\(709\.7\)"
     with pytest.raises(NumericalError, match=msg + ", k=10$"):
         _kernels._assoc_sup_scalar(math.log(10.0), 709.7, 1000.0, 1020.0)
@@ -551,13 +561,71 @@ def test_overflowing_powers_that_decide_nothing_raise():
     assert assoc_fn_counting(params, 1e10)[:2] == (math.log(1e10), 1)
     assert [a.tolist() for a in assoc_fn_counting_grid(params, [1e10])] == [[math.log(1e10)], [1]]
     assert assoc_fn_sup(params, 1.0, 1e10)[:2] == (math.log(1e10), 1)
-    # at tau = 1e-310, N = 35 or 36 is found, but N^200 in log M_N = tau N^sigma ln N overflows
-    msg = r"at N = 3[56]: tau=1e-310, sigma=200\.0, k up to exp\((1|700)\.0\)$"
-    for lnk in (1.0, 700.0):
-        with pytest.raises(NumericalError, match=msg):
-            _kernels._counting_sum_scalar(lnk, 1e-310, 200.0)
-        with pytest.raises(NumericalError, match=msg):
-            _kernels.counting_sum_grid(np.array([lnk]), 1e-310, 200.0)
+    # at tau = 1e-310, N^200 overflows at N = 35 or 36, but tau N^200 = exp(ln tau + 200 ln N) does not:
+    # both counting routes give the sup, to rounding, at its maximiser
+    for lnk, n in ((1.0, 35), (700.0, 36)):
+        T = _kernels._counting_sum_scalar(lnk, 1e-310, 200.0)
+        Tg, ng = _kernels.counting_sum_grid(np.array([lnk]), 1e-310, 200.0)
+        assert ng.tolist() == [n] and Tg[0] == pytest.approx(T[0], rel=1e-15)
+        Ts, p = _kernels._assoc_sup_scalar(lnk, 0.0, 1e-310, 200.0)
+        assert T[1] == p == n and T[0] == pytest.approx(Ts, rel=1e-15)
+        assert _reference.rel(T[0], _reference.counting_sum(lnk, n, 1e-310, 200.0)) <= 1e-15
+
+
+# -- the log form of g where it is not finite as written ---------------------------------------
+
+def _check_log_form(tau, sigma, lnh, lnk):
+    """Both sup kernels at the ln k of `lnk`: the same maximisers, or the same error at the first
+    failing k. Each T is within 1e-14 of the largest 50-digit g over p = 1 and the maximiser +- 3,
+    times g's condition where its terms cancel (1100 at tau = 9.9, sigma = 28, h = 1e6, p = 4, as
+    written, where the kernels' p^sigma differ by an ulp), and at h = 1 the counting sum equals it
+    below its cap. Returns the number of maximisers whose p^sigma overflows."""
+    try:
+        values, argmax = _kernels.assoc_sup_grid(np.array(lnk), lnh, tau, sigma)
+    except NumericalError as err:
+        for L in lnk:
+            try:
+                _kernels._assoc_sup_scalar(L, lnh, tau, sigma)
+            except NumericalError as e:
+                assert str(e) == str(err)
+                return 0
+        raise
+    past = 0
+    for L, T, p in zip(lnk, values.tolist(), argmax.tolist()):
+        Ts, ps = _kernels._assoc_sup_scalar(L, lnh, tau, sigma)
+        best = max(_reference.g(q, L, lnh, tau, sigma) for q in {1, *range(max(p - 3, 1), p + 4)})
+        bound = 1e-14 * max(1.0, _reference.g_cond(p, L, lnh, tau, sigma)) if p else 0.0
+        assert ps == p
+        for v in (T, Ts):
+            assert (v == 0.0 and best <= 0) if p == 0 else _reference.rel(v, best) <= bound, (tau, sigma, L)
+        if lnh == 0.0 and p < _kernels._COUNT_P_CAP:     # the count is p, and raises past the cap
+            assert _kernels._counting_sum_scalar(L, tau, sigma)[0] == pytest.approx(T, rel=1e-14)
+        past += sigma * math.log(max(p, 1)) > _LN_FLOAT_MAX
+    return past
+
+
+@pytest.mark.parametrize("tau, sigma", [(5e-324, 100.0), (1e-320, 60.0), (1e-310, 200.0)])
+def test_sup_in_log_form_at_h_1_and_a_subnormal_tau(tau, sigma):
+    # p*^sigma ~ p* ln k / (tau sigma ln p*) overflows at every k > 1, and tau ln p is subnormal:
+    # ln d = ln tau + ln ln p keeps the digits that the product drops
+    lnk = np.log(np.logspace(0.0, 10.0, 21)).tolist()
+    assert _check_log_form(tau, sigma, 0.0, lnk) == 20
+
+
+def test_sup_in_log_form_on_seeded_draws():
+    # sigma log-uniform on [10, 1500], h in {1/2, 1, 2, 1e6} and tau log-uniform on one of [5e-324, 1e-300],
+    # where p*^sigma overflows at h = 1, [1e-300, 1] and [1, 100], where p* < 2**53 at h > 1
+    rng, past = np.random.default_rng(37), 0
+    for _ in range(150):
+        sigma = float(np.exp(rng.uniform(math.log(10.0), math.log(1500.0))))
+        band = [(5e-324, 1e-300), (1e-300, 1.0), (1.0, 100.0)][rng.integers(3)]
+        tau = float(np.exp(rng.uniform(*np.log(band))))
+        lnh = math.log(float(rng.choice([0.5, 1.0, 2.0, 1e6])))
+        past += _check_log_form(tau, sigma, lnh, rng.uniform(-2.0, 25.0, 5).tolist())
+    assert past >= 10
+    # h = 1/2 at tau = 1e-310: c = inf, and the Newton form of the root takes it
+    assert _check_log_form(1e-310, 2.0, math.log(0.5), [math.log(10.0)]) == 0
+    assert _kernels._assoc_sup_scalar(math.log(10.0), math.log(0.5), 1e-310, 2.0) == (1.8325814637483107, 2)
 
 
 # -- the log-form root of p^s1 (ln p + c) = r against the 50-digit reference -----------
@@ -618,7 +686,7 @@ def test_w0_scalar_is_within_2_ulp_of_the_reference():
     rng = np.random.default_rng(13)
     pos = np.concatenate([rng.uniform(1e-4, math.e, 300), np.exp(rng.uniform(1.0, 709.78, 300)),
                           [v for e in (1e-4, 1.0, math.e) for v in _both_sides(e)],
-                          [np.nextafter(_kernels._MAX, 0.0), _kernels._MAX]])
+                          [np.nextafter(_FLOAT_MAX, 0.0), _FLOAT_MAX]])
     neg = np.concatenate([-rng.uniform(1e-4, 0.3, 300), _both_sides(-0.3), _both_sides(-1e-4)])
     for x in (pos, neg):
         ref = [_reference.w0(v) for v in x.tolist()]
@@ -627,7 +695,7 @@ def test_w0_scalar_is_within_2_ulp_of_the_reference():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(-0.3, _kernels._MAX))
+@given(st.floats(-0.3, _FLOAT_MAX))
 @example(-0.2970347579556744)       # 2.205 ulp off W, where 1 + w = 0.52
 def test_w0_scalar_is_within_2_ulp_of_the_reference_anywhere(x):
     # below 0 within 2/(1 + w) ulp, as the grid kernel below: 1/(1 + w) is 1.8 at -0.3
@@ -636,7 +704,7 @@ def test_w0_scalar_is_within_2_ulp_of_the_reference_anywhere(x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(-0.3, _kernels._MAX))
+@given(st.floats(-0.3, _FLOAT_MAX))
 def test_w0_grid_is_within_2_ulp_of_the_reference_anywhere(x):
     # the FSC steps below e and the fixed Halley steps of the log form from e; below 0, within
     # 2/(1 + w) ulp, as near the branch point: 1/(1 + w) is 1.8 at -0.3, where w reaches 2.3 ulp
@@ -645,7 +713,7 @@ def test_w0_grid_is_within_2_ulp_of_the_reference_anywhere(x):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(1.0, _kernels._MAX))
+@given(st.floats(1.0, _FLOAT_MAX))
 def test_w0_exp_grid_is_within_2_ulp_of_the_reference_anywhere(lx):
     # the log form alone, past ln x ~ 1.3e154 with w^2 = inf
     assert _reference.ulps(_kernels.w0_exp_grid(np.array([lx]))[0], _reference.w0_log(lx)) <= 2.0
@@ -679,6 +747,6 @@ def test_w0_log_scalar_is_within_2_ulp_of_the_reference():
     (_kernels.w0_scalar, 5e-324, "5e-324"),
     (_kernels._w0_log_scalar, math.nan, "nan"),
     (_kernels._w0_log_scalar, math.inf, "nan"),
-    (_kernels._w0_log_scalar, _kernels._MAX, "1.7976931348623157e+308")])
+    (_kernels._w0_log_scalar, _FLOAT_MAX, "1.7976931348623157e+308")])
 def test_w0_scalar_edge_outcomes(fn, x, want):
     assert repr(fn(x)[0]) == want
