@@ -13,12 +13,12 @@ to about 2e-15 relative.
 `w0_exp_grid` and `_ln_root` take W(+-e^lx) from ln x, in log form where lx >= 1.
 
 T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
-g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = (tau - sigma ln h)/(tau sigma), and
-p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on p > 0 g has at most
-one interior local maximum p*, for every h. So T_h(k) = max(0, g(1), g(floor(p*)-1 ...
-floor(p*)+2)), and max(0, g(1)) where x < -1/e (below), as at h < 1 and ln k <= 0 (g < 0 at
-every p >= 1). `assoc_sup_grid` takes one root call for all k; the scalar `_assoc_sup_scalar`
-the same candidates in `math`, since a numpy call on one point costs more than that path.
+g'(p) = ln k - tau sigma p^(sigma-1) (ln p + c), c = 1/sigma - ln h/tau (finite where tau sigma and
+sigma ln h are not), and p^(sigma-1) (ln p + c) falls from 0 to one minimum, then rises to inf: on
+p > 0 g has at most one interior local maximum p*, for every h. So T_h(k) = max(0, g(1),
+g(floor(p*)-1 ... floor(p*)+2)), and max(0, g(1)) where x < -1/e (below), as at h < 1 and
+ln k <= 0 (g < 0 at every p >= 1). `assoc_sup_grid` takes one root call for all k; the scalar
+`_assoc_sup_scalar` the same candidates in `math`, since a numpy call on one point costs more.
 
 One root, `_ln_root`, gives u = ln p at p^s1 (ln p + c) = r, s1 = sigma-1, for the sups' p*
 (r = ln k/(tau sigma)) and the counting floors' P (c = ln C/tau, r = ln lambda/tau). For c <= 4
@@ -39,15 +39,14 @@ sigma ln p + ln B(p) with ln ln k - ln tau: values that neither cancel nor overf
 `_counting_sum_scalar` finds one N by galloping and bisecting in `math`,
 `counting_sum_grid` every N by `searchsorted` in one table.
 
-Where g(p) is not finite as written, both sup kernels take g = p ln k - sign(d) exp(sigma ln p
-+ ln |d|), d = tau ln p - ln h, with ln d = ln tau + ln ln p at h = 1 (tau ln p may be subnormal);
-a finite g keeps its bits. An exp past the floats is -inf, a proven loss, or +inf: g(p) passes the
-largest float (NumericalError). The grid hands a point, in k order, to the scalar kernel only where
-a candidate is not below +inf or ln p* not below ln 2**53, so that the scalar kernel raises there.
+Where g(p) is not finite as written, both sup kernels take `_g_log_form`, g = p ln k - sign(d)
+exp(sigma ln p + ln |d|), d = tau ln p - ln h, ln d = ln tau + ln ln p at h = 1 (tau ln p may be
+subnormal); a finite g keeps its bits. An exp past the floats is -inf, a proven loss, or +inf: g(p)
+passes the largest float (NumericalError). The grid hands a point, in k order, to the scalar kernel
+only where a candidate is not below +inf or ln p* not below ln 2**53, so that it raises there.
 """
 
 import math
-import sys
 
 import numpy as np
 
@@ -58,7 +57,6 @@ _LOG_STEPS = 3       # Halley steps of the grid W in log form: the fewest within
 _COUNT_P_CAP = 2 ** 22   # largest p the counting sum searches; the grid's table there is 32 MiB
 _LN_2_53 = 53.0 * math.log(2.0)   # integers p past 2**53 are not all floats
 _C_NEWTON = 4.0          # `_ln_root` takes its Newton form past this c
-_LN_MAX = math.log(sys.float_info.max)    # e^x is a float up to this x
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +229,7 @@ def _ln_root(lx, ll, c, tc, s1, sign=1.0, m=None):
 
 
 def _assoc_sup_scalar(lnk, lnh, tau, sigma):
-    s1, c = sigma - 1.0, (tau - sigma * lnh) / (tau * sigma)
+    s1, c = sigma - 1.0, 1.0 / sigma - lnh / tau
     ll = math.log(abs(lnk)) if lnk else -math.inf
     lx, near = ll + _ln_x_over_lnk(s1, tau, sigma, c), ()
     if lnk > 0.0 or lx <= -1.0 and lnh >= 0.0:      # x >= -1/e, as in `assoc_sup_grid`
@@ -250,10 +248,8 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
             pw = math.inf       # g as written is then not finite
         g = pw * lnh + p * lnk - tau * pw * lp
         if not math.isfinite(g):    # the log form: -inf past the floats is a proven loss
-            d = tau * lp - lnh
-            ld = math.log(tau) + math.log(lp) if lnh == 0.0 else math.log(abs(d)) if d else -math.inf
-            e = sigma * lp + ld
-            g = p * lnk - math.copysign(math.exp(e) if e <= _LN_MAX else math.inf, d)
+            with np.errstate(divide="ignore", over="ignore"):
+                g = float(_g_log_form(p, lp, lnk, lnh, tau, sigma))
             if g == math.inf:
                 raise _sup_error(f"T_h(k) = g(p) passes the largest float at p = {p}", lnk, lnh, tau, sigma)
         if g > best:
@@ -261,12 +257,19 @@ def _assoc_sup_scalar(lnk, lnh, tau, sigma):
     return best, best_p
 
 
+def _g_log_form(p, lp, lnk, lnh, tau, sigma):
+    """g(p) in the log form of the module docstring, lp = ln p, for floats or arrays, in numpy."""
+    d = tau * lp - lnh
+    e = sigma * lp + (math.log(tau) + np.log(lp) if lnh == 0.0 else np.log(np.abs(d)))
+    return p * lnk - np.copysign(np.exp(e), d)
+
+
 def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
     lnk_arr = np.asarray(lnk_arr, dtype=np.float64)
     values = lnk_arr + lnh      # g(1)
     argmax = (values > 0.0).astype(np.int64)
     values = np.maximum(values, 0.0)
-    s1, c = sigma - 1.0, (tau - sigma * lnh) / (tau * sigma)
+    s1, c = sigma - 1.0, 1.0 / sigma - lnh / tau
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):     # past the floats: the log form below
         # ln |x| = -inf at ln k = 0, and NaN there where s1 c = inf: such a point takes no W
         ll = np.log(np.abs(lnk_arr))
@@ -279,12 +282,9 @@ def assoc_sup_grid(lnk_arr, lnh, tau, sigma):
         lq = np.log(q)
         pwq = q ** sigma
         g = pwq * lnh + q * L - tau * pwq * lq
-        if not (fin := np.isfinite(g)).all():      # the scalar kernel's log form, at those candidates alone
+        if not (fin := np.isfinite(g)).all():      # the log form, at those candidates alone
             b = ~fin
-            qb, lb = q[b], lq[b]
-            d = tau * lb - lnh
-            e = sigma * lb + (math.log(tau) + np.log(lb) if lnh == 0.0 else np.log(np.abs(d)))
-            g[b] = qb * np.broadcast_to(L, q.shape)[b] - np.copysign(np.exp(e), d)
+            g[b] = _g_log_form(q[b], lq[b], np.broadcast_to(L, q.shape)[b], lnh, tau, sigma)
     # a g past the largest float (+inf, or NaN) and p* past 2**53 (NaN too): the scalar kernel raises
     keep, hand = lnp < _LN_2_53, ()
     if not (keep.all() and fin.all()):

@@ -160,7 +160,7 @@ def _direct_scalar(tau, s, C, lam, lo=1, hi=0):
         _validate_c_lam(C, lam)
     if not C <= lam:    # g(1) = ln C > ln lambda, on the floats
         return 0
-    log, e = math.log, s - 1.0
+    log, e, k2 = math.log, 0.5 * (s - 1.0), _K2
     lnC, lnlam, t = log(C), log(lam), tau
     if t < 2.0 ** -960:     # tau ln p would be subnormal: scale g and ln lambda by 2^600, exactly
         t, lnC, lnlam = t * 2.0 ** 600, lnC * 2.0 ** 600, lnlam * 2.0 ** 600
@@ -168,12 +168,12 @@ def _direct_scalar(tau, s, C, lam, lo=1, hi=0):
     ca, ta, cm = (lnC + aC) * (0.5 * _K), t * _K, (aC - lnC) * 0.5     # _K ln C^+, _K tau, ln C^-
     p = (lo + hi) // 2 if hi else 2 * lo
     while p != lo:
-        try:
-            b = cm + lnlam / p ** e
-        except OverflowError:       # ln lambda / q / q, q = p^(e/2), and 0 past that, far below a's rounding
-            b = cm + (lnlam / (q := p ** (0.5 * e)) / q if 0.5 * e * log(p) < 709.0 else 0.0)
+        try:    # ln lambda / p^(s-1) as ln lambda / q / q, q = p^((s-1)/2), as in `_direct_grid`
+            b = cm + lnlam / (q := p ** e) / q
+        except OverflowError:       # 0 past the floats, far below a's rounding
+            b = cm
         a = ca + ta * log(p)
-        if a <= b or not a > b * _K2 and _fits_exact(p, s, tau, C, lam):
+        if a <= b or not a > b * k2 and _fits_exact(p, s, tau, C, lam):
             if p >= 2 ** 53:
                 raise NumericalError(f"the count passes p = 2**53, past exact integer floats: "
                                      f"tau={tau!r}, sigma={s!r}, C={C!r}, lambda={lam!r}")
@@ -266,7 +266,7 @@ def envelope(params: SequenceParams, h: float, k_grid) -> np.ndarray:
     k = _k_grid(k_grid, "envelope")
     tau, s = params.tau, params.sigma
     E, big = np.zeros_like(k), k > 1.0
-    kb, c = k[big], (tau - s * math.log(h)) / (tau * s)
+    kb, c = k[big], 1.0 / s - math.log(h) / tau
     ln_r = np.log(np.log(math.e + kb)) + _ln_x_over_lnk(s - 1.0, tau, s, c)
     if not (ln_r < math.inf).all():     # NaN too
         raise NumericalError(f"envelope's ln R leaves the floats, c = {c:.6g}: tau={tau!r}, "

@@ -1,10 +1,13 @@
-"""A seeded sweep of `extgevrey` argvs across each option's documented domain, in process.
+"""The CLI contract, `check`, over a seeded sweep of `extgevrey` argvs across each option's
+documented domain and over the pinned argvs of `tests/data/edge_argvs.json`, in process.
 
 Every argv must end in a documented exit code (0, 1, 2 or 3) with no exception, a
 RuntimeWarning included (pyproject.toml makes those errors). A `verify` that exits 0, 1
 or 3 writes strict JSON (RFC 8259) holding the claims asked for: every claim of
 `cli.CLAIMS`, or an `--only` subset, which may name the opt-in m2-classical. A table holds
 no NaN, and an infinity only in the `phi` table, where phi_sigma passes the floats.
+A pinned argv must also end in its entry's exit code, with the named claim's error or
+the stderr text its entry gives.
 
 Run this module as a script for a longer sweep over more seeds; it exits 1 if an argv fails:
 
@@ -18,12 +21,14 @@ import math
 import random
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 from extgevrey import cli
 
 SEEDS = (2026, 2027)
+PINNED = json.loads((Path(__file__).parent / "data" / "edge_argvs.json").read_text())
 VERIFY_ARGVS, TABLE_ARGVS = 16, 24       # per seed
 _BANDS = ((5e-324, 1e-300), (1e-300, 1e-20), (1e-20, 1e-2), (1e-2, 1e2), (1e2, 1e20), (1e20, 1.7e308))
 
@@ -94,23 +99,32 @@ def _refuse(constant):
     raise ValueError(f"{constant} is not JSON (RFC 8259)")
 
 
+def _asked(argv):
+    """The claims a verify argv asks for: its `--only X` or `--only=X` list, else every claim."""
+    for arg, value in zip(argv, [*argv[1:], ""]):
+        if arg == "--only" or arg.startswith("--only="):
+            return (value if arg == "--only" else arg[len("--only="):]).split(",")
+    return cli.CLAIMS
+
+
 def check(argv):
-    """Run one argv in process: AssertionError, naming it, where it breaks the contract."""
-    out = io.StringIO()
+    """Run one argv in process and return (code, out, err): AssertionError, naming the argv,
+    where it breaks the contract."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code in (0, 1, 2, 3), f"exit code {code}"
         if argv[0] == "verify" and code != 2:
             doc = json.loads(out.getvalue(), parse_constant=_refuse)
-            asked = next((a[len("--only="):].split(",") for a in argv if a.startswith("--only=")), cli.CLAIMS)
-            assert set(doc["claims"]) == set(asked)
+            assert set(doc["claims"]) == set(_asked(argv))
             assert doc["passed"] == (code == 0)
         elif argv[0] != "verify":
             text = out.getvalue().lower()
             assert "nan" not in text and (argv[0] == "phi" or "inf" not in text), "nan or inf in the table"
     except Exception as exc:        # a RuntimeWarning too
         raise AssertionError(f"{' '.join(argv)}: {exc!r}") from exc
+    return code, out.getvalue(), err.getvalue()
 
 
 def argvs(seed):
@@ -124,16 +138,31 @@ def test_seeded_argvs_end_in_a_documented_exit_code(seed):
         check(argv)
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("entry", PINNED, ids=lambda entry: " ".join(entry["argv"]))
+def test_pinned_argv_ends_in_its_exit_code(entry):
+    code, out, err = check(entry["argv"])
+    assert code == entry["exit"], err
+    if "claim" in entry:
+        assert entry["error"] in json.loads(out)["claims"][entry["claim"]]["error"]
+    assert entry.get("stderr", "") in err
+
+
+def run(points, check_one, what):
+    """The sweep scripts' runner: `check_one` every point of seeds FIRST..LAST (the command
+    line), RuntimeWarnings as errors; print each failure and the count, and exit 1 if any failed."""
     warnings.simplefilter("error", RuntimeWarning)
     first, last = int(sys.argv[1]), int(sys.argv[2])
     bad = 0
     for seed in range(first, last + 1):
-        for argv in argvs(seed):
+        for point in points(seed):
             try:
-                check(argv)
+                check_one(point)
             except AssertionError as exc:
                 bad += 1
-                print(f"seed {seed}: {exc}"[:400])
-    print(f"{bad} failing argvs over seeds {first}-{last}")
+                print(f"seed {seed}: {exc}"[:600])
+    print(f"{bad} failing {what} over seeds {first}-{last}")
     sys.exit(1 if bad else 0)
+
+
+if __name__ == "__main__":
+    run(argvs, check, "argvs")

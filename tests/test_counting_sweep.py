@@ -18,8 +18,6 @@ Run this module as a script for a longer sweep over more seeds; it exits 1 if a 
 
 import math
 import random
-import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ import pytest
 from extgevrey import NumericalError, SequenceParams, counting_fn_direct, counting_fn_floor
 
 import _reference
+from test_argv_sweep import run
 
 SEEDS = (4041,)
 DRAWS = 12      # per seed, three lambda each
@@ -108,15 +107,4 @@ def test_the_reference_counts_a_tie():
 
 
 if __name__ == "__main__":
-    warnings.simplefilter("error", RuntimeWarning)
-    first, last = int(sys.argv[1]), int(sys.argv[2])
-    bad = 0
-    for seed in range(first, last + 1):
-        for d in points(seed):
-            try:
-                check(*d)
-            except AssertionError as exc:
-                bad += 1
-                print(f"seed {seed}: {exc}"[:600])
-    print(f"{bad} failing points over seeds {first}-{last}")
-    sys.exit(1 if bad else 0)
+    run(points, lambda d: check(*d), "points")

@@ -628,6 +628,19 @@ def test_sup_in_log_form_on_seeded_draws():
     assert _kernels._assoc_sup_scalar(math.log(10.0), math.log(0.5), 1e-310, 2.0) == (1.8325814637483107, 2)
 
 
+def test_c_where_tau_sigma_and_sigma_ln_h_leave_the_floats():
+    # at tau = 1e10, sigma = 1e306, tau sigma and sigma ln h overflow, so (tau - sigma ln h)/(tau sigma)
+    # is NaN, but c = 1/sigma - ln h/tau is -+6.9e-8. At h = 1e-300 g < 0 at every p >= 1, and at
+    # h = 1e300 T = g(1) = ln h + ln k; envelope is about ln k there
+    lnk = math.log(10.0)
+    for h, want in ((1e-300, (0.0, 0)), (1e300, (693.0781129912077, 1))):
+        assert _kernels._assoc_sup_scalar(lnk, math.log(h), 1e10, 1e306) == want
+        grid = _kernels.assoc_sup_grid(np.array([lnk]), math.log(h), 1e10, 1e306)
+        assert [a.tolist() for a in grid] == [[want[0]], [want[1]]]
+    assert want[0] == math.log(1e300) + lnk
+    assert assocfn.envelope(SequenceParams(1e10, 1e306), 1e300, [10.0])[0] == pytest.approx(lnk, rel=1e-6)
+
+
 # -- the log-form root of p^s1 (ln p + c) = r against the 50-digit reference -----------
 
 def _root_draws(n, seed):
