@@ -64,24 +64,24 @@ _C_NEWTON = 4.0          # `_ln_root` takes its Newton form past this c
 # ---------------------------------------------------------------------------
 
 def w0_scalar(x):
-    """Principal-branch Lambert W for a single x >= -1/e, as (w, iterations): a seed, then
-    two `_fsc_step`s on z = ln(x/w) - w (no steps at 0, in the series range and at -1)."""
+    """Principal-branch Lambert W for a single x >= -1/e: a seed, then two `_fsc_step`s on
+    z = ln(x/w) - w (no steps at 0, in the series range and at -1)."""
     if x == 0.0:
-        return 0.0, 0
+        return 0.0
     if abs(x) < 1e-4:
         # W = x - x^2 + 3/2 x^3 - 8/3 x^4 + 125/24 x^5 - ...: the x^6 term is below an ulp
-        return _w0_series(x), 0
+        return _w0_series(x)
     if x < -0.3:
         # the branch-point series in p = sqrt(2 (e x + 1)); at p = 0 the step would divide by 1 + w = 0
         if not (q := 2.0 * (math.e * x + 1.0)) > 0.0:
-            return -1.0, 0
+            return -1.0
         p = math.sqrt(q)
         w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
     else:
         l = math.log1p(x)
         w = l * (1.0 - math.log1p(l) / (2.0 + l))
     w = _fsc_step(w, math.log(x / w) - w)
-    return _fsc_step(w, math.log(x / w) - w), 2
+    return _fsc_step(w, math.log(x / w) - w)
 
 
 def _fsc_step(w, z):
@@ -98,10 +98,10 @@ def _w0_series(x):
 
 
 def _w0_log_scalar(lx):
-    """W(e^lx) for lx >= 1, as (w, 2): two `_fsc_step`s from lx - ln lx on z = lx - ln w - w."""
+    """W(e^lx) for lx >= 1: two `_fsc_step`s from lx - ln lx on z = lx - ln w - w."""
     w = lx - math.log(lx)
     w = _fsc_step(w, lx - math.log(w) - w)
-    return _fsc_step(w, lx - math.log(w) - w), 2
+    return _fsc_step(w, lx - math.log(w) - w)
 
 
 def w0_grid(x):
@@ -213,7 +213,7 @@ def _ln_root(lx, ll, c, tc, s1, sign=1.0, m=None):
     lx = ln x = ln(sign x), ll = ln L = ln(tau b r) and tc = tau b c; given m = lx - ll, (u, the
     bound on its error). A float c takes one form."""
     if isinstance(lx, float) and not c > _C_NEWTON:
-        u = (_w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), sign)))[0] / s1 - c
+        u = (_w0_log_scalar(lx) if lx >= 1.0 else w0_scalar(math.copysign(math.exp(lx), sign))) / s1 - c
         return u if m is None else (u, 2.0 ** -46 * (1.0 + 2.0 * (abs(u) + abs(c)) + (1.0 + abs(m)) / s1))
     one, new = isinstance(lx, float), c > _C_NEWTON
     u = None if one or np.all(new) else w0_exp_grid(lx, sign) / s1 - c     # the W form, on arrays

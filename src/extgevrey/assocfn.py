@@ -14,18 +14,8 @@ from ._kernels import (_LN_2_53, _assoc_sup_scalar, _counting_sum_scalar, _ln_ro
 from .errors import DomainError, NumericalError, UsageError
 from .sequences import SequenceParams, _check_positive, _fit_band
 
-__all__ = [
-    "AssocFnResult",
-    "assoc_fn_sup",
-    "assoc_fn_sup_grid",
-    "assoc_fn_counting",
-    "assoc_fn_counting_grid",
-    "counting_fn_floor",
-    "counting_fn_direct",
-    "envelope",
-    "sandwich_bounds_check",
-    "SandwichReport",
-]
+__all__ = ["AssocFnResult", "assoc_fn_sup", "assoc_fn_sup_grid", "assoc_fn_counting", "assoc_fn_counting_grid",
+           "counting_fn_floor", "counting_fn_direct", "envelope", "sandwich_bounds_check", "SandwichReport"]
 
 
 class AssocFnResult(NamedTuple):
@@ -44,7 +34,10 @@ def _k_grid(k_grid, caller):
 
 
 def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
-    """T_h(k) by direct maximization over integer p >= 0."""
+    """T_h(k) by direct maximization over integer p >= 0: argmax_p is the smallest p in {0, 1,
+    floor(p*)-1 ... floor(p*)+2} that attains the largest float g, p* from W by FSC steps in `math`.
+    Past p* ~ 1e12, where g is flat to its last digit over such p, it may differ from
+    `assoc_fn_sup_grid`'s, whose W takes Halley steps in numpy (the log form), with the same T."""
     if not (0.0 < h < math.inf and 0.0 < k < math.inf):
         _check_positive("h", h)
         _check_positive("k", k)
@@ -53,8 +46,10 @@ def assoc_fn_sup(params: SequenceParams, h: float, k: float) -> AssocFnResult:
 
 
 def assoc_fn_sup_grid(params: SequenceParams, h: float, k_grid) -> Tuple[np.ndarray, np.ndarray]:
-    """(T_h(k), argmax p) for every k, as arrays shaped like k_grid, each entry equal to
-    `assoc_fn_sup` at its k to rounding; an error is that call's at the first failing k."""
+    """(T_h(k), argmax p) for every k, as arrays shaped like k_grid (argmax int64), each entry
+    equal to `assoc_fn_sup` at its k to rounding; an error is that call's at the first failing k.
+    Its argmax is chosen by the same rule from its own p*, W by Halley steps in numpy in the log
+    form: past p* ~ 1e12 it may differ from `assoc_fn_sup`'s, with the same T."""
     _check_positive("h", h)
     k = _k_grid(k_grid, "assoc_fn_sup_grid")
     T, argmax = assoc_sup_grid(np.log(k).ravel(), math.log(h), params.tau, params.sigma)

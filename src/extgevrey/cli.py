@@ -136,8 +136,8 @@ def cmd_assocfn(args):
 def cmd_phi(args):
     t = parse_grid(args.grid, args.linear)
     t = t[t >= 0]
-    if t.size:      # anchor rows: 0 and e whenever they fall inside the requested range
-        t = np.sort(np.concatenate([t, [a for a in (0.0, math.e) if t[0] <= a <= t[-1]]]))
+    if t.size:      # an anchor row at e whenever it falls inside the requested range
+        t = np.sort(np.concatenate([t, [math.e] if t[0] <= math.e <= t[-1] else []]))
         t = t[np.r_[True, t[1:] != t[:-1]]]
     vals = conjugate.phi_sigma(args.sigma, t)
     emit([t, vals], ["t", "phi_sigma"], args.format, args.output)

@@ -131,7 +131,7 @@ def _t_star_past(sigma, y, t0):
     """t* > t0 for the argmax t* of y t - phi_sigma(t): ln y > ln phi_sigma'(t0) where 1 < y <=
     e^(650/sigma), phi_sigma' rising from 1; elsewhere the Newton call decides, with its errors."""
     if 1.0 < y <= math.exp(650.0 / sigma):
-        return math.log(y) > _ln_phi_slope(w0_scalar(t0)[0], sigma - 1.0)
+        return math.log(y) > _ln_phi_slope(w0_scalar(t0), sigma - 1.0)
     return phi_sigma_conjugate(sigma, y)[1] > t0
 
 

@@ -36,7 +36,7 @@ def lambert_w0(x):
     x = float(x)
     if not 0.0 <= x < math.inf:
         _validate(x)
-    return w0_scalar(x)[0]
+    return w0_scalar(x)
 
 
 def lambert_w0_grid(x):
@@ -71,8 +71,8 @@ def evaluate_w(x):
     x = float(x)
     if not 0.0 <= x < math.inf:
         _validate(x)
-    w, iters = w0_scalar(x)
-    return WEvaluation(x, w, w_residual(x, w), iters)
+    w = w0_scalar(x)
+    return WEvaluation(x, w, w_residual(x, w), 2 if x >= 1e-4 else 0)
 
 
 class BracketReport(NamedTuple):

@@ -348,8 +348,9 @@ def _lambertw_columns():
     return [[e.x for e in evs], [e.w for e in evs], [e.residual for e in evs]], ["x", "w", "residual"]
 
 
-def _phi_columns():
-    t = np.unique(np.append(cli.parse_grid("0:10:8"), math.e))
+def _phi_columns(grid="0:10:8", linear=False):
+    t = cli.parse_grid(grid, linear)
+    t = np.unique(np.append(t[t >= 0], math.e))
     return [t, conjugate.phi_sigma(2.0, t)], ["t", "phi_sigma"]
 
 
@@ -378,6 +379,9 @@ _COMMANDS = {
     "assocfn h=2": (["assocfn", "--h", "2", "--grid", "1:1e8:8"],
                     lambda: _assocfn_columns("1:1e8:8", 2.0)),
     "phi": (["phi", "--grid", "0:10:8"], _phi_columns),
+    "phi lo=-1": (["phi", "--grid=-1:10:8"], lambda: _phi_columns("-1:10:8")),
+    "phi lo=-0": (["phi", "--grid=-0.0:10:8"], lambda: _phi_columns("-0.0:10:8")),
+    "phi linear lo=-1": (["phi", "--linear", "--grid=-1:3:5"], lambda: _phi_columns("-1:3:5", True)),
     "conjugate": (["conjugate", "--grid", "0:50:4"], _conjugate_columns),
 }
 
@@ -635,8 +639,8 @@ def test_the_shared_parser_carries_no_state_between_calls(capsys):
 
 # -- verify off the default point: a full report, a documented exit code -------
 
-# sigma = 200 and 800, off the lattice of test_lattice.py (which runs its 75 points in
-# process, and CI as subprocesses): 64^sigma and 3^sigma leave the floats
+# sigma = 200 and 800, off the lattice of test_lattice.py (which runs its 75 points in one
+# child interpreter under a 2 GB address space): 64^sigma and 3^sigma leave the floats
 _OFF_LATTICE = [(1.0, 200.0, 1.0), (1.0, 800.0, 1.0)]
 
 

@@ -35,7 +35,7 @@ def test_w0_near_zero_is_within_an_ulp():
                         [9.99e-5, -9.99e-5, 5e-5, 1e-300, 5e-324, edge, -edge]])
     grid = _kernels.w0_grid(x)
     for xi, wg in zip(x.tolist(), grid.tolist()):
-        assert _kernels.w0_scalar(xi)[0] == wg
+        assert _kernels.w0_scalar(xi) == wg
         assert _reference.ulps(wg, _reference.w0(xi)) <= 1.0
 
 
@@ -153,10 +153,10 @@ def test_w0_kernels_on_the_negative_branch():
     w = _kernels.w0_grid(x)
     np.testing.assert_allclose(w * np.exp(w), x, rtol=0.0, atol=1e-15)
     assert np.all(w > -1.0)
-    scalar = np.array([_kernels.w0_scalar(v)[0] for v in x])
+    scalar = np.array([_kernels.w0_scalar(v) for v in x])
     np.testing.assert_allclose(scalar, w, rtol=1e-14, atol=0.0)
     assert _kernels.w0_grid(np.array([-1.0 / np.e]))[0] == pytest.approx(-1.0, abs=1e-7)
-    assert _kernels.w0_scalar(-1.0 / np.e)[0] == pytest.approx(-1.0, abs=1e-7)
+    assert _kernels.w0_scalar(-1.0 / np.e) == pytest.approx(-1.0, abs=1e-7)
 
 
 def test_assoc_sup_at_large_h():
@@ -641,6 +641,18 @@ def test_c_where_tau_sigma_and_sigma_ln_h_leave_the_floats():
     assert assocfn.envelope(SequenceParams(1e10, 1e306), 1e300, [10.0])[0] == pytest.approx(lnk, rel=1e-6)
 
 
+def test_sup_kernels_past_p_1e12_agree_on_T_if_not_on_the_maximiser():
+    # p* ~ 8.5e15, where g is flat to 17 digits over the candidates (condition 26.3): each kernel's
+    # own W picks its candidates (the scalar reports 8457913176817593, the grid 8457913176817652)
+    tau, sigma, lnk = 1.460681410033409, 1.0517004239666785, 384.91699682301885
+    Ts, ps = _kernels._assoc_sup_scalar(lnk, 0.0, tau, sigma)
+    Tg, pg = (a.item() for a in _kernels.assoc_sup_grid(np.array([lnk]), 0.0, tau, sigma))
+    assert Tg == pytest.approx(Ts, rel=1e-14)
+    for T, p in ((Ts, ps), (Tg, pg)):
+        bound = 1e-14 * _reference.g_cond(p, lnk, 0.0, tau, sigma)
+        assert _reference.rel(T, _reference.g(p, lnk, 0.0, tau, sigma)) <= bound
+
+
 # -- the log-form root of p^s1 (ln p + c) = r against the 50-digit reference -----------
 
 def _root_draws(n, seed):
@@ -703,7 +715,7 @@ def test_w0_scalar_is_within_2_ulp_of_the_reference():
     neg = np.concatenate([-rng.uniform(1e-4, 0.3, 300), _both_sides(-0.3), _both_sides(-1e-4)])
     for x in (pos, neg):
         ref = [_reference.w0(v) for v in x.tolist()]
-        assert _worst_ulps(ref, [_kernels.w0_scalar(v)[0] for v in x.tolist()]) <= 2.0
+        assert _worst_ulps(ref, [_kernels.w0_scalar(v) for v in x.tolist()]) <= 2.0
         assert _worst_ulps(ref, _kernels.w0_grid(x).tolist()) <= 2.0
 
 
@@ -713,7 +725,7 @@ def test_w0_scalar_is_within_2_ulp_of_the_reference():
 def test_w0_scalar_is_within_2_ulp_of_the_reference_anywhere(x):
     # below 0 within 2/(1 + w) ulp, as the grid kernel below: 1/(1 + w) is 1.8 at -0.3
     ref = _reference.w0(x)
-    assert _reference.ulps(_kernels.w0_scalar(x)[0], ref) * min(1.0, 1.0 + float(ref)) <= 2.0
+    assert _reference.ulps(_kernels.w0_scalar(x), ref) * min(1.0, 1.0 + float(ref)) <= 2.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -738,7 +750,7 @@ def test_w0_near_the_branch_point_is_within_its_conditioning():
     rng = np.random.default_rng(15)
     x = -1.0 / math.e + 10.0 ** rng.uniform(-10.0, math.log10(1.0 / math.e - 0.3), 300)
     ref = [_reference.w0(v) for v in x.tolist()]
-    for w in ([_kernels.w0_scalar(v)[0] for v in x.tolist()], _kernels.w0_grid(x).tolist()):
+    for w in ([_kernels.w0_scalar(v) for v in x.tolist()], _kernels.w0_grid(x).tolist()):
         assert max(_reference.ulps(wi, r) * (1.0 + float(r)) for r, wi in zip(ref, w)) <= 2.0
 
 
@@ -748,7 +760,7 @@ def test_w0_log_scalar_is_within_2_ulp_of_the_reference():
                          1.0 + 10.0 ** rng.uniform(-16.0, 0.0, 50),
                          [1.0, np.nextafter(1.0, 2.0), 709.78, 1e300]])
     ref = [_reference.w0_log(v) for v in lx.tolist()]
-    for w in ([_kernels._w0_log_scalar(v)[0] for v in lx.tolist()], _kernels.w0_exp_grid(lx).tolist()):
+    for w in ([_kernels._w0_log_scalar(v) for v in lx.tolist()], _kernels.w0_exp_grid(lx).tolist()):
         assert _worst_ulps(ref, w) <= 2.0
 
 
@@ -762,4 +774,4 @@ def test_w0_log_scalar_is_within_2_ulp_of_the_reference():
     (_kernels._w0_log_scalar, math.inf, "nan"),
     (_kernels._w0_log_scalar, _FLOAT_MAX, "1.7976931348623157e+308")])
 def test_w0_scalar_edge_outcomes(fn, x, want):
-    assert repr(fn(x)[0]) == want
+    assert repr(fn(x)) == want
