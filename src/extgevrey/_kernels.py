@@ -3,13 +3,14 @@
 Lambert W0 on [-1/e, inf) (the public entry points admit x >= 0): `w0_scalar` takes
 a seed and two Fritsch-Shafer-Crowley steps, a fixed count with no convergence test.
 `w0_grid` takes the same seeds and the same two `_fsc_step`s on [-1/e, e), and from x = e
-three Halley steps in log form on ln x, over cache-sized blocks of each branch's points.
-Every point of a branch takes the same steps, so its w is bit-identical whichever block
-and other points it comes with. The log form keeps its Halley bits because the default
-verify report prints values built on them (the matrix-equivalence reservoir
-H = 1/min(T/phi_sigma)), which FSC steps there move in the last digit. Both kernels are
-within 2 ulp of W for x >= -0.28 (2.3 near -0.3, where 1/(1 + w) is 1.8), so they agree
-to about 2e-15 relative.
+three Halley steps in log form on ln x, over cache-sized blocks of each branch's points. Three
+range tests, x >= e, 1e-4 <= x < e and x < 1e-4, sort the points and change no point's steps
+(`tests/test_kernels.py` holds both grids to whole-array masks bit for bit). Every point of
+a branch takes the same steps, so its w is bit-identical whichever block and other points it
+comes with. The log form keeps its Halley bits because the default verify report prints
+values built on them (the matrix-equivalence reservoir H = 1/min(T/phi_sigma)), which FSC
+steps there move in the last digit. Both kernels are within 2 ulp of W for x >= -0.28 (2.3
+near -0.3, where 1/(1 + w) is 1.8), so they agree to about 2e-15 relative.
 `w0_exp_grid` and `_ln_root` take W(+-e^lx) from ln x, in log form where lx >= 1.
 
 T_h(k) = max(0, sup_p g(p)), g(p) = p^sigma ln h + p ln k - tau p^sigma ln p.
@@ -105,16 +106,22 @@ def _w0_log_scalar(lx):
 
 
 def w0_grid(x):
-    """Elementwise W: 0 at 0, the series below 1e-4, -1 at and below the branch point,
-    `_w0_fsc_block` on the rest of [-1/e, e) and `_w0_log_block` on ln x from x = e."""
+    """Elementwise W, by three range tests: `_w0_log_block` on ln x from x = e, `_w0_fsc_block`
+    on [1e-4, e), and below 1e-4 0 at 0, the series above -1e-4, -1 at and below the branch
+    point and `_w0_fsc_block` between. NaN stays 0. Each point takes the steps of its range."""
     x = np.asarray(x, dtype=np.float64)
     w, xf = np.zeros(x.shape), x.ravel()
-    wf, ax, q = w.reshape(-1), np.abs(xf), math.e * np.minimum(xf, 0.0) + 1.0    # q > 0 past -1/e
-    small = ((xf != 0.0) & (ax < 1e-4)).nonzero()[0]
-    wf[small] = _w0_series(xf[small])
-    wf[q <= 0.0] = -1.0
-    _by_block(wf, xf, ((ax >= 1e-4) & (xf < math.e) & (q > 0.0)).nonzero()[0], _w0_fsc_block)
-    _by_block(wf, xf, (xf >= math.e).nonzero()[0], _w0_log_block, ln=True)
+    wf, big = w.reshape(-1), xf >= math.e
+    _by_block(wf, xf, (big ^ (xf >= 1e-4)).nonzero()[0], _w0_fsc_block)
+    _by_block(wf, xf, big.nonzero()[0], _w0_log_block, ln=True)
+    if (low := (xf < 1e-4).nonzero()[0]).size:      # at x >= 0, the zeros alone
+        v = xf[low]
+        wl, q = np.zeros(v.shape), math.e * v + 1.0     # q > 0 past -1/e
+        small = ((v != 0.0) & (v > -1e-4)).nonzero()[0]
+        wl[small] = _w0_series(v[small])
+        wl[q <= 0.0] = -1.0
+        _by_block(wl, v, ((v <= -1e-4) & (q > 0.0)).nonzero()[0], _w0_fsc_block)
+        wf[low] = wl
     return w
 
 
@@ -145,9 +152,11 @@ def _by_block(w, v, idx, steps, ln=False):
 
 def _w0_fsc_block(w, x, _):
     """`w0_scalar` on x in (-1/e, e), |x| >= 1e-4: its seeds and its two `_fsc_step`s."""
-    p, l = np.sqrt(2.0 * (math.e * x + 1.0)), np.log1p(x)
-    v = np.where(x < -0.3, -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0))),
-                 l * (1.0 - np.log1p(l) / (2.0 + l)))
+    l = np.log1p(x)
+    v = l * (1.0 - np.log1p(l) / (2.0 + l))
+    if (b := (x < -0.3).nonzero()[0]).size:     # the branch-point seed there alone
+        p = np.sqrt(2.0 * (math.e * x[b] + 1.0))
+        v[b] = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
     v = _fsc_step(v, np.log(x / v) - v)
     w[:] = _fsc_step(v, np.log(x / v) - v)
 

@@ -9,6 +9,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ._kernels import w0_grid
 from .errors import DivergenceError, DomainError, NumericalError
 from .lambertw import lambert_w0, lambert_w0_grid
 from .sequences import SequenceParams, _check_above_one, _check_positive, _read_only, stable_sup
@@ -44,6 +45,7 @@ def phi_sigma(sigma: float, t):
     if isinstance(t, float) or np.isscalar(t):
         if t < 0:
             raise DomainError(f"phi_sigma needs t >= 0, got {t}")
+        t = float(t)    # so that a product past the floats is inf, not a numpy overflow warning
         e = lambert_w0(t) / (sigma - 1.0)
         try:
             return t * math.exp(e)
@@ -53,7 +55,7 @@ def phi_sigma(sigma: float, t):
     if not (np.isfinite(t) & (t >= 0)).all():     # a negative t first, then a NaN or inf one
         v = (t[t < 0] if (t < 0).any() else t[~np.isfinite(t)]).flat[0]
         raise DomainError(f"phi_sigma needs {'t >= 0' if v < 0 else 'finite t'}, got {v}")
-    e = lambert_w0_grid(t)      # then e^(W/(s-1)) t in place on W's array, a float64 scalar at a 0-d t
+    e = w0_grid(t)      # then e^(W/(s-1)) t in place on W's array, a float64 scalar at a 0-d t
     e /= sigma - 1.0
     with np.errstate(over="ignore"):    # inf past the floats, as the scalar path returns
         return np.multiply(np.exp(e, out=e), t, out=e)[()]
@@ -145,6 +147,7 @@ def young_conjugate(phi: Callable[[float], float], y: float, *,
     """
     if not (math.isfinite(y) and y >= 0):
         raise DomainError(f"young_conjugate needs finite y >= 0, got {y}")
+    y = float(y)    # so that max_float / y is inf, not a numpy overflow warning
 
     def f(t):
         return y * t - phi(t)

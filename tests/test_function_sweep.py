@@ -8,7 +8,8 @@ its values equal its scalar twin's at each point to 1e-13 relative, and the sups
 more ulps of the sum of the sizes of g's terms at the grid's maximiser, where g cancels;
 the maximisers may differ where g is flat within rounding at its top (p past about 1e8).
 Where the sup grid raises, the scalar calls over the same k raise the same error, at the
-first failing k.
+first failing k. `phi_sigma`, `young_conjugate`, `lambert_w0` and `assoc_fn_sup` give at a
+numpy scalar what they give at its float: equal values, or the same error.
 A count that returns is positive exactly where C <= lambda, where p = 1 counts.
 
 Run this module as a script for a longer sweep over more seeds; it exits 1 if a call fails:
@@ -57,6 +58,7 @@ def calls(d):
     phi = lambda t: eg.phi_sigma(sigma, t)
     return [
         ("assoc_fn_sup", lambda: [eg.assoc_fn_sup(P, h, kj) for kj in k]),
+        ("assoc_fn_sup numpy scalar", lambda: [eg.assoc_fn_sup(P, np.float64(h), np.float64(kj)) for kj in k]),
         ("assoc_fn_sup_grid", lambda: eg.assoc_fn_sup_grid(P, h, k)),
         ("assoc_fn_counting", lambda: [eg.assoc_fn_counting(P, kj) for kj in k]),
         ("assoc_fn_counting_grid", lambda: eg.assoc_fn_counting_grid(P, k)),
@@ -69,12 +71,15 @@ def calls(d):
         ("integral_closed_form_check",
          lambda: eg.integral_closed_form_check(P, d["C"], [kj for kj in k if kj > 1.0])),
         ("phi_sigma", lambda: [eg.phi_sigma(sigma, xj) for xj in x]),
+        ("phi_sigma numpy scalar", lambda: [eg.phi_sigma(sigma, np.float64(xj)) for xj in x]),
         ("phi_sigma array", lambda: eg.phi_sigma(sigma, np.array(x))),
         ("phi_sigma_conjugate", lambda: [eg.phi_sigma_conjugate(sigma, xj) for xj in x]),
         ("phi_sigma_conjugate array", lambda: eg.phi_sigma_conjugate(sigma, np.array(x))),
         ("young_conjugate", lambda: eg.young_conjugate(phi, min(x[0], 1e6))),
+        ("young_conjugate numpy scalar", lambda: eg.young_conjugate(phi, np.float64(min(x[0], 1e6)))),
         ("conjugate_table", lambda: eg.conjugate_table(phi, [min(xj, 1e6) for xj in x])),
         ("lambert_w0", lambda: [eg.lambert_w0(xj) for xj in x]),
+        ("lambert_w0 numpy scalar", lambda: [eg.lambert_w0(np.float64(xj)) for xj in x]),
         ("lambert_w0_grid", lambda: eg.lambert_w0_grid(x)),
         ("evaluate_w", lambda: [eg.evaluate_w(xj) for xj in x]),
         ("log_M", lambda: seq.log_M(p)),
@@ -114,9 +119,14 @@ def check(d):
             continue
         except Exception as exc:        # a RuntimeWarning too
             raise AssertionError(f"{name} at {d}: {exc!r}") from exc
-        inf_ok = name in ("phi_sigma", "phi_sigma array")
+        inf_ok = name in ("phi_sigma", "phi_sigma numpy scalar", "phi_sigma array")
         bad = [v for v in _numbers(out) if not (math.isfinite(v) or inf_ok and v == math.inf)]
         assert not bad, f"{name} at {d}: {bad[0]} in {out!r}"
+    # a numpy scalar gives what its float gives: the same values, or the same error
+    for name in [n for n in (*got, *raised) if n.endswith(" numpy scalar")]:
+        twin = name.removesuffix(" numpy scalar")
+        assert (got.get(name), raised.get(name)) == (got.get(twin), raised.get(twin)), \
+            f"{name} at {d}: {got.get(name, raised.get(name))!r} against {got.get(twin, raised.get(twin))!r}"
     # p = 1 counts exactly where g(1) = ln C <= ln lambda, that is where C <= lambda
     for name, C in (("counting_fn_floor", d["C"]), ("counting_fn_floor array", d["k"]),
                     ("counting_fn_direct", d["C"]), ("counting_fn_direct array", d["k"])):

@@ -457,6 +457,89 @@ def test_w0_grid_keeps_the_shape(x):
     assert np.array_equal(w.ravel(), _kernels.w0_grid(np.ravel(x)))
 
 
+# -- the W grids against whole-array masks, bit for bit ----------------------------
+# `tolist() ==` sees neither -0.0 against 0.0 nor one NaN against another: these compare bits
+
+def _fsc_rule(w, x):
+    u = 1.0 + w
+    z = np.log(x / w) - w
+    r, a = z / u, u + (2.0 / 3.0) * z
+    return w + w * r * (a - 0.5 * r) / (a - r)
+
+
+def _log_rule(lx):
+    w = lx - np.log(lx)
+    for _ in range(3):
+        r, u = np.log(w) + w - lx, 1.0 / w + 1.0
+        w = w - r * 2.0 * u / (u * 2.0 * u + r / (w * w))
+    return w
+
+
+def _w0_grid_rules(x):
+    """`w0_grid` by its masks over the whole array, unblocked: 0 at 0 (and NaN), the series where
+    0 < |x| < 1e-4, -1 where e min(x, 0) + 1 <= 0, both seeds by `np.where` and two FSC steps on
+    the rest of [-1/e, e), three Halley steps on ln x from x = e."""
+    x = np.ravel(x)
+    w, ax, q = np.zeros(x.shape), np.abs(x), math.e * np.minimum(x, 0.0) + 1.0
+    small = (x != 0.0) & (ax < 1e-4)
+    v = x[small]
+    w[small] = v - v * v * (1.0 - v * (1.5 - v * (8.0 / 3.0 - v * (125.0 / 24.0))))
+    w[q <= 0.0] = -1.0
+    mid = (ax >= 1e-4) & (x < math.e) & (q > 0.0)
+    v = x[mid]
+    p, l = np.sqrt(2.0 * (math.e * v + 1.0)), np.log1p(v)
+    s = np.where(v < -0.3, -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0))),
+                 l * (1.0 - np.log1p(l) / (2.0 + l)))
+    w[mid] = _fsc_rule(_fsc_rule(s, v), v)
+    big = x >= math.e
+    w[big] = _log_rule(np.log(x[big]))
+    return w
+
+
+def _w0_exp_grid_rules(lx, sign):
+    big = lx >= 1.0
+    w = np.empty(lx.shape)
+    with np.errstate(over="ignore"):
+        w[big] = _log_rule(lx[big])
+    w[~big] = _w0_grid_rules(np.copysign(np.exp(lx[~big]), sign[~big]))
+    return w
+
+
+def _assert_same_bits(x, lx, sign):
+    for got, want in ((_kernels.w0_grid(x), _w0_grid_rules(x)),
+                      (_kernels.w0_exp_grid(lx, sign), _w0_exp_grid_rules(lx, sign))):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+_LX = st.one_of(_W_X.map(lambda v: math.log(abs(v)) if v else -math.inf), st.floats(1.0, 1e308))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_W_X, min_size=1, max_size=60),
+       st.lists(st.tuples(_LX, st.sampled_from((1.0, -1.0))), min_size=1, max_size=60))
+def test_w_grids_keep_their_rules_bit_for_bit(x, lx_sign):
+    lx, sign = np.array(lx_sign).T
+    _assert_same_bits(np.array(x), lx, sign)
+
+
+_W_EDGES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, _FLOAT_MAX,
+            *(u for v in (-1.0 / math.e, -0.3, -1e-4, 1e-4, math.e)
+              for u in (np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)))]
+
+
+@pytest.mark.parametrize("n", [len(_W_EDGES), _B - 1, _B + 1])
+def test_w_grids_keep_their_rules_bit_for_bit_at_the_edges(n):
+    # the edges in a shuffled fill from every branch; the first nine ln x are 1 and its
+    # neighbours, +-1e308, +-inf, NaN and ln of the largest float
+    rng = np.random.default_rng(n)
+    x = rng.permutation(np.concatenate([_W_EDGES, rng.choice(_POOL, n - len(_W_EDGES))]))
+    with np.errstate(divide="ignore"):
+        lx = np.log(np.abs(x))
+    lx[:9] = [*_both_sides(1.0), 1e308, -1e308, math.inf, -math.inf, math.nan, _LN_FLOAT_MAX]
+    with np.errstate(invalid="ignore"):     # ln x = inf gives NaN in the log form (inf - inf)
+        _assert_same_bits(x, lx, rng.choice([1.0, -1.0], n))
+
+
 # -- the counting sum stops at its table cap before it allocates ---------------
 
 def test_counting_sum_past_its_table_cap_raises_before_allocating():
